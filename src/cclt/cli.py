@@ -34,6 +34,7 @@ from .errors import CcltError, ParameterError
 from .exact import enumerate_distribution, kolmogorov_distance, monte_carlo_delta
 from .matrixio import load_score_matrix
 from .permanents import (
+    CfEvaluation,
     cf_diff_bound_closed_grid,
     cf_diff_bound_integral,
     charfn_bound_grid,
@@ -134,7 +135,7 @@ def _bound_payload(matrix, config: RunConfig) -> dict:
     report = berry_esseen_bound(profile, enum_cap=config.enum_cap, attach_delta=True)
     payload = report.as_dict()
     if report.delta_report is None:
-        mc = monte_carlo_delta(matrix, config.mc_samples, config.seed, threads=config.threads)
+        mc = monte_carlo_delta(profile, config.mc_samples, config.seed, threads=config.threads)
         payload["delta"] = mc.as_dict()
         payload["slack"] = report.bound - mc.delta
     payload["schema"] = _SCHEMA
@@ -166,20 +167,18 @@ def _cmd_charfn(args: argparse.Namespace) -> int:
     phis = charfn_grid(matrix, ts, perm_cap=config.perm_cap)
     modulus = charfn_bound_grid(profile, ts)
     closed, simplified = cf_diff_bound_closed_grid(profile, ts)
-    points = []
-    for i, t in enumerate(ts):
-        gauss = gauss_cf(profile, float(t))
-        points.append(
-            {
-                "t": float(t),
-                "phi": {"re": phis[i].real, "im": phis[i].imag},
-                "gauss": {"re": gauss.real, "im": gauss.imag},
-                "modulus_bound": float(modulus[i]),
-                "diff_bound_integral": cf_diff_bound_integral(profile, float(t), tol=config.quad_tol),
-                "diff_bound_closed": float(closed[i]),
-                "diff_bound_closed_simplified": None if simplified is None else float(simplified[i]),
-            }
-        )
+    points = [
+        CfEvaluation(
+            t=float(t),
+            phi=complex(phis[i]),
+            gauss=gauss_cf(profile, float(t)),
+            modulus_bound=modulus[i],
+            diff_bound_integral=cf_diff_bound_integral(profile, float(t), tol=config.quad_tol),
+            diff_bound_closed=closed[i],
+            diff_bound_closed_simplified=None if simplified is None else float(simplified[i]),
+        ).as_dict()
+        for i, t in enumerate(ts)
+    ]
     _emit({"schema": _SCHEMA, "n": matrix.n, "points": points}, config)
     return 0
 

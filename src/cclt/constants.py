@@ -249,7 +249,7 @@ def berry_esseen_bound(
     delta_report = None
     slack = None
     if attach_delta and stats.n <= enum_cap:
-        delta_report = kolmogorov_distance(enumerate_distribution(profile.matrix, enum_cap=enum_cap))
+        delta_report = kolmogorov_distance(enumerate_distribution(profile, enum_cap=enum_cap))
         slack = bound - delta_report.delta
     return BoundReport(
         n=stats.n,

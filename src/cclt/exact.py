@@ -25,7 +25,7 @@ from scipy.special import ndtr
 
 from .errors import CapExceededError, InvalidMatrixError, ParameterError
 from .permtables import perm_blocks
-from .scores import ScoreMatrix, center, require_nondegenerate
+from .scores import GammaProfile, ScoreMatrix, _as_profile, require_nondegenerate
 
 _MERGE_RTOL = 1e-12
 _MC_BATCH = 1 << 18
@@ -118,7 +118,7 @@ def _statistic_values(m: ScoreMatrix) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def enumerate_distribution(m: ScoreMatrix, enum_cap: int = 10) -> AtomDistribution:
+def enumerate_distribution(m: ScoreMatrix | GammaProfile, enum_cap: int = 10) -> AtomDistribution:
     """Exact law of S* by full enumeration of the n! permutations.
 
     Values agreeing to within 1e-12 of the statistic scale are merged into a
@@ -131,9 +131,10 @@ def enumerate_distribution(m: ScoreMatrix, enum_cap: int = 10) -> AtomDistributi
         raise CapExceededError(
             f"n = {n} exceeds the enumeration cap {enum_cap}; use monte_carlo_delta instead"
         )
-    stats = center(m)
+    profile = _as_profile(m)
+    stats = profile.stats
     require_nondegenerate(stats)
-    s = np.sort(_statistic_values(m), kind="stable")
+    s = np.sort(_statistic_values(profile.matrix), kind="stable")
     scale = float(max(abs(s[0]), abs(s[-1]), 1e-300))
     tol = _MERGE_RTOL * scale
     boundaries = np.flatnonzero(np.diff(s) > tol) + 1
@@ -182,7 +183,7 @@ def _mc_batch_layout(samples: int) -> list[int]:
 
 
 def monte_carlo_delta(
-    m: ScoreMatrix,
+    m: ScoreMatrix | GammaProfile,
     samples: int,
     seed: int,
     threads: int = 1,
@@ -198,10 +199,11 @@ def monte_carlo_delta(
         raise ParameterError(f"samples must be at least 10000, got {samples}")
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")
-    stats = center(m)
+    profile = _as_profile(m)
+    stats = profile.stats
     sigma = math.sqrt(require_nondegenerate(stats))
-    n = m.n
-    a = m.a
+    n = profile.n
+    a = profile.matrix.a
     rows = np.arange(n)
     seeds = np.random.SeedSequence(seed).spawn(len(_mc_batch_layout(samples)))
 

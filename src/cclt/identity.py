@@ -264,7 +264,7 @@ def identity_check(Y: ComplexScoreMatrix, tol: float = 1e-10, enum_cap: int = 10
     """Evaluate both sides of the permanent identity.
 
     lhs = perm(exp(y))/n! - exp(alpha + beta/2) with the permanent computed by
-    Ryser's formula; rhs integrates f(u) exp((1-u) alpha + (1-u^2) beta/2)
+    Glynn's formula; rhs integrates f(u) exp((1-u) alpha + (1-u^2) beta/2)
     over [0, 1] by adaptive quadrature to absolute tolerance ``tol``.  The
     residual stays within a small multiple of ``tol``.
     """

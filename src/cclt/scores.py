@@ -61,6 +61,13 @@ class ScoreMatrix:
             raise InvalidMatrixError(f"score matrix needs n >= 2, got n = {a.shape[0]}")
         if not np.all(np.isfinite(a)):
             raise InvalidMatrixError("score matrix entries must be finite")
+        # |b| <= 4 max|a|, and b^2, |b|^3 are summed over n^4 quadruples:
+        # past this scale they overflow into inf/nan and fail far downstream.
+        scale = 4.0 * float(np.abs(a).max())
+        if not np.isfinite(scale * scale * scale * scale):
+            raise InvalidMatrixError(
+                f"second-difference scale 4*max|a| = {scale:.6g} overflows in its fourth power"
+            )
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
 

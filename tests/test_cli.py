@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cclt import MatrixParseError, load_complex_matrix, load_score_matrix
+from cclt import GammaProfile, MatrixParseError, evaluate_cf, load_complex_matrix, load_score_matrix
 from cclt.cli import main
 
 TWO_BY_TWO_CSV = "1,-1\n-1,1\n"
@@ -115,6 +115,27 @@ class TestBoundCommand:
         assert code == 2
         assert "sigma2" in err
 
+    @pytest.mark.parametrize(
+        "extra, method",
+        [([], "exact"), (["--enum-cap", "4", "--mc-samples", "20000"], "monte-carlo")],
+    )
+    def test_one_profile_per_run(self, capsys, monkeypatch, tmp_path, extra, method):
+        rng = np.random.default_rng(0)
+        path = tmp_path / "m5.csv"
+        path.write_text("\n".join(",".join(str(v) for v in row) for row in rng.standard_normal((5, 5))))
+        built = []
+        init = GammaProfile.__init__
+
+        def counting_init(self, matrix):
+            built.append(matrix)
+            init(self, matrix)
+
+        monkeypatch.setattr(GammaProfile, "__init__", counting_init)
+        code, out, _ = run_cli(capsys, "bound", "--input", str(path), *extra)
+        assert code == 0
+        assert json.loads(out)["delta"]["method"] == method
+        assert len(built) == 1
+
     def test_byte_identical_reruns(self, capsys, fixture_csv):
         _, first, _ = run_cli(capsys, "bound", "--input", fixture_csv, "--seed", "7")
         _, second, _ = run_cli(capsys, "bound", "--input", fixture_csv, "--seed", "7")
@@ -158,6 +179,25 @@ class TestCharfnCommand:
             assert phi == pytest.approx(math.cos(2 * t), abs=1e-12)
             assert abs(phi) <= point["modulus_bound"] + 1e-12
             assert point["diff_bound_closed_simplified"] is None
+
+    def test_points_match_cf_evaluation(self, capsys, tmp_path):
+        rng = np.random.default_rng(5)
+        path = tmp_path / "m6.csv"
+        path.write_text("\n".join(",".join(str(v) for v in row) for row in rng.standard_normal((6, 6))))
+        code, out, _ = run_cli(capsys, "charfn", "--input", str(path), "--t-grid=-1.5:1.5:4")
+        assert code == 0
+        m = load_score_matrix(path)
+        for point in json.loads(out)["points"]:
+            expected = evaluate_cf(m, point["t"]).as_dict()
+            assert point.keys() == expected.keys()
+            for key in ("phi", "gauss"):
+                assert point[key].keys() == {"re", "im"}
+                got = complex(point[key]["re"], point[key]["im"])
+                assert got == pytest.approx(complex(expected[key]["re"], expected[key]["im"]), abs=1e-14)
+            assert point["t"] == expected["t"]
+            assert point["diff_bound_integral"] == expected["diff_bound_integral"]
+            for key in ("modulus_bound", "diff_bound_closed", "diff_bound_closed_simplified"):
+                assert point[key] == pytest.approx(expected[key], rel=1e-12)
 
     def test_bad_grid_spec(self, capsys, fixture_csv):
         code, _, err = run_cli(capsys, "charfn", "--input", fixture_csv, "--t-grid", "1:2")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -23,8 +24,29 @@ from cclt import (
     permanent_reference,
     restricted_sum_check,
 )
+from cclt import permanents
 from cclt.permanents import charfn_bound_grid, charfn_grid, cf_diff_bound_closed_grid
 from conftest import rand_matrix
+
+
+def mp_permanent(entries) -> mpmath.mpc:
+    """Ryser's formula in 50-digit arithmetic: an oracle independent of the kernel."""
+    n = len(entries)
+    total = mpmath.mpc(0)
+    for mask in range(1, 1 << n):
+        cols = [r for r in range(n) if mask >> r & 1]
+        term = mpmath.mpc(1)
+        for row in entries:
+            term *= mpmath.fsum(row[r] for r in cols)
+        total += -term if (n - len(cols)) % 2 else term
+    return total
+
+
+def derangements(n: int) -> int:
+    d = [1, 0]
+    for k in range(2, n + 1):
+        d.append((k - 1) * (d[-1] + d[-2]))
+    return d[n]
 
 
 class TestPermanent:
@@ -42,6 +64,20 @@ class TestPermanent:
         ryser = permanent(m)
         naive = permanent_reference(m)
         assert abs(ryser - naive) <= 1e-10 * max(1.0, abs(naive))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_matches_mpmath_oracle(self, rng, n):
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        with mpmath.workdps(50):
+            exact = mp_permanent([[mpmath.mpc(z.real, z.imag) for z in row] for row in m])
+            err = abs(mpmath.mpc(permanent(m)) - exact) / abs(exact)
+        assert err <= 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_integer_oracles(self, n):
+        ones = np.ones((n, n))
+        assert permanent(ones) == pytest.approx(math.factorial(n), rel=1e-12)
+        assert permanent(ones - np.eye(n)) == pytest.approx(derangements(n), rel=1e-12)
 
     def test_real_matrix(self, rng):
         m = rng.standard_normal((5, 5))
@@ -73,6 +109,34 @@ class TestCharfn:
         raw_values = stats.mu + math.sqrt(stats.sigma2) * dist.values
         oracle = complex((dist.probs * np.exp(1j * t * raw_values)).sum())
         assert abs(charfn(m, t) - oracle) <= 1e-10
+
+    def test_matches_mpmath_oracle(self, rng):
+        m = rand_matrix(rng, 8)
+        for t in (0.0, 0.3, -1.1, 2.7):
+            with mpmath.workdps(50):
+                entries = [[mpmath.expj(t * mpmath.mpf(x)) for x in row] for row in m.a]
+                exact = mp_permanent(entries) / math.factorial(8)
+                err = abs(mpmath.mpc(charfn(m, t)) - exact)
+            assert err <= 1e-12
+
+    def test_at_zero_is_one_to_rounding_at_n18(self, rng):
+        assert abs(charfn(rand_matrix(rng, 18), 0.0) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("size", [1, 3, 257])
+    def test_grid_batches_match_scalar(self, rng, size):
+        # The batch size sets how many sign bits the kernel tabulates.
+        m = rand_matrix(rng, 14)
+        ts = np.linspace(-2.0, 2.0, size)
+        grid = charfn_grid(m, ts)
+        for i, t in enumerate(ts):
+            assert abs(grid[i] - charfn(m, float(t))) <= 1e-12
+
+    def test_split_batch_matches_whole(self, rng, monkeypatch):
+        m = rand_matrix(rng, 6)
+        ts = np.linspace(-3.0, 3.0, 50)
+        whole = charfn_grid(m, ts)
+        monkeypatch.setattr(permanents, "_BLOCK_ELEMS", 64)
+        assert np.abs(charfn_grid(m, ts) - whole).max() <= 1e-12
 
     def test_grid_matches_scalar(self, rng):
         m = rand_matrix(rng, 5)

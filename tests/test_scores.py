@@ -38,6 +38,13 @@ class TestScoreMatrix:
         with pytest.raises(InvalidMatrixError):
             ScoreMatrix([[1.0, np.nan], [0.0, 1.0]])
 
+    def test_rejects_overflowing_scale(self):
+        # 4 * 1e200 overflows in its fourth power; this matrix used to fail
+        # later with "atom values must be strictly increasing".
+        with pytest.raises(InvalidMatrixError, match=r"scale 4\*max\|a\| = 4e\+200"):
+            ScoreMatrix([[1e200, 0.0], [0.0, 1.0]])
+        assert ScoreMatrix([[1e70, 0.0], [0.0, 1.0]]).n == 2
+
     def test_entries_read_only(self, two_by_two):
         with pytest.raises(ValueError):
             two_by_two.a[0, 0] = 7.0
