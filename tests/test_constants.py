@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,6 +108,26 @@ class TestKernelMoments:
         mi = damped_moment_integrals(c)
         assert mi.i1_numeric_residual <= 1e-6
         assert mi.i2_numeric_residual <= 1e-6
+
+    @pytest.mark.parametrize("c", [0.01, 0.25, 0.49])
+    def test_high_precision_oracle(self, c):
+        # Integrating t out exactly leaves the u-integral of
+        # u^p Gamma((p+1)/2) / (2 rate(u)^((p+1)/2)), rate(u) = c u^2 + (1-u^2)/2,
+        # which mpmath evaluates to 30 digits.
+        from cclt.analytic import _nested_kernel_moment
+
+        mi = damped_moment_integrals(c)
+        for power, closed in ((1, mi.i1), (2, mi.i2)):
+            with mpmath.workdps(30):
+                half = mpmath.mpf(power + 1) / 2
+                scale = mpmath.gamma(half) / 2
+
+                def integrand(u):
+                    return u**power * scale / (c * u * u + (1 - u * u) / 2) ** half
+
+                oracle = float(mpmath.quad(integrand, [0, 1]))
+            assert closed == pytest.approx(oracle, rel=1e-13, abs=0.0)
+            assert abs(_nested_kernel_moment(c, power, 1e-8) - oracle) <= 1e-9
 
     @pytest.mark.parametrize("c", [0.0, 0.5, -0.1, 0.9])
     def test_domain(self, c):
