@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -33,14 +34,7 @@ from .constants import (
 from .errors import CcltError, ParameterError
 from .exact import enumerate_distribution, kolmogorov_distance, monte_carlo_delta
 from .matrixio import load_score_matrix
-from .permanents import (
-    CfEvaluation,
-    cf_diff_bound_closed_grid,
-    cf_diff_bound_integral,
-    charfn_bound_grid,
-    charfn_grid,
-    gauss_cf,
-)
+from .permanents import evaluate_cf_grid
 from .scores import GammaProfile, from_sampling
 from .verify import SUITE_NAMES, run_suite
 
@@ -62,7 +56,7 @@ class RunConfig:
     def __post_init__(self):
         if self.enum_cap < 2 or self.perm_cap < 2:
             raise ParameterError("enumeration and permanent caps must be >= 2")
-        if self.quad_tol <= 0:
+        if not self.quad_tol > 0:
             raise ParameterError(f"quad tolerance must be positive, got {self.quad_tol}")
         if self.mc_samples < 10_000:
             raise ParameterError(f"mc samples must be >= 10000, got {self.mc_samples}")
@@ -125,6 +119,9 @@ def _parse_t_grid(spec: str) -> np.ndarray:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ParameterError(f"t-grid must be start:stop:count with numeric fields, got {spec!r}") from None
+    for name, value in (("start", start), ("stop", stop)):
+        if not math.isfinite(value):
+            raise ParameterError(f"t-grid {name} must be finite, got {value}")
     if count < 1:
         raise ParameterError(f"t-grid count must be >= 1, got {count}")
     return np.linspace(start, stop, count)
@@ -163,22 +160,7 @@ def _cmd_charfn(args: argparse.Namespace) -> int:
     config = _config(args)
     matrix = load_score_matrix(args.input, fmt=args.format)
     ts = _parse_t_grid(args.t_grid)
-    profile = GammaProfile(matrix)
-    phis = charfn_grid(matrix, ts, perm_cap=config.perm_cap)
-    modulus = charfn_bound_grid(profile, ts)
-    closed, simplified = cf_diff_bound_closed_grid(profile, ts)
-    points = [
-        CfEvaluation(
-            t=float(t),
-            phi=complex(phis[i]),
-            gauss=gauss_cf(profile, float(t)),
-            modulus_bound=modulus[i],
-            diff_bound_integral=cf_diff_bound_integral(profile, float(t), tol=config.quad_tol),
-            diff_bound_closed=closed[i],
-            diff_bound_closed_simplified=None if simplified is None else float(simplified[i]),
-        ).as_dict()
-        for i, t in enumerate(ts)
-    ]
+    points = [ev.as_dict() for ev in evaluate_cf_grid(matrix, ts, tol=config.quad_tol, perm_cap=config.perm_cap)]
     _emit({"schema": _SCHEMA, "n": matrix.n, "points": points}, config)
     return 0
 

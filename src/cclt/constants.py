@@ -305,9 +305,9 @@ def smoothing_bound(
     """
     if not 0.0 < w < 1.0:
         raise ParameterError(f"w must lie in (0, 1), got {w}")
-    if T <= 0.0:
+    if not T > 0.0:
         raise ParameterError(f"T must be positive, got {T}")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ParameterError(f"tol must be positive, got {tol}")
     profile = _as_profile(m)
     stats = profile.stats

@@ -268,7 +268,7 @@ def identity_check(Y: ComplexScoreMatrix, tol: float = 1e-10, enum_cap: int = 10
     over [0, 1] by adaptive quadrature to absolute tolerance ``tol``.  The
     residual stays within a small multiple of ``tol``.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ParameterError(f"tol must be positive, got {tol}")
     n = Y.n
     if n > enum_cap:

@@ -26,6 +26,11 @@ Three explicit inequalities for phi are implemented:
 * two bounds on |phi(t) - exp(i t mu - sigma2 t^2 / 2)|: an integral form
   (adaptive quadrature over an auxiliary variable u in [0, 1]) and a
   closed form, plus a simplified closed form available for n >= 6.
+
+Each of phi and the bounds has one implementation, over an array of t (the
+``_grid`` functions and ``_damping_many``; the integral form integrates one
+quadrature lane per t).  The value at one t depends on that t alone, so the
+scalar functions are batches of one and agree with the grids bit for bit.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ import numpy as np
 from .analytic import kappa
 from .errors import CapExceededError, ParameterError
 from .permtables import full_table
-from .quadrature import adaptive_simpson_vec
+from .quadrature import adaptive_simpson_lanes
 from .scores import GammaProfile, ScoreMatrix, _as_profile, require_nondegenerate
 
 
@@ -119,19 +124,28 @@ def gauss_cf(m: ScoreMatrix | GammaProfile, t: float) -> complex:
     return cmath.exp(1j * t * stats.mu - stats.sigma2 * t * t / 2.0)
 
 
-def charfn_bound(m: ScoreMatrix | GammaProfile, t: float) -> float:
-    """Modulus bound (mean cos^2(t b / 2))^(floor(n/2)/2) for |phi(t)|.
+def charfn_bound_grid(m: ScoreMatrix | GammaProfile, ts) -> np.ndarray:
+    """Modulus bound (mean cos^2(t b / 2))^(floor(n/2)/2) for |phi(t)| at each t.
 
     The mean runs over all index quadruples with distinct rows and distinct
     columns, normalised by n^2 (n-1)^2; the bound is tight for the 2 x 2
     matrix [[t, -t], [-t, t]].
     """
     profile = _as_profile(m)
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
     n = profile.n
-    mean_cos2 = float((np.cos(0.5 * t * profile.b_abs) ** 2).sum()) / (
-        n * n * (n - 1) * (n - 1)
-    )
-    return mean_cos2 ** ((n // 2) / 2.0)
+    out = np.empty(ts.shape)
+    step = max(1, (1 << 22) // max(1, profile.b_abs.size))
+    for start in range(0, ts.size, step):
+        block = np.cos(0.5 * ts[start : start + step, None] * profile.b_abs[None, :])
+        out[start : start + step] = (block * block).sum(axis=1)
+    out /= n * n * (n - 1.0) * (n - 1.0)
+    return out ** ((n // 2) / 2.0)
+
+
+def charfn_bound(m: ScoreMatrix | GammaProfile, t: float) -> float:
+    """Modulus bound for |phi(t)| at one t (see ``charfn_bound_grid``)."""
+    return float(charfn_bound_grid(m, [t])[0])
 
 
 @dataclass(frozen=True)
@@ -143,24 +157,30 @@ class DampingBound:
     value: float
 
 
-def h_ell(m: ScoreMatrix | GammaProfile, t: float, ell: float) -> DampingBound:
-    """Damping bound for permutation sums with ell rows and columns fixed.
+def _damping_many(profile: GammaProfile, ts: np.ndarray, ell: float, gamma_2kt: np.ndarray) -> np.ndarray:
+    """h_ell at each t, given gamma(2 kappa t) precomputed.
 
     h_ell(t) = min(1, exp(ell - (n-ell-1)/(4(n-1)) t^2 (sigma2 - gamma(2 kappa t)/4)))
     when n >= ell and 0 otherwise.  The variance enters through the same
     quadruple sum as gamma, which keeps sigma2 - gamma(.)/4 >= 0 termwise.
     """
+    n = profile.n
+    if n < ell:
+        return np.zeros(ts.shape)
+    damp = profile.sigma2_quad - gamma_2kt / 4.0
+    exponent = ell - (n - ell - 1.0) / (4.0 * (n - 1.0)) * ts * ts * damp
+    return np.minimum(1.0, np.exp(np.minimum(exponent, 0.0)))
+
+
+def h_ell(m: ScoreMatrix | GammaProfile, t: float, ell: float) -> DampingBound:
+    """Damping bound for permutation sums with ell rows and columns fixed."""
     if ell < 0:
         raise ParameterError(f"ell must be nonnegative, got {ell}")
     profile = _as_profile(m)
-    n = profile.n
-    if n < ell:
-        return DampingBound(ell=ell, t=t, value=0.0)
     kap, _ = kappa()
-    damp = profile.sigma2_quad - profile.gamma(2.0 * kap * t) / 4.0
-    exponent = ell - (n - ell - 1.0) / (4.0 * (n - 1.0)) * t * t * damp
-    value = 1.0 if exponent >= 0.0 else min(1.0, math.exp(exponent))
-    return DampingBound(ell=ell, t=t, value=value)
+    ts = np.array([float(t)])
+    value = _damping_many(profile, ts, ell, profile.gamma_many(2.0 * kap * ts))[0]
+    return DampingBound(ell=ell, t=t, value=float(value))
 
 
 def restricted_sum_check(
@@ -207,22 +227,12 @@ def restricted_sum_check(
     return float(lhs), float(rhs)
 
 
-def _damping_many(profile: GammaProfile, ts: np.ndarray, ell: int, gamma_2kt: np.ndarray) -> np.ndarray:
-    """h_ell on an array of t values, given gamma(2 kappa t) precomputed."""
-    n = profile.n
-    if n < ell:
-        return np.zeros(ts.shape)
-    damp = profile.sigma2_quad - gamma_2kt / 4.0
-    exponent = ell - (n - ell - 1.0) / (4.0 * (n - 1.0)) * ts * ts * damp
-    return np.minimum(1.0, np.exp(np.minimum(exponent, 0.0)))
-
-
-def cf_diff_bound_integral(
+def cf_diff_bound_integral_grid(
     m: ScoreMatrix | GammaProfile,
-    t: float,
+    ts,
     tol: float = 1e-10,
-) -> float:
-    """Integral-form bound on |phi(t) - exp(i t mu - sigma2 t^2/2)|.
+) -> np.ndarray:
+    """Integral-form bound on |phi(t) - exp(i t mu - sigma2 t^2/2)| at each t.
 
     Integrates, over u in [0, 1] by adaptive Simpson quadrature to absolute
     tolerance ``tol``,
@@ -232,21 +242,24 @@ def cf_diff_bound_integral(
                 + (n-2)(n-3)/(n(n-1)) h_4(tu) gamma(tu/2) ]
         * exp(-(1-u^2) sigma2 t^2 / 2).
 
-    The h_3 term vanishes for n = 2 and the h_4 term for n <= 3.
+    The h_3 term vanishes for n = 2 and the h_4 term for n <= 3.  All t are
+    integrated in one lanes call, one lane per t; a lane's value does not
+    depend on the other t.  The bound is 0 at t = 0, where the integrand is
+    not evaluated.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ParameterError(f"tol must be positive, got {tol}")
     profile = _as_profile(m)
     require_nondegenerate(profile.stats)
-    if t == 0.0:
-        return 0.0
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
     n = profile.n
     sigma2 = profile.sigma2_quad
     kap, _ = kappa()
     c3 = 2.0 * (n - 2.0) / (n * (n - 1.0))
     c4 = (n - 2.0) * (n - 3.0) / (n * (n - 1.0))
 
-    def integrand(us: np.ndarray) -> np.ndarray:
+    def integrand(us: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        t = ts[lanes]
         tu = t * us
         stacked = profile.gamma_split_many(np.concatenate((tu / 4.0, tu / 2.0, 2.0 * kap * tu)))
         g14, g12, g2k = np.split(stacked, 3)
@@ -257,7 +270,17 @@ def cf_diff_bound_integral(
             inner += c4 * _damping_many(profile, tu, 4, g2k) * g12
         return t * t * us * inner * np.exp(-(1.0 - us * us) * sigma2 * t * t / 2.0)
 
-    return float(adaptive_simpson_vec(integrand, 0.0, 1.0, tol=tol))
+    # A lane over the empty interval [0, 0] is 0 and never calls the integrand.
+    return adaptive_simpson_lanes(integrand, 0.0, (ts != 0.0).astype(float), tol)
+
+
+def cf_diff_bound_integral(
+    m: ScoreMatrix | GammaProfile,
+    t: float,
+    tol: float = 1e-10,
+) -> float:
+    """Integral-form bound at one t (see ``cf_diff_bound_integral_grid``)."""
+    return float(cf_diff_bound_integral_grid(m, [t], tol=tol)[0])
 
 
 @dataclass(frozen=True)
@@ -268,8 +291,10 @@ class ClosedFormBounds:
     simplified: float | None
 
 
-def cf_diff_bound_closed(m: ScoreMatrix | GammaProfile, t: float) -> ClosedFormBounds:
-    """Closed-form bounds on |phi(t) - exp(i t mu - sigma2 t^2/2)|.
+def cf_diff_bound_closed_grid(
+    m: ScoreMatrix | GammaProfile, ts
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Closed-form bounds on |phi(t) - exp(i t mu - sigma2 t^2/2)| at each t.
 
     The general form is
 
@@ -280,47 +305,8 @@ def cf_diff_bound_closed(m: ScoreMatrix | GammaProfile, t: float) -> ClosedFormB
 
         32 t^2 gamma(t/3) exp(-t^2/20 (sigma2 - gamma(2 kappa t)/4))
 
-    is evaluated as well.
+    is evaluated as well; below n = 6 the second array is None.
     """
-    profile = _as_profile(m)
-    require_nondegenerate(profile.stats)
-    n = profile.n
-    t2 = t * t
-    general = t2 / 4.0 * profile.gamma(t / 6.0) * h_ell(profile, t, 2).value
-    if n >= 3:
-        general += (n - 2.0) * t2 / (n * (n - 1.0)) * profile.gamma(t / 3.0) * h_ell(profile, t, 3).value
-    if n >= 4:
-        general += (
-            (n - 2.0) * (n - 3.0) * t2 / (2.0 * n * (n - 1.0))
-            * profile.gamma(t / 3.0)
-            * h_ell(profile, t, 4).value
-        )
-    simplified = None
-    if n >= 6:
-        kap, _ = kappa()
-        damp = profile.sigma2_quad - profile.gamma(2.0 * kap * t) / 4.0
-        simplified = 32.0 * t2 * profile.gamma(t / 3.0) * math.exp(-t2 / 20.0 * damp)
-    return ClosedFormBounds(general=float(general), simplified=simplified)
-
-
-def charfn_bound_grid(m: ScoreMatrix | GammaProfile, ts) -> np.ndarray:
-    """Modulus bound evaluated on an array of t values in one pass."""
-    profile = _as_profile(m)
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    n = profile.n
-    out = np.empty(ts.shape)
-    step = max(1, (1 << 22) // max(1, profile.b_abs.size))
-    for start in range(0, ts.size, step):
-        block = np.cos(0.5 * ts[start : start + step, None] * profile.b_abs[None, :])
-        out[start : start + step] = (block * block).sum(axis=1)
-    out /= n * n * (n - 1.0) * (n - 1.0)
-    return out ** ((n // 2) / 2.0)
-
-
-def cf_diff_bound_closed_grid(
-    m: ScoreMatrix | GammaProfile, ts
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Closed-form bounds evaluated on an array of t values in one pass."""
     profile = _as_profile(m)
     require_nondegenerate(profile.stats)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -340,6 +326,15 @@ def cf_diff_bound_closed_grid(
     if n >= 6:
         simplified = 32.0 * t2 * g13 * np.exp(-t2 / 20.0 * (profile.sigma2_quad - g2k / 4.0))
     return general, simplified
+
+
+def cf_diff_bound_closed(m: ScoreMatrix | GammaProfile, t: float) -> ClosedFormBounds:
+    """Closed-form bounds at one t (see ``cf_diff_bound_closed_grid``)."""
+    general, simplified = cf_diff_bound_closed_grid(m, [t])
+    return ClosedFormBounds(
+        general=float(general[0]),
+        simplified=None if simplified is None else float(simplified[0]),
+    )
 
 
 @dataclass(frozen=True)
@@ -366,21 +361,38 @@ class CfEvaluation:
         }
 
 
+def evaluate_cf_grid(
+    m: ScoreMatrix | GammaProfile,
+    ts,
+    tol: float = 1e-10,
+    perm_cap: int = 20,
+) -> list[CfEvaluation]:
+    """Evaluate phi, the matching normal CF, and all three bounds at each t."""
+    profile = _as_profile(m)
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    phis = charfn_grid(profile.matrix, ts, perm_cap=perm_cap)
+    modulus = charfn_bound_grid(profile, ts)
+    integral = cf_diff_bound_integral_grid(profile, ts, tol=tol)
+    closed, simplified = cf_diff_bound_closed_grid(profile, ts)
+    return [
+        CfEvaluation(
+            t=float(t),
+            phi=complex(phis[i]),
+            gauss=gauss_cf(profile, float(t)),
+            modulus_bound=float(modulus[i]),
+            diff_bound_integral=float(integral[i]),
+            diff_bound_closed=float(closed[i]),
+            diff_bound_closed_simplified=None if simplified is None else float(simplified[i]),
+        )
+        for i, t in enumerate(ts)
+    ]
+
+
 def evaluate_cf(
-    m: ScoreMatrix,
+    m: ScoreMatrix | GammaProfile,
     t: float,
     tol: float = 1e-10,
     perm_cap: int = 20,
 ) -> CfEvaluation:
-    """Evaluate phi(t), the matching normal CF, and all three bounds at t."""
-    profile = _as_profile(m)
-    closed = cf_diff_bound_closed(profile, t)
-    return CfEvaluation(
-        t=t,
-        phi=charfn(profile.matrix, t, perm_cap=perm_cap),
-        gauss=gauss_cf(profile, t),
-        modulus_bound=charfn_bound(profile, t),
-        diff_bound_integral=cf_diff_bound_integral(profile, t, tol=tol),
-        diff_bound_closed=closed.general,
-        diff_bound_closed_simplified=closed.simplified,
-    )
+    """Evaluate phi(t), the matching normal CF, and all three bounds at one t."""
+    return evaluate_cf_grid(m, [t], tol=tol, perm_cap=perm_cap)[0]

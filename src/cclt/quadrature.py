@@ -56,7 +56,7 @@ def adaptive_simpson(
     the modulus of the Richardson defect.  Returns 0 for ``a == b`` and the
     negated integral for reversed bounds.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ParameterError(f"quadrature tolerance must be positive, got {tol}")
     if a == b:
         return 0.0

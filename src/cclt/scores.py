@@ -173,9 +173,8 @@ class GammaProfile:
         )
 
     def gamma(self, x: float) -> float:
-        """Quadruple-sum clipped moment sum b^2 min(1, |x b|) / (n^2 (n-1))."""
-        clip = np.minimum(1.0, abs(x) * self.b_abs)
-        return float((self.b_sq * clip).sum() / self._quad_norm)
+        """Quadruple-sum clipped moment at one argument (see ``gamma_many``)."""
+        return float(self.gamma_many([x])[0])
 
     def gamma_tilde(self, x: float) -> float:
         """Pair-sum clipped moment sum at^2 min(1, |x at|) / (n - 1)."""
@@ -183,7 +182,13 @@ class GammaProfile:
         return float((self.at_sq * clip).sum() / (self.n - 1))
 
     def gamma_many(self, xs) -> np.ndarray:
-        """gamma evaluated at an array of arguments in one fused pass."""
+        """Clipped moment sum b^2 min(1, |x b|) / (n^2 (n-1)) at each argument.
+
+        The literal quadruple sum.  Each argument's row of terms is reduced by
+        numpy's pairwise ``sum(axis=1)``, not by a BLAS product: its rounding
+        is then fixed by the row alone, whatever the batch, its chunking or
+        the BLAS build, so ``gamma(x)`` is a batch of one bit for bit.
+        """
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         out = np.empty(xs.shape, dtype=float)
         # Chunk the (args x quadruples) broadcast to keep memory bounded.
@@ -191,7 +196,8 @@ class GammaProfile:
         for start in range(0, xs.size, step):
             block = np.abs(xs[start : start + step, None]) * self.b_abs[None, :]
             np.minimum(block, 1.0, out=block)
-            out[start : start + step] = block @ self.b_sq
+            block *= self.b_sq
+            out[start : start + step] = block.sum(axis=1)
         return out / self._quad_norm
 
     def gamma_split_many(self, xs) -> np.ndarray:

@@ -26,10 +26,9 @@ from .identity import (
     swap_identity_check,
 )
 from .permanents import (
-    cf_diff_bound_closed_grid,
-    cf_diff_bound_integral,
     charfn_bound_grid,
     charfn_grid,
+    evaluate_cf_grid,
     gauss_cf,
     restricted_sum_check,
 )
@@ -233,16 +232,12 @@ def _check_cf_difference_bounds(seed: int, quad_tol: float) -> CheckResult:
         profile = GammaProfile(m)
         sigma = math.sqrt(profile.stats.sigma2)
         ts = np.linspace(-10.0 / sigma, 10.0 / sigma, 21)
-        phis = charfn_grid(m, ts)
-        gauss = np.array([gauss_cf(profile, t) for t in ts])
-        closed, simplified = cf_diff_bound_closed_grid(profile, ts)
-        for i, t in enumerate(ts):
-            diff = abs(phis[i] - gauss[i])
-            ib = cf_diff_bound_integral(profile, float(t), tol=quad_tol)
-            worst_int = max(worst_int, diff - ib - quad_tol)
-            worst_chain = max(worst_chain, ib - closed[i] - quad_tol)
-            if simplified is not None:
-                worst_simple = max(worst_simple, diff - simplified[i])
+        for ev in evaluate_cf_grid(profile, ts, tol=quad_tol):
+            diff = abs(ev.phi - ev.gauss)
+            worst_int = max(worst_int, diff - ev.diff_bound_integral - quad_tol)
+            worst_chain = max(worst_chain, ev.diff_bound_integral - ev.diff_bound_closed - quad_tol)
+            if ev.diff_bound_closed_simplified is not None:
+                worst_simple = max(worst_simple, diff - ev.diff_bound_closed_simplified)
     ok = worst_int <= 1e-12 and worst_chain <= 1e-12 and worst_simple <= 1e-12
     return CheckResult(
         "cf_difference_bounds",

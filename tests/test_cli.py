@@ -6,8 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from cclt import GammaProfile, MatrixParseError, evaluate_cf, load_complex_matrix, load_score_matrix
-from cclt.cli import main
+from cclt import (
+    GammaProfile,
+    MatrixParseError,
+    ParameterError,
+    evaluate_cf,
+    load_complex_matrix,
+    load_score_matrix,
+)
+from cclt.cli import RunConfig, main
 
 TWO_BY_TWO_CSV = "1,-1\n-1,1\n"
 
@@ -199,10 +206,30 @@ class TestCharfnCommand:
             for key in ("modulus_bound", "diff_bound_closed", "diff_bound_closed_simplified"):
                 assert point[key] == pytest.approx(expected[key], rel=1e-12)
 
+    def test_points_equal_single_t_evaluations(self, capsys, tmp_path):
+        rng = np.random.default_rng(11)
+        path = tmp_path / "m7.csv"
+        path.write_text("\n".join(",".join(repr(v) for v in row) for row in rng.standard_normal((7, 7)).tolist()))
+        code, out, _ = run_cli(capsys, "charfn", "--input", str(path), "--t-grid=-3:3:13")
+        assert code == 0
+        m = load_score_matrix(path)
+        for point in json.loads(out)["points"]:
+            expected = evaluate_cf(m, point["t"]).as_dict()
+            assert point.keys() == expected.keys()
+            for key in expected:
+                assert point[key] == expected[key], key
+
     def test_bad_grid_spec(self, capsys, fixture_csv):
         code, _, err = run_cli(capsys, "charfn", "--input", fixture_csv, "--t-grid", "1:2")
         assert code == 2
         assert "t-grid" in err
+
+    @pytest.mark.parametrize("spec, field", [("nan:1:2", "start"), ("0:inf:2", "stop")])
+    def test_nonfinite_grid_rejected(self, capsys, fixture_csv, spec, field):
+        code, out, err = run_cli(capsys, "charfn", "--input", fixture_csv, f"--t-grid={spec}")
+        assert code == 2
+        assert out == ""
+        assert f"t-grid {field}" in err
 
 
 class TestSampleCommand:
@@ -313,3 +340,12 @@ class TestThreadsConfig:
         code, _, err = run_cli(capsys, "bound", "--input", fixture_csv, "--threads", "0")
         assert code == 2
         assert "threads" in err
+
+
+class TestRunConfig:
+    def test_nan_quad_tol_rejected(self, capsys, fixture_csv):
+        with pytest.raises(ParameterError):
+            RunConfig(quad_tol=math.nan)
+        code, _, err = run_cli(capsys, "charfn", "--input", fixture_csv, "--t-grid=0:1:2", "--quad-tol", "nan")
+        assert code == 2
+        assert "quad tolerance" in err

@@ -249,7 +249,9 @@ class TestSmoothingBound:
         got = smoothing_bound(two_by_two, w, cutoff, tol=1e-10)
         assert got == pytest.approx(expected, abs=1e-8)
 
-    @pytest.mark.parametrize("bad", [dict(w=0.0), dict(w=1.0), dict(T=0.0), dict(tol=0.0)])
+    @pytest.mark.parametrize(
+        "bad", [dict(w=0.0), dict(w=1.0), dict(T=0.0), dict(tol=0.0), dict(tol=math.nan), dict(T=math.nan)]
+    )
     def test_parameter_domains(self, two_by_two, bad):
         kwargs = dict(w=0.89, T=3.0, tol=1e-8)
         kwargs.update(bad)

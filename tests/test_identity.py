@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,10 @@ class TestIdentityCheck:
     def test_invalid_tolerance(self, rng):
         with pytest.raises(ParameterError):
             identity_check(rand_complex(rng, 3), tol=-1e-9)
+
+    def test_nan_tolerance(self, rng):
+        with pytest.raises(ParameterError):
+            identity_check(rand_complex(rng, 3), tol=math.nan)
 
     def test_cap(self, rng):
         with pytest.raises(CapExceededError):

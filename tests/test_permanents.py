@@ -25,7 +25,13 @@ from cclt import (
     restricted_sum_check,
 )
 from cclt import permanents
-from cclt.permanents import charfn_bound_grid, charfn_grid, cf_diff_bound_closed_grid
+from cclt.permanents import (
+    cf_diff_bound_closed_grid,
+    cf_diff_bound_integral_grid,
+    charfn_bound_grid,
+    charfn_grid,
+    evaluate_cf_grid,
+)
 from conftest import rand_matrix
 
 
@@ -303,6 +309,14 @@ class TestCfDifferenceBounds:
         with pytest.raises(ParameterError):
             cf_diff_bound_integral(rand_matrix(rng, 4), 1.0, tol=0.0)
 
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_nan_tolerance(self, rng, t):
+        m = rand_matrix(rng, 4)
+        with pytest.raises(ParameterError):
+            cf_diff_bound_integral(m, t, tol=math.nan)
+        with pytest.raises(ParameterError):
+            cf_diff_bound_integral_grid(m, [t], tol=math.nan)
+
 
 class TestCfEvaluation:
     def test_bundle_invariants(self, rng):
@@ -319,3 +333,58 @@ class TestCfEvaluation:
         d = ev.as_dict()
         assert d["phi"]["re"] == ev.phi.real
         assert d["diff_bound_closed_simplified"] is None
+
+
+class TestScalarIsBatchOfOne:
+    """Element i of each t-grid function equals its scalar call at ts[i], bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 7])
+    def test_modulus_closed_and_damping(self, rng, n):
+        profile = GammaProfile(rand_matrix(rng, n))
+        ts = np.concatenate((np.linspace(-6.0, 6.0, 17), [0.05, 11.0]))
+        kap, _ = kappa()
+        modulus = charfn_bound_grid(profile, ts)
+        general, simplified = cf_diff_bound_closed_grid(profile, ts)
+        g2k = profile.gamma_many(2.0 * kap * ts)
+        damping = {ell: permanents._damping_many(profile, ts, ell, g2k) for ell in (2, 3, 4)}
+        for i, t in enumerate(ts.tolist()):
+            assert charfn_bound(profile, t) == modulus[i]
+            closed = cf_diff_bound_closed(profile, t)
+            assert closed.general == general[i]
+            assert closed.simplified == (None if simplified is None else simplified[i])
+            for ell, values in damping.items():
+                assert h_ell(profile, t, ell).value == values[i]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7])
+    def test_integral_lanes_match_single_t(self, rng, n):
+        profile = GammaProfile(rand_matrix(rng, n))
+        ts = np.concatenate((np.linspace(-5.0, 5.0, 9), [0.3, -0.01, 9.0]))
+        assert 0.0 in ts
+        grid = cf_diff_bound_integral_grid(profile, ts, tol=1e-10)
+        assert grid.tolist() == [cf_diff_bound_integral(profile, t, tol=1e-10) for t in ts.tolist()]
+
+    def test_zero_t_lane_never_calls_integrand(self, rng, monkeypatch):
+        lanes_seen = []
+        lanes_kernel = permanents.adaptive_simpson_lanes
+
+        def spy(f, *args):
+            def counted(points, lanes):
+                lanes_seen.append(lanes.copy())
+                return f(points, lanes)
+
+            return lanes_kernel(counted, *args)
+
+        monkeypatch.setattr(permanents, "adaptive_simpson_lanes", spy)
+        m = rand_matrix(rng, 4)
+        grid = cf_diff_bound_integral_grid(m, [0.7, 0.0, -1.2, -0.0])
+        assert set(np.concatenate(lanes_seen).tolist()) == {0, 2}
+        assert grid[1] == 0.0 and grid[3] == 0.0 and grid[0] > 0.0 and grid[2] > 0.0
+        lanes_seen.clear()
+        assert cf_diff_bound_integral(m, 0.0) == 0.0
+        assert lanes_seen == []
+
+    def test_evaluations_match_single_t(self, rng):
+        m = rand_matrix(rng, 6)
+        ts = np.linspace(-3.0, 3.0, 7)
+        grid = evaluate_cf_grid(m, ts)
+        assert [ev.as_dict() for ev in grid] == [evaluate_cf(m, t).as_dict() for t in ts.tolist()]

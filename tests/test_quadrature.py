@@ -44,6 +44,18 @@ def test_invalid_tolerance():
         adaptive_simpson_vec(np.sin, 0.0, 1.0, tol=-1.0)
 
 
+def test_nan_tolerance_rejected_before_any_call():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x * x
+
+    with pytest.raises(ParameterError):
+        adaptive_simpson(f, 0.0, 1.0, tol=math.nan)
+    assert calls == []
+
+
 def test_vectorised_matches_scalar():
     def f(x):
         return np.exp(-x) * np.sin(3.0 * x)

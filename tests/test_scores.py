@@ -185,6 +185,20 @@ class TestGamma:
         with pytest.raises(ParameterError):
             gamma(two_by_two, math.inf)
 
+    @pytest.mark.parametrize("n", [2, 9, 30])
+    def test_reduction_order_is_the_pairwise_row_sum(self, rng, n):
+        # The literal sum, reduced by numpy's pairwise sum: any batch (and the
+        # scalar gamma, a batch of one) must give this value bit for bit.
+        profile = GammaProfile(rand_matrix(rng, n))
+        sigma = math.sqrt(profile.stats.sigma2)
+        xs = np.concatenate(([0.0, -0.0], np.linspace(-4.0, 4.0, 11) / sigma, [1e-9, 1e9]))
+        norm = n * n * (n - 1)
+        expected = [
+            float((profile.b_sq * np.minimum(1.0, abs(x) * profile.b_abs)).sum()) / norm for x in xs.tolist()
+        ]
+        assert profile.gamma_many(xs).tolist() == expected
+        assert [profile.gamma(x) for x in xs.tolist()] == expected
+
 
 class TestSandwichChains:
     @pytest.mark.parametrize("n", [3, 5, 7])
