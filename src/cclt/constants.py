@@ -301,12 +301,12 @@ def smoothing_bound(
     adaptive quadrature (the integrand extends continuously by 0 at t = 0
     since the difference is O(t^2)) and adds the kernel remainder
     (1 + w) v(w) / (sqrt(2 pi) w sigma T).  Dominates the exact distance for
-    every w in (0, 1) and T > 0.
+    every w in (0, 1) and finite T > 0.
     """
     if not 0.0 < w < 1.0:
         raise ParameterError(f"w must lie in (0, 1), got {w}")
-    if not T > 0.0:
-        raise ParameterError(f"T must be positive, got {T}")
+    if not 0.0 < T < math.inf:
+        raise ParameterError(f"T must be positive and finite, got {T}")
     if not tol > 0.0:
         raise ParameterError(f"tol must be positive, got {tol}")
     profile = _as_profile(m)

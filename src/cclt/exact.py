@@ -113,9 +113,7 @@ def normal_cdf(x: float) -> float:
 
 
 def _statistic_values(m: ScoreMatrix) -> np.ndarray:
-    rows = np.arange(m.n)
-    parts = [m.a[rows, block].sum(axis=1) for block in perm_blocks(m.n)]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return np.concatenate([m.a[np.arange(m.n), block].sum(axis=1) for block in perm_blocks(m.n)])
 
 
 def enumerate_distribution(m: ScoreMatrix | GammaProfile, enum_cap: int = 10) -> AtomDistribution:

@@ -99,10 +99,10 @@ def identity_terms(Y: ComplexScoreMatrix, enum_cap: int = 10) -> IdentityTerms:
     beta = complex((yt * yt).sum() / (n - 1))
     c_values = None
     if n <= enum_cap:
-        c_values = {
-            tuple(p + 1 for p in perm): complex(sum(y[j, perm[j]] for j in range(n)))
-            for perm in iter_permutations(range(n))
-        }
+        c_values = {}
+        for block in perm_blocks(n):
+            c = y[np.arange(n), block].sum(axis=1)
+            c_values.update(zip(map(tuple, (block + 1).tolist()), c.tolist()))
     return IdentityTerms(alpha=alpha, beta=beta, c_values=c_values)
 
 

@@ -43,13 +43,21 @@ import numpy as np
 
 from .analytic import kappa
 from .errors import CapExceededError, ParameterError
-from .permtables import full_table
+from .permtables import perm_blocks
 from .quadrature import adaptive_simpson_lanes
 from .scores import GammaProfile, ScoreMatrix, _as_profile, require_nondegenerate
 
 
 # Element budget of the kernel's sign-sum table: 2^16 complex values, 1 MB.
 _BLOCK_ELEMS = 1 << 16
+
+
+def _t_values(ts) -> np.ndarray:
+    """``ts`` as a 1-d float array; a non-finite t raises ``ParameterError``."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    if not np.isfinite(ts).all():
+        raise ParameterError(f"t must be finite, got {ts[~np.isfinite(ts)][0]}")
+    return ts
 
 
 def _perm_batch(mats: np.ndarray) -> np.ndarray:
@@ -60,11 +68,11 @@ def _perm_batch(mats: np.ndarray) -> np.ndarray:
     Gray-code order.  Blocks are reduced by pairwise sums, as terms cancel.
     """
     size, n, _ = mats.shape
+    if n == 0 or size == 0:
+        return np.ones(size, dtype=complex)
     if n * size > _BLOCK_ELEMS:
         step = _BLOCK_ELEMS // n
         return np.concatenate([_perm_batch(mats[s : s + step]) for s in range(0, size, step)])
-    if n == 0:
-        return np.ones(size, dtype=complex)
     k = min(n - 1, (_BLOCK_ELEMS // (n * size)).bit_length() - 1)
     low = np.empty((n, size, 1 << k), dtype=complex)  # [j, b, code]
     low[:, :, 0] = mats[:, 1 : k + 1].sum(axis=1).T
@@ -98,11 +106,10 @@ def permanent(matrix, perm_cap: int = 20) -> complex:
 
 
 def permanent_reference(matrix) -> complex:
-    """Naive permutation-sum permanent, the independent oracle (n <= 8)."""
+    """Naive permutation-sum permanent, the independent oracle."""
     m = np.asarray(matrix, dtype=complex)
-    n = m.shape[0]
-    table = full_table(n)
-    return complex(m[np.arange(n), table].prod(axis=1).sum())
+    rows = np.arange(m.shape[0])
+    return complex(sum(m[rows, block].prod(axis=1).sum() for block in perm_blocks(len(rows))))
 
 
 def charfn(m: ScoreMatrix, t: float, perm_cap: int = 20) -> complex:
@@ -112,7 +119,7 @@ def charfn(m: ScoreMatrix, t: float, perm_cap: int = 20) -> complex:
 
 def charfn_grid(m: ScoreMatrix, ts, perm_cap: int = 20) -> np.ndarray:
     """phi evaluated on an array of t values, one permanent batch over t."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    ts = _t_values(ts)
     if m.n > perm_cap:
         raise CapExceededError(f"n = {m.n} exceeds the permanent cap {perm_cap}")
     return _perm_batch(np.exp(1j * ts[:, None, None] * m.a)) / math.factorial(m.n)
@@ -132,7 +139,7 @@ def charfn_bound_grid(m: ScoreMatrix | GammaProfile, ts) -> np.ndarray:
     matrix [[t, -t], [-t, t]].
     """
     profile = _as_profile(m)
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    ts = _t_values(ts)
     n = profile.n
     out = np.empty(ts.shape)
     step = max(1, (1 << 22) // max(1, profile.b_abs.size))
@@ -178,7 +185,7 @@ def h_ell(m: ScoreMatrix | GammaProfile, t: float, ell: float) -> DampingBound:
         raise ParameterError(f"ell must be nonnegative, got {ell}")
     profile = _as_profile(m)
     kap, _ = kappa()
-    ts = np.array([float(t)])
+    ts = _t_values(t)
     value = _damping_many(profile, ts, ell, profile.gamma_many(2.0 * kap * ts))[0]
     return DampingBound(ell=ell, t=t, value=float(value))
 
@@ -217,12 +224,8 @@ def restricted_sum_check(
     keep_rows = np.array([r for r in range(n) if r + 1 not in rows], dtype=int)
     keep_cols = np.array([c for c in range(n) if c + 1 not in cols], dtype=int)
     sub = m.a[np.ix_(keep_rows, keep_cols)]
-    table = full_table(k)
-    if k == 0:
-        lhs = 1.0
-    else:
-        s = sub[np.arange(k), table].sum(axis=1)
-        lhs = abs(np.exp(1j * t * s).sum()) / math.factorial(k)
+    total = sum(np.exp(1j * t * sub[np.arange(k), block].sum(axis=1)).sum() for block in perm_blocks(k))
+    lhs = abs(total) / math.factorial(k)
     rhs = h_ell(m, t, ell).value
     return float(lhs), float(rhs)
 
@@ -251,7 +254,7 @@ def cf_diff_bound_integral_grid(
         raise ParameterError(f"tol must be positive, got {tol}")
     profile = _as_profile(m)
     require_nondegenerate(profile.stats)
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    ts = _t_values(ts)
     n = profile.n
     sigma2 = profile.sigma2_quad
     kap, _ = kappa()
@@ -309,7 +312,7 @@ def cf_diff_bound_closed_grid(
     """
     profile = _as_profile(m)
     require_nondegenerate(profile.stats)
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    ts = _t_values(ts)
     n = profile.n
     kap, _ = kappa()
     stacked = profile.gamma_many(np.concatenate((ts / 6.0, ts / 3.0, 2.0 * kap * ts)))
@@ -369,7 +372,7 @@ def evaluate_cf_grid(
 ) -> list[CfEvaluation]:
     """Evaluate phi, the matching normal CF, and all three bounds at each t."""
     profile = _as_profile(m)
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    ts = _t_values(ts)
     phis = charfn_grid(profile.matrix, ts, perm_cap=perm_cap)
     modulus = charfn_bound_grid(profile, ts)
     integral = cf_diff_bound_integral_grid(profile, ts, tol=tol)

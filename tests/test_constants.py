@@ -250,7 +250,16 @@ class TestSmoothingBound:
         assert got == pytest.approx(expected, abs=1e-8)
 
     @pytest.mark.parametrize(
-        "bad", [dict(w=0.0), dict(w=1.0), dict(T=0.0), dict(tol=0.0), dict(tol=math.nan), dict(T=math.nan)]
+        "bad",
+        [
+            dict(w=0.0),
+            dict(w=1.0),
+            dict(T=0.0),
+            dict(tol=0.0),
+            dict(tol=math.nan),
+            dict(T=math.nan),
+            dict(T=math.inf),
+        ],
     )
     def test_parameter_domains(self, two_by_two, bad):
         kwargs = dict(w=0.89, T=3.0, tol=1e-8)

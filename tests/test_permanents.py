@@ -32,7 +32,7 @@ from cclt.permanents import (
     charfn_grid,
     evaluate_cf_grid,
 )
-from conftest import rand_matrix
+from conftest import rand_complex_entries, rand_matrix
 
 
 def mp_permanent(entries) -> mpmath.mpc:
@@ -88,6 +88,11 @@ class TestPermanent:
     def test_real_matrix(self, rng):
         m = rng.standard_normal((5, 5))
         assert permanent(m) == pytest.approx(permanent_reference(m), rel=1e-10)
+
+    def test_reference_oracle_past_one_block(self, rng):
+        # n = 9 spans nine permutation blocks.
+        m = rand_complex_entries(rng, 9)
+        assert permanent_reference(m) == pytest.approx(permanent(m), rel=1e-10)
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
@@ -150,6 +155,11 @@ class TestCharfn:
         grid = charfn_grid(m, ts)
         for i, t in enumerate(ts):
             assert abs(grid[i] - charfn(m, float(t))) <= 1e-14
+
+    def test_empty_grid(self, rng):
+        m = rand_matrix(rng, 4)
+        assert charfn_grid(m, []).shape == (0,)
+        assert evaluate_cf_grid(m, []) == []
 
     def test_modulus_never_exceeds_one(self, rng):
         m = rand_matrix(rng, 5)
@@ -237,6 +247,14 @@ class TestRestrictedSums:
                 lhs, rhs = restricted_sum_check(m, cols, rows, float(t))
                 assert lhs <= rhs + 1e-12
 
+    @pytest.mark.parametrize("ell", [0, 1])
+    def test_bound_holds_at_n10(self, rng, ell):
+        m = rand_matrix(rng, 10)
+        removed = list(range(1, ell + 1))
+        for t in (0.4, 1.5):
+            lhs, rhs = restricted_sum_check(m, removed, removed, t)
+            assert lhs <= rhs
+
     def test_rejects_mismatched_sets(self, rng):
         m = rand_matrix(rng, 4)
         with pytest.raises(ParameterError):
@@ -245,6 +263,24 @@ class TestRestrictedSums:
             restricted_sum_check(m, [1, 1], [1, 2], 0.5)
         with pytest.raises(IndexError):
             restricted_sum_check(m, [5], [1], 0.5)
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        charfn_grid,
+        charfn_bound_grid,
+        cf_diff_bound_integral_grid,
+        cf_diff_bound_closed_grid,
+        evaluate_cf_grid,
+        lambda m, ts: [h_ell(m, t, 2) for t in ts],
+    ],
+    ids=["charfn", "modulus", "integral", "closed", "evaluate", "h_ell"],
+)
+@pytest.mark.parametrize("ts", [[0.5, math.nan], [math.inf]], ids=["nan", "inf"])
+def test_nonfinite_t_rejected(rng, fn, ts):
+    with pytest.raises(ParameterError, match=str(ts[-1])):
+        fn(rand_matrix(rng, 4), ts)
 
 
 class TestCfDifferenceBounds:
