@@ -25,9 +25,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import sici
 
 from .errors import ParameterError
-from .quadrature import adaptive_simpson, adaptive_simpson_lanes, adaptive_simpson_vec
+from .quadrature import adaptive_simpson_lanes, adaptive_simpson_vec
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -91,11 +92,10 @@ def taylor_remainder_check(x: float, k: int) -> tuple[float, float]:
     return lhs, rhs
 
 
-def _sinc_sq(x: float) -> float:
-    if x == 0.0:
-        return 1.0
-    s = math.sin(x) / x
-    return s * s
+def _sinc_sq_integral(v: float) -> float:
+    """integral_0^v sin^2(x)/x^2 dx = Si(2v) - sin^2(v)/v (by parts), for v > 0."""
+    s = math.sin(v)
+    return float(sici(2.0 * v)[0]) - s * s / v
 
 
 def v_of_w(w: float, v_tol: float = 1e-9) -> float:
@@ -103,27 +103,23 @@ def v_of_w(w: float, v_tol: float = 1e-9) -> float:
 
     The integrand is bounded by 1 with a removable singularity at 0 and total
     mass pi/2, so the left side sweeps (0, 1): a solution exists and is
-    unique for w in (0, 1).  Solved by bisection with incrementally extended
-    quadrature (per-segment tolerance 1e-13).
+    unique for w in (0, 1).  Solved by bracketing (doubling from 8) and
+    bisection on the closed form Si(2v) - sin^2(v)/v of the integral.
     """
     if not 0.0 < w < 1.0:
         raise ParameterError(f"w must lie in (0, 1), got {w}")
     target = (1.0 + w) / 2.0 * math.pi / 2.0
 
-    lo, acc = 0.0, 0.0
+    lo = 0.0
     hi = 8.0
-    acc_hi = adaptive_simpson(_sinc_sq, lo, hi, tol=1e-13)
-    while acc_hi < target:
-        nxt = hi * 2.0
-        acc_hi += adaptive_simpson(_sinc_sq, hi, nxt, tol=1e-13)
-        hi = nxt
+    while _sinc_sq_integral(hi) < target:
+        hi *= 2.0
         if hi > 1e9:
             raise RuntimeError("failed to bracket the smoothing threshold")
     while hi - lo > v_tol:
         mid = 0.5 * (lo + hi)
-        acc_mid = acc + adaptive_simpson(_sinc_sq, lo, mid, tol=1e-13)
-        if acc_mid < target:
-            lo, acc = mid, acc_mid
+        if _sinc_sq_integral(mid) < target:
+            lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)

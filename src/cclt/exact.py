@@ -29,6 +29,11 @@ from .scores import GammaProfile, ScoreMatrix, _as_profile, require_nondegenerat
 
 _MERGE_RTOL = 1e-12
 _MC_BATCH = 1 << 18
+# Elements (rows x n) permuted and gathered at a time inside one batch: 4 MB
+# per int64 array, so a batch's memory stays about 12 MB per thread for any n,
+# while small calls (up to 2^19 elements, such as 1e5 samples at n = 5) run
+# as one chunk.
+_MC_CHUNK = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -190,8 +195,11 @@ def monte_carlo_delta(
 
     Each batch shuffles its own rows with an independently seeded generator
     spawned deterministically from ``seed``; the batch layout depends only on
-    ``samples``, so results are identical for any ``threads`` value.  The
-    reported ``std_error`` is the 1/(2*sqrt(samples)) empirical-CDF scale.
+    ``samples``, so results are identical for any ``threads`` value.  A batch
+    fills its sums in consecutive row chunks of about ``_MC_CHUNK`` elements,
+    so its memory does not grow with n; the chunking leaves every sample
+    unchanged.  The reported ``std_error`` is the 1/(2*sqrt(samples))
+    empirical-CDF scale.
     """
     if samples < 10_000:
         raise ParameterError(f"samples must be at least 10000, got {samples}")
@@ -204,12 +212,21 @@ def monte_carlo_delta(
     a = profile.matrix.a
     rows = np.arange(n)
     seeds = np.random.SeedSequence(seed).spawn(len(_mc_batch_layout(samples)))
+    chunk_rows = max(1, _MC_CHUNK // n)
 
     def run_batch(args):
         ss, size = args
         rng = np.random.default_rng(ss)
-        perms = rng.permuted(np.tile(np.arange(n), (size, 1)), axis=1)
-        return a[rows, perms].sum(axis=1)
+        out = np.empty(size)
+        for start in range(0, size, chunk_rows):
+            stop = min(size, start + chunk_rows)
+            # A fresh C-contiguous tile per chunk: the generator permutes
+            # consecutive chunks into the same rows as one whole-batch call,
+            # and the gather keeps the whole-batch layout, so each row sum
+            # rounds as before.
+            perms = rng.permuted(np.tile(rows, (stop - start, 1)), axis=1)
+            out[start:stop] = a[rows, perms].sum(axis=1)
+        return out
 
     jobs = list(zip(seeds, _mc_batch_layout(samples)))
     if threads == 1:

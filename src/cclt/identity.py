@@ -50,6 +50,11 @@ from .permanents import permanent
 from .permtables import perm_blocks
 from .quadrature import adaptive_simpson
 
+# ``identity_check`` holds every permutation block's pair differences through
+# the whole quadrature: n! n^2 complex values, 0.47 GB at n = 9 and 5.8 GB at
+# n = 10.  Past this many bytes it refuses; the budget admits n <= 9.
+_BLOCK_BUDGET_BYTES = 1 << 30
+
 
 @dataclass(frozen=True)
 class ComplexScoreMatrix:
@@ -266,15 +271,23 @@ def identity_check(Y: ComplexScoreMatrix, tol: float = 1e-10, enum_cap: int = 10
     lhs = perm(exp(y))/n! - exp(alpha + beta/2) with the permanent computed by
     Glynn's formula; rhs integrates f(u) exp((1-u) alpha + (1-u^2) beta/2)
     over [0, 1] by adaptive quadrature to absolute tolerance ``tol``.  The
-    residual stays within a small multiple of ``tol``.
+    residual stays within a small multiple of ``tol``.  Raises
+    ``CapExceededError`` when the n! n^2 pair differences it holds would pass
+    ``_BLOCK_BUDGET_BYTES`` (n >= 10).
     """
     if not tol > 0:
         raise ParameterError(f"tol must be positive, got {tol}")
     n = Y.n
     if n > enum_cap:
         raise CapExceededError(f"identity check needs {n}! permutation terms, above cap {enum_cap}")
-    terms = identity_terms(Y, enum_cap=0)
     fact = math.factorial(n)
+    need = fact * n * n * 16
+    if need > _BLOCK_BUDGET_BYTES:
+        raise CapExceededError(
+            f"identity check at n = {n} would hold {need} bytes of pair differences "
+            f"(n! n^2 complex values), above the budget of {_BLOCK_BUDGET_BYTES} bytes"
+        )
+    terms = identity_terms(Y, enum_cap=0)
     lhs = permanent(np.exp(Y.y)) / fact - cmath.exp(terms.alpha + terms.beta / 2.0)
 
     blocks = [_pair_diff_tensor(Y.y, block) for block in perm_blocks(n)]

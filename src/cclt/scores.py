@@ -28,15 +28,21 @@ error bounds -- is driven by a small family of functionals computed here:
 
   together with  delta = sum_{j!=k, r!=s} |b|^3 / (n^2 (n-1)).
 
-Quadruple sums are evaluated literally over all admissible index quadruples
-(vectorised, pairwise-summed); they serve as the trusted oracles of the
-package, so no algebraic shortcuts are applied.  All public operations are
-pure, all value types are immutable, and indices appearing in the public API
-are 1-based.
+For n <= 20 the quadruple sums are evaluated literally over all admissible
+index quadruples (vectorised, pairwise-summed); there they serve as the
+trusted oracles of the package, so no algebraic shortcuts are applied.  The
+n^4 tables grow fast (about 0.5 GB at n = 60, past 8 GB near n = 110), so
+above n = 20 gamma, delta and the quadruple variance come from sorted row-pair
+windows instead (see ``GammaProfile``): O(n^3 log n) time per argument and
+O(n^2) memory plus one fixed-size chunk.  The literal tables are then built only on
+demand, for the many-point paths that are capped at n <= 20 by default.  All
+public operations are pure, all value types are immutable, and indices
+appearing in the public API are 1-based.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +51,11 @@ from .errors import DegenerateMatrixError, InvalidMatrixError, ParameterError
 
 # Row/column sums of the centered matrix must vanish to this relative level.
 _CENTERING_RTOL = 1e-10
+# Largest n whose quadruple sums run over the literal n^4 tables; the default
+# ``perm_cap``, where the tables hold 20^2 * 19^2 = 1.44e5 terms.
+_LITERAL_MAX_N = 20
+# Elements (row pairs x n) per chunk of the row-pair route.
+_PAIR_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -99,25 +110,54 @@ class CenteredStats:
 class GammaProfile:
     """Precomputed clipped-moment machinery for one score matrix.
 
-    Holds the flattened second differences over distinct index pairs (the
-    quadruple-sum route) and the flattened centered entries (the pair-sum
-    route), so that ``gamma``/``gamma_tilde`` evaluations at many arguments
-    reuse one O(n^4) construction.  ``sigma2_quad`` is the quadruple-sum
-    variance; it equals ``stats.sigma2`` up to roundoff and is the form used
-    inside exponential damping bounds so that ``4*sigma2_quad - gamma(x) >= 0``
-    holds termwise.
+    ``sigma2_quad`` is the quadruple-sum variance; it equals ``stats.sigma2``
+    up to roundoff and is the form used inside exponential damping bounds so
+    that ``4*sigma2_quad - gamma(x) >= 0`` holds termwise.  The quadruple sums
+    take one of two routes, fixed by n alone:
+
+    * n <= 20 (``_LITERAL_MAX_N``, the default ``perm_cap``, 1.44e5 terms):
+      the literal route.  The flattened second differences over distinct
+      index pairs (``b_sq``, ``b_abs``) are built at construction and every
+      sum runs over them.
+    * n > 20: the row-pair route.  For each row pair j < k the quadruple terms
+      are the pairwise differences of d = a[j] - a[k], so with e the sorted
+      row difference, shifted by its median, every |b| is some e_r - e_s with
+      s < r.  For a cutoff T = 1/|x| the s with 0 < e_r - e_s <= T form one
+      window found by a merge of e - T into e; the window carries the cubic
+      terms and the s below it the squares, each a polynomial in e_r and
+      window sums of e, e^2, e^3.  The window sums are differences of prefix
+      sums accumulated outward from the median, so a far outlier enters only
+      the windows that reach it.  Row pairs run in chunks of ``_PAIR_CHUNK``
+      elements; the chunk totals are combined by ``math.fsum``.  The literal
+      tables are built only on first use of ``b_sq``/``b_abs`` (by
+      ``gamma_split_many`` and the modulus bound).
+
+    Rounding allowance of the row-pair route, to first order in u = 2^-53:
+    with M_jk = M_kj the largest |e| of the row pair j < k and chi_jk(x) = 1 when
+    the pair has a second difference with 0 < |b| <= 2/|x| (a cube window may
+    be open) and 0 otherwise,
+
+        |gamma_rows(x) - gamma(x)|
+            <= 4 n^3 u sum_{j != k} M_jk^2 (1 + 2 |x| M_jk chi_jk(x)) / (n^2 (n-1)).
+
+    With every window closed that is 2e-14 to 4e-14 relative at n = 30 (on
+    the corpus of ``tests/test_scores.py``); open windows far from their
+    row's median (|x| M_jk >> 1) widen it.  Observed errors stay below 2% of
+    it.  ``4 * sigma2_quad`` is gamma's square part with every window closed
+    and ``stats.delta`` its cube part with every window open, and they carry
+    the allowance of those two cases.  The reported gamma feeds an upper
+    bound: it may come out low by at most this amount.
     """
 
     __slots__ = (
         "matrix",
         "stats",
         "n",
-        "b_sq",
-        "b_abs",
         "at_sq",
         "at_abs",
         "sigma2_quad",
         "_quad_norm",
+        "_literal",
         "_split",
     )
 
@@ -139,26 +179,22 @@ class GammaProfile:
         if worst > _CENTERING_RTOL * scale * n:
             raise InvalidMatrixError("centering failed to cancel row/column sums")
 
-        # Grouped differences keep the j == k and r == s slices exactly zero
-        # and make the (j,k) / (r,s) antisymmetries exact in floating point.
-        row_diff = a[:, None, :] - a[None, :, :]
-        b = row_diff[:, :, :, None] - row_diff[:, :, None, :]
-        off = ~np.eye(n, dtype=bool)
-        rows, cols = np.nonzero(off)
-        b_distinct = b[rows, cols][:, rows, cols].ravel()
-
         self.matrix = matrix
         self.n = n
-        self.b_sq = b_distinct * b_distinct
-        self.b_abs = np.abs(b_distinct)
         self.at_sq = (at * at).ravel()
         self.at_abs = np.abs(at).ravel()
         self._quad_norm = float(n * n * (n - 1))
+        self._literal = None
         self._split = None
-        self.sigma2_quad = float(self.b_sq.sum() / (4.0 * self._quad_norm))
+        if n <= _LITERAL_MAX_N:
+            self.sigma2_quad = float(self.b_sq.sum() / (4.0 * self._quad_norm))
+            delta = float((self.b_sq * self.b_abs).sum() / self._quad_norm)
+        else:
+            cubes, squares = _row_pair_sums(a, np.array([0.0, np.inf]))
+            self.sigma2_quad = float(squares[0] / self._quad_norm)
+            delta = float(4.0 * cubes[1] / self._quad_norm)
 
         sigma2 = float(self.at_sq.sum() / (n - 1))
-        delta = float((self.b_sq * self.b_abs).sum() / self._quad_norm)
         at = at.copy()
         at.setflags(write=False)
         self.stats = CenteredStats(
@@ -172,6 +208,28 @@ class GammaProfile:
             delta=delta,
         )
 
+    @property
+    def b_sq(self) -> np.ndarray:
+        """Squared second differences over distinct index pairs (literal table)."""
+        return self._literal_tables()[0]
+
+    @property
+    def b_abs(self) -> np.ndarray:
+        """|second differences| over distinct index pairs (literal table)."""
+        return self._literal_tables()[1]
+
+    def _literal_tables(self):
+        if self._literal is None:
+            # Grouped differences keep the j == k and r == s slices exactly zero
+            # and make the (j,k) / (r,s) antisymmetries exact in floating point.
+            a = self.matrix.a
+            row_diff = a[:, None, :] - a[None, :, :]
+            b = row_diff[:, :, :, None] - row_diff[:, :, None, :]
+            rows, cols = np.nonzero(~np.eye(self.n, dtype=bool))
+            b_distinct = b[rows, cols][:, rows, cols].ravel()
+            self._literal = (b_distinct * b_distinct, np.abs(b_distinct))
+        return self._literal
+
     def gamma(self, x: float) -> float:
         """Quadruple-sum clipped moment at one argument (see ``gamma_many``)."""
         return float(self.gamma_many([x])[0])
@@ -184,19 +242,28 @@ class GammaProfile:
     def gamma_many(self, xs) -> np.ndarray:
         """Clipped moment sum b^2 min(1, |x b|) / (n^2 (n-1)) at each argument.
 
-        The literal quadruple sum.  Each argument's row of terms is reduced by
-        numpy's pairwise ``sum(axis=1)``, not by a BLAS product: its rounding
-        is then fixed by the row alone, whatever the batch, its chunking or
-        the BLAS build, so ``gamma(x)`` is a batch of one bit for bit.
+        For n <= 20 the literal quadruple sum.  Each argument's row of terms is
+        reduced by numpy's pairwise ``sum(axis=1)``, not by a BLAS product: its
+        rounding is then fixed by the row alone, whatever the batch, its
+        chunking or the BLAS build, so ``gamma(x)`` is a batch of one bit for
+        bit.  Above n = 20 the row-pair windows (see the class docstring),
+        whose per-argument totals are likewise independent of the batch.
         """
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        if self.n > _LITERAL_MAX_N:
+            ax = np.abs(xs)
+            with np.errstate(divide="ignore"):
+                cutoffs = np.where(ax > 0.0, 1.0 / ax, np.inf)
+            cubes, squares = _row_pair_sums(self.matrix.a, cutoffs)
+            return 4.0 * (ax * cubes + squares) / self._quad_norm
+        b_sq, b_abs = self._literal_tables()
         out = np.empty(xs.shape, dtype=float)
         # Chunk the (args x quadruples) broadcast to keep memory bounded.
-        step = max(1, (1 << 22) // max(1, self.b_abs.size))
+        step = max(1, (1 << 22) // max(1, b_abs.size))
         for start in range(0, xs.size, step):
-            block = np.abs(xs[start : start + step, None]) * self.b_abs[None, :]
+            block = np.abs(xs[start : start + step, None]) * b_abs[None, :]
             np.minimum(block, 1.0, out=block)
-            block *= self.b_sq
+            block *= b_sq
             out[start : start + step] = block.sum(axis=1)
         return out / self._quad_norm
 
@@ -220,13 +287,91 @@ class GammaProfile:
 
     def _split_tables(self):
         if self._split is None:
-            order = np.sort(self.b_abs)
-            perm = np.argsort(self.b_abs, kind="stable")
-            sq_sorted = self.b_sq[perm]
+            b_sq, b_abs = self._literal_tables()
+            order = np.sort(b_abs)
+            perm = np.argsort(b_abs, kind="stable")
+            sq_sorted = b_sq[perm]
             prefix_cube = np.concatenate(([0.0], np.cumsum(sq_sorted * order)))
             prefix_sq = np.concatenate(([0.0], np.cumsum(sq_sorted)))
             self._split = (order, prefix_cube, prefix_sq)
         return self._split
+
+
+def _outward_sums(v: np.ndarray, mid: int) -> np.ndarray:
+    """q[:, i] = sum_{s<i} v[:, s] - sum_{s<mid} v[:, s], accumulated from column mid."""
+    q = np.zeros((v.shape[0], v.shape[1] + 1))
+    q[:, mid + 1 :] = np.cumsum(v[:, mid:], axis=1)
+    q[:, :mid] = -np.cumsum(v[:, mid - 1 :: -1], axis=1)[:, ::-1]
+    return q
+
+
+def _row_pair_sums(a: np.ndarray, cutoffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cubic and square parts of the quadruple sum at each cutoff T >= 0.
+
+    Returns (cubes, squares): the sums of |b|^3 over 0 < |b| <= T and of b^2
+    over |b| > T, each over the row pairs j < k and the column pairs s < r
+    (a quarter of the full quadruple sum).  T = inf closes every square and
+    T = 0 every cube window.  See ``GammaProfile`` for the method and its
+    rounding allowance.
+    """
+    n = a.shape[0]
+    mid = n // 2
+    cols = np.arange(n)
+    rows_j, rows_k = np.triu_indices(n, 1)
+    step = max(1, _PAIR_CHUNK // n)
+    cubes = [[] for _ in range(cutoffs.size)]
+    squares = [[] for _ in range(cutoffs.size)]
+    for start in range(0, rows_j.size, step):
+        d = a[rows_j[start : start + step]] - a[rows_k[start : start + step]]
+        d.sort(axis=1)
+        e = d - d[:, mid : mid + 1]
+        e_sq = e * e
+        e_cu = e_sq * e
+        q1, q2, q3 = (_outward_sums(v, mid) for v in (e, e_sq, e_cu))
+        # ties[p, r]: first index of e[p, r]'s run of equal values.  Equal
+        # entries give b = 0, so the cube window ends there.
+        starts = np.ones(e.shape, dtype=bool)
+        starts[:, 1:] = e[:, 1:] != e[:, :-1]
+        ties = np.maximum.accumulate(np.where(starts, cols, 0), axis=1)
+        at = np.arange(e.shape[0])[:, None]
+        q1_hi, q2_hi, q3_hi = q1[at, ties], q2[at, ties], q3[at, ties]
+        for i, cut in enumerate(cutoffs.tolist()):
+            if cut == 0.0:
+                lo = ties
+            elif cut == math.inf:
+                lo = np.zeros_like(ties)
+            else:
+                lo = np.minimum(_merge_ranks(e, cut), ties)
+            q1_lo, q2_lo = q1[at, lo], q2[at, lo]
+            # sum over the window [lo, ties) of (e_r - e_s)^3, and over [0, lo)
+            # of (e_r - e_s)^2, expanded in window sums of e^1..3.
+            cube = (
+                (ties - lo) * e_cu
+                - 3.0 * e_sq * (q1_hi - q1_lo)
+                + 3.0 * e * (q2_hi - q2_lo)
+                - (q3_hi - q3[at, lo])
+            )
+            square = lo * e_sq - 2.0 * e * (q1_lo - q1[:, :1]) + (q2_lo - q2[:, :1])
+            cubes[i].append(float(cube.sum()))
+            squares[i].append(float(square.sum()))
+    return (
+        np.array([math.fsum(part) for part in cubes]),
+        np.array([math.fsum(part) for part in squares]),
+    )
+
+
+def _merge_ranks(e: np.ndarray, cut: float) -> np.ndarray:
+    """Row-wise ``searchsorted(e[p], e[p] - cut, side="left")`` for sorted rows.
+
+    The queries e - cut are placed before the keys e and each row is merged by
+    a stable sort, so a query sorts before the keys equal to it and the r-th
+    query (queries keep their order) lands after exactly lo[p, r] keys.
+    """
+    n = e.shape[1]
+    merged = np.argsort(np.concatenate((e - cut, e), axis=1), axis=1, kind="stable")
+    is_key = merged >= n
+    keys_before = np.cumsum(is_key, axis=1)
+    return keys_before[~is_key].reshape(e.shape)
 
 
 def _as_profile(m: ScoreMatrix | GammaProfile) -> GammaProfile:

@@ -2,10 +2,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cclt
 from cclt import (
     GammaProfile,
     MatrixParseError,
@@ -142,6 +147,33 @@ class TestBoundCommand:
         assert code == 0
         assert json.loads(out)["delta"]["method"] == method
         assert len(built) == 1
+
+    def test_large_matrix_peak_memory(self, tmp_path):
+        # n = 120 needs about 13 GB of n^4 tables on the literal route; the
+        # row-pair route and chunked Monte Carlo keep the whole run small.
+        path = tmp_path / "m120.csv"
+        entries = np.random.default_rng(3).standard_normal((120, 120))
+        path.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in entries))
+        report = tmp_path / "report.json"
+        child = (
+            "import resource, sys\n"
+            "from cclt.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+            "sys.exit(code)\n"
+        )
+        src = str(Path(cclt.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        argv = ["bound", "--input", str(path), "--mc-samples", "10000", "--output", str(report)]
+        proc = subprocess.run(
+            [sys.executable, "-c", child, *argv], capture_output=True, text=True, env=env, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        peak_bytes = int(proc.stdout.split()[-1]) * 1024  # ru_maxrss is in KiB on Linux
+        assert peak_bytes < 300e6
+        payload = json.loads(report.read_text())
+        assert payload["n"] == 120
+        assert payload["delta"]["method"] == "monte-carlo"
 
     def test_byte_identical_reruns(self, capsys, fixture_csv):
         _, first, _ = run_cli(capsys, "bound", "--input", fixture_csv, "--seed", "7")

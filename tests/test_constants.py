@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cclt import analytic
 from cclt import (
     DegenerateMatrixError,
     ParameterError,
@@ -85,6 +86,13 @@ class TestSmoothingThreshold:
                 lambda x: (math.sin(x) / x) ** 2 if x != 0.0 else 1.0, 0.0, v, tol=1e-12
             )
             assert 2.0 / math.pi * integral == pytest.approx((1.0 + w) / 2.0, abs=1e-8)
+
+    @pytest.mark.parametrize("v", [0.25, 3.0, 5.329260, 40.0])
+    def test_closed_form_integral(self, v):
+        # Si(2v) - sin^2(v)/v against a 30-digit quadrature of sin^2(x)/x^2.
+        with mpmath.workdps(30):
+            expected = mpmath.quad(lambda x: (mpmath.sin(x) / x) ** 2, mpmath.linspace(0, v, 41))
+        assert analytic._sinc_sq_integral(v) == pytest.approx(float(expected), rel=1e-14)
 
     def test_monotone_in_w(self):
         values = [v_of_w(w) for w in (0.1, 0.3, 0.5, 0.7, 0.9)]

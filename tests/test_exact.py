@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
+from cclt import exact
 from cclt import (
     AtomDistribution,
     CapExceededError,
@@ -14,6 +16,7 @@ from cclt import (
     InvalidMatrixError,
     ParameterError,
     ScoreMatrix,
+    center,
     enumerate_distribution,
     kolmogorov_distance,
     monte_carlo_delta,
@@ -183,6 +186,37 @@ class TestMonteCarlo:
         threaded = monte_carlo_delta(m, 600_000, seed=3, threads=4)
         assert serial.delta == threaded.delta
         assert serial.arg_x == threaded.arg_x
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_chunking_does_not_change_result(self, rng, monkeypatch, threads):
+        # A full batch and a remainder.  Chunks of 64 elements (7 rows at
+        # n = 9), the default and one whole batch must all give the report of
+        # one ``permuted`` call per batch on a C-contiguous tile, bit for bit.
+        # (From n = 8 on numpy's row sums depend on the gather's layout: a
+        # broadcast view in place of the tile permutes to the same rows but
+        # rounds many sums differently.)
+        m = rand_matrix(rng, 9)
+        samples = exact._MC_BATCH + 4_321
+        sizes = exact._mc_batch_layout(samples)
+        rows = np.arange(9)
+        sums = [
+            m.a[rows, np.random.default_rng(ss).permuted(np.tile(rows, (size, 1)), axis=1)].sum(axis=1)
+            for ss, size in zip(np.random.SeedSequence(5).spawn(len(sizes)), sizes)
+        ]
+        stats = center(m)
+        s = np.sort((np.concatenate(sums) - stats.mu) / math.sqrt(stats.sigma2), kind="stable")
+        grid = np.arange(1, samples + 1) / samples
+        phi = ndtr(s)
+        dev = np.maximum(np.abs(grid - phi), np.abs(grid - 1.0 / samples - phi))
+        i = int(np.argmax(dev))
+        # The sorted standardized sample, as handed to the normal CDF.
+        seen = []
+        monkeypatch.setattr(exact, "ndtr", lambda x: seen.append(x.copy()) or ndtr(x))
+        for chunk in (64, exact._MC_CHUNK, exact._MC_BATCH * 9):
+            monkeypatch.setattr(exact, "_MC_CHUNK", chunk)
+            report = monte_carlo_delta(m, samples, seed=5, threads=threads)
+            assert np.array_equal(seen.pop(), s)
+            assert (report.delta, report.arg_x) == (float(dev[i]), float(s[i]))
 
     def test_close_to_exact_for_large_sample(self, rng):
         m = rand_matrix(rng, 5)

@@ -172,6 +172,12 @@ class TestIdentityCheck:
         with pytest.raises(ParameterError):
             identity_check(rand_complex(rng, 3), tol=-1e-9)
 
+    def test_memory_budget_refuses_n10(self, rng):
+        # 10! * 10^2 complex pair differences are 5.8 GB; the check must refuse
+        # before building any of them.
+        with pytest.raises(CapExceededError, match="5806080000 bytes"):
+            identity_check(rand_complex(rng, 10))
+
     def test_nan_tolerance(self, rng):
         with pytest.raises(ParameterError):
             identity_check(rand_complex(rng, 3), tol=math.nan)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -185,7 +187,7 @@ class TestGamma:
         with pytest.raises(ParameterError):
             gamma(two_by_two, math.inf)
 
-    @pytest.mark.parametrize("n", [2, 9, 30])
+    @pytest.mark.parametrize("n", [2, 9, 20])
     def test_reduction_order_is_the_pairwise_row_sum(self, rng, n):
         # The literal sum, reduced by numpy's pairwise sum: any batch (and the
         # scalar gamma, a batch of one) must give this value bit for bit.
@@ -198,6 +200,140 @@ class TestGamma:
         ]
         assert profile.gamma_many(xs).tolist() == expected
         assert [profile.gamma(x) for x in xs.tolist()] == expected
+
+
+U = 2.0**-53
+ROW_PAIR_XS = np.array([0.0, 1e-2, -1e-2, 1.0, 1e9])
+
+
+def row_pair_corpus(rng: np.random.Generator, n: int) -> dict[str, np.ndarray]:
+    """Entries for the row-pair oracle tests: scales, lattices and cancellation."""
+    p = rng.permutation(n) + 1.0
+    q = rng.permutation(n) + 1.0
+    spike = 1e-3 * rng.standard_normal((n, n))
+    spike[rng.integers(n), rng.integers(n)] = 1e6
+    return {
+        "gauss-0.1": 0.1 * rng.standard_normal((n, n)),
+        "gauss-1": rng.standard_normal((n, n)),
+        "gauss-10": 10.0 * rng.standard_normal((n, n)),
+        "spearman": np.outer(p, q),
+        "footrule": np.abs(p[:, None] - q[None, :]),
+        "integers": rng.integers(-3, 4, (n, n)).astype(float),
+        "near-1e6": 1e6 + rng.uniform(-1e-3, 1e-3, (n, n)),
+        "spike": spike,
+    }
+
+
+def row_pair_allowance(a: np.ndarray, x: float) -> float:
+    """The rounding allowance stated in the ``GammaProfile`` docstring.
+
+    4 n^3 u sum_{j != k} M^2 (1 + 2 |x| M chi) / (n^2 (n-1)), with M the
+    largest |e| of the row pair and chi = 1 when the pair has a second
+    difference 0 < |b| <= 2/|x|.
+    """
+    n = a.shape[0]
+    rows_j, rows_k = np.triu_indices(n, 1)
+    d = np.sort(a[rows_j] - a[rows_k], axis=1)
+    big = np.abs(d - d[:, n // 2 : n // 2 + 1]).max(axis=1)
+    b = np.abs(d[:, :, None] - d[:, None, :])
+    chi = np.any((b > 0.0) & (abs(x) * b <= 2.0), axis=(1, 2))
+    # Each unordered row pair stands for the two ordered pairs j != k.
+    total = 2.0 * float((big * big * (1.0 + 2.0 * abs(x) * big * chi)).sum())
+    return 4.0 * n**3 * U * total / (n * n * (n - 1))
+
+
+class TestRowPairRoute:
+    """Above n = 20 gamma, sigma2_quad and delta come from row-pair windows."""
+
+    @pytest.mark.parametrize("n", range(21, 31))
+    def test_matches_literal_quadruple_sum(self, n):
+        rng = np.random.default_rng(1000 + n)
+        for name, entries in row_pair_corpus(rng, n).items():
+            profile = GammaProfile(entries)
+            # The literal tables, built on demand above n = 20, are the oracle.
+            b_sq, b_abs = profile.b_sq, profile.b_abs
+            norm = n * n * (n - 1)
+            literal = np.array(
+                [float((b_sq * np.minimum(1.0, abs(x) * b_abs)).sum()) / norm for x in ROW_PAIR_XS.tolist()]
+            )
+            rows = profile.gamma_many(ROW_PAIR_XS)
+            error = np.abs(rows - literal)
+            assert np.all(error <= 1e-12 * literal), (name, error / np.maximum(literal, 1e-300))
+            # The stated allowance, plus the literal pairwise sum's own rounding.
+            allowance = np.array([row_pair_allowance(entries, x) for x in ROW_PAIR_XS.tolist()])
+            assert np.all(error <= allowance + (math.log2(b_sq.size) + 8) * U * literal), name
+            sigma2 = float(b_sq.sum()) / (4.0 * norm)
+            delta = float((b_sq * b_abs).sum()) / norm
+            assert abs(profile.sigma2_quad - sigma2) <= 1e-12 * sigma2, name
+            assert abs(profile.stats.delta - delta) <= 1e-12 * delta, name
+
+    def test_high_precision_oracle(self):
+        # 50-digit sums over the unordered pairs j < k, s < r (each counted
+        # four times) on the hardest corpus entry: one 1e6 among 1e-3 noise.
+        n = 21
+        entries = row_pair_corpus(np.random.default_rng(7), n)["spike"]
+        profile = GammaProfile(entries)
+        xs = (1e-2, 1.0, 0.65 / math.sqrt(profile.stats.sigma2))
+        with mpmath.workdps(50):
+            a = [[mpmath.mpf(float(v)) for v in row] for row in entries]
+            sq = mpmath.mpf(0)
+            cube = mpmath.mpf(0)
+            clipped = [mpmath.mpf(0) for _ in xs]
+            for j in range(n):
+                for k in range(j):
+                    d = [a[j][r] - a[k][r] for r in range(n)]
+                    for r in range(n):
+                        for s in range(r):
+                            b = abs(d[r] - d[s])
+                            b2 = b * b
+                            sq += b2
+                            cube += b2 * b
+                            for i, x in enumerate(xs):
+                                clipped[i] += b2 * min(mpmath.mpf(1), abs(mpmath.mpf(x)) * b)
+            norm = n * n * (n - 1)
+            exact_sigma2 = float(sq / norm)
+            exact_delta = float(4 * cube / norm)
+            exact_gamma = [float(4 * c / norm) for c in clipped]
+        assert abs(profile.sigma2_quad - exact_sigma2) <= 1e-14 * exact_sigma2
+        assert abs(profile.stats.delta - exact_delta) <= 1e-14 * exact_delta
+        for x, exact in zip(xs, exact_gamma):
+            g = profile.gamma(x)
+            # Never low beyond the stated allowance (it feeds an upper bound).
+            assert g >= exact - row_pair_allowance(entries, x)
+            assert abs(g - exact) <= 1e-14 * exact
+
+    def test_scalar_is_a_batch_of_one(self, rng):
+        profile = GammaProfile(rand_matrix(rng, 25))
+        sigma = math.sqrt(profile.stats.sigma2)
+        xs = np.concatenate(([0.0, -0.0], np.linspace(-4.0, 4.0, 11) / sigma, [1e-9, 1e9]))
+        batch = profile.gamma_many(xs).tolist()
+        assert [profile.gamma(x) for x in xs.tolist()] == batch
+        assert profile.gamma_many(xs[::-1]).tolist() == batch[::-1]
+        assert profile.gamma_many(xs[3:6]).tolist() == batch[3:6]
+
+    def test_variance_bound_holds_exactly_at_large_argument(self, rng):
+        profile = GammaProfile(rand_matrix(rng, 24))
+        for x in (1e3, 1e9, 1e200):
+            assert 4.0 * profile.sigma2_quad - profile.gamma(x) >= 0.0
+
+    def test_split_route_builds_the_literal_tables_on_demand(self, rng):
+        profile = GammaProfile(rand_matrix(rng, 22))
+        xs = np.linspace(-5.0, 5.0, 41)
+        direct = profile.gamma_many(xs)
+        split = profile.gamma_split_many(xs)
+        assert np.max(np.abs(direct - split)) <= 1e-11 * float(np.max(direct))
+
+    def test_profile_memory_is_quadratic(self):
+        # The literal route held about 500 MB of n^4 tables at n = 60.
+        entries = np.random.default_rng(0).standard_normal((60, 60))
+        tracemalloc.start()
+        try:
+            profile = GammaProfile(entries)
+            profile.gamma(0.65 / math.sqrt(profile.stats.sigma2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
 
 class TestSandwichChains:
