@@ -29,6 +29,10 @@ class ParameterError(CcltError, ValueError):
     """A scalar parameter is outside its documented domain."""
 
 
+class ConvergenceError(CcltError, ValueError):
+    """A numerical rule did not reach its tolerance within its fixed budget."""
+
+
 class MatrixParseError(CcltError, ValueError):
     """A matrix file could not be parsed; carries row/column context."""
 

@@ -34,6 +34,12 @@ The permutation sums are evaluated in vectorised form (one gather per
 permutation block); a literal nested-loop reference implementation is kept
 for small n as the independent oracle, and this whole module is itself a
 verification oracle rather than a production path.
+
+``identity_check`` integrates the right-hand side by Gauss-Legendre at orders
+8, 16, 32 and 64: the integrand is a finite sum of exponentials times
+polynomials in u, hence entire, and the rule converges geometrically on it.
+``tol`` is an absolute bound on the difference of the last two orders; when
+no two successive orders agree to it, ``ConvergenceError`` is raised.
 """
 
 from __future__ import annotations
@@ -48,12 +54,7 @@ import numpy as np
 from .errors import CapExceededError, InvalidMatrixError, ParameterError
 from .permanents import permanent
 from .permtables import perm_blocks
-from .quadrature import adaptive_simpson
-
-# ``identity_check`` holds every permutation block's pair differences through
-# the whole quadrature: n! n^2 complex values, 0.47 GB at n = 9 and 5.8 GB at
-# n = 10.  Past this many bytes it refuses; the budget admits n <= 9.
-_BLOCK_BUDGET_BYTES = 1 << 30
+from .quadrature import gauss_legendre
 
 
 @dataclass(frozen=True)
@@ -91,11 +92,12 @@ def _centered(y: np.ndarray) -> np.ndarray:
     return y - y.mean(axis=0)[None, :] - y.mean(axis=1)[:, None] + y.mean()
 
 
-def identity_terms(Y: ComplexScoreMatrix, enum_cap: int = 10) -> IdentityTerms:
+def identity_terms(Y: ComplexScoreMatrix, enum_cap: int = 0) -> IdentityTerms:
     """Compute alpha, beta (pair-sum form), and optionally all c_r.
 
     ``c_values`` maps 1-based permutation tuples to c_r and is materialised
-    only when n <= enum_cap; alpha and beta are always available.
+    only when n <= enum_cap, so the n! entries are opt-in (the default cap 0
+    never builds them); alpha and beta are always available.
     """
     y = Y.y
     n = Y.n
@@ -166,10 +168,6 @@ def _f_parts(u: float, n: int, c: np.ndarray, z1: np.ndarray) -> tuple[complex, 
 
 def _combine_f(n: int, f1: complex, f2: complex, f3: complex) -> complex:
     return f1 / (4.0 * n) + f2 / (n * n * (n - 1)) + f3 / (4.0 * n * n * (n - 1))
-
-
-def _f_block(u: float, n: int, c: np.ndarray, z1: np.ndarray) -> complex:
-    return _combine_f(n, *_f_parts(u, n, c, z1))
 
 
 @dataclass(frozen=True)
@@ -246,13 +244,13 @@ def f_residual(Y: ComplexScoreMatrix, u: float, enum_cap: int = 10) -> float:
     n = Y.n
     if n > enum_cap:
         raise CapExceededError(f"residual needs {n}! permutation terms, above cap {enum_cap}")
-    terms = identity_terms(Y, enum_cap=0)
+    terms = identity_terms(Y)
     direct = 0.0 + 0.0j
     f_val = 0.0 + 0.0j
     for block in perm_blocks(n):
         c, z1 = _pair_diff_tensor(Y.y, block)
         direct += ((c - terms.alpha - u * terms.beta) * np.exp(u * c)).sum()
-        f_val += _f_block(u, n, c, z1)
+        f_val += _combine_f(n, *_f_parts(u, n, c, z1))
     return abs(complex(direct) - complex(f_val))
 
 
@@ -270,10 +268,14 @@ def identity_check(Y: ComplexScoreMatrix, tol: float = 1e-10, enum_cap: int = 10
 
     lhs = perm(exp(y))/n! - exp(alpha + beta/2) with the permanent computed by
     Glynn's formula; rhs integrates f(u) exp((1-u) alpha + (1-u^2) beta/2)
-    over [0, 1] by adaptive quadrature to absolute tolerance ``tol``.  The
-    residual stays within a small multiple of ``tol``.  Raises
-    ``CapExceededError`` when the n! n^2 pair differences it holds would pass
-    ``_BLOCK_BUDGET_BYTES`` (n >= 10).
+    over [0, 1] by Gauss-Legendre (``quadrature.gauss_legendre``), the
+    integrand being entire in u.  ``tol`` bounds the absolute difference
+    between the last two Gauss-Legendre orders of rhs, and the residual stays
+    within a small multiple of it.  Each node evaluates f(u) by ``f_terms``,
+    one permutation block at a time, so memory is set by one block, not by
+    n!.  Raises ``ConvergenceError`` when no two successive orders agree to
+    ``tol`` (entries too large for double precision to resolve the integral),
+    rather than return an unconverged rhs.
     """
     if not tol > 0:
         raise ParameterError(f"tol must be positive, got {tol}")
@@ -281,22 +283,14 @@ def identity_check(Y: ComplexScoreMatrix, tol: float = 1e-10, enum_cap: int = 10
     if n > enum_cap:
         raise CapExceededError(f"identity check needs {n}! permutation terms, above cap {enum_cap}")
     fact = math.factorial(n)
-    need = fact * n * n * 16
-    if need > _BLOCK_BUDGET_BYTES:
-        raise CapExceededError(
-            f"identity check at n = {n} would hold {need} bytes of pair differences "
-            f"(n! n^2 complex values), above the budget of {_BLOCK_BUDGET_BYTES} bytes"
-        )
-    terms = identity_terms(Y, enum_cap=0)
+    terms = identity_terms(Y)
     lhs = permanent(np.exp(Y.y)) / fact - cmath.exp(terms.alpha + terms.beta / 2.0)
 
-    blocks = [_pair_diff_tensor(Y.y, block) for block in perm_blocks(n)]
+    def integrand(us: np.ndarray) -> np.ndarray:
+        f_vals = np.array([f_terms(Y, u, enum_cap).f for u in us])
+        return f_vals * np.exp((1.0 - us) * terms.alpha + (1.0 - us * us) * terms.beta / 2.0)
 
-    def integrand(u: float) -> complex:
-        f_val = sum(_f_block(u, n, c, z1) for c, z1 in blocks)
-        return f_val * cmath.exp((1.0 - u) * terms.alpha + (1.0 - u * u) * terms.beta / 2.0)
-
-    rhs = adaptive_simpson(integrand, 0.0, 1.0, tol=tol * fact) / fact
+    rhs = gauss_legendre(integrand, 0.0, 1.0, tol=tol * fact) / fact
     return IdentityCheck(lhs=complex(lhs), rhs=complex(rhs), residual=abs(lhs - rhs))
 
 

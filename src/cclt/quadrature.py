@@ -1,26 +1,25 @@
-"""Adaptive Simpson quadrature for real- and complex-valued integrands.
+"""Quadrature rules for real- and complex-valued array integrands.
 
-The rule is the classic Simpson scheme with Richardson extrapolation: an
-interval is accepted once the two-panel refinement and the single-panel
-estimate agree to within 15x the local absolute tolerance; otherwise it is
-split in two and each half gets half the tolerance.  Each integral may make at
-most ``max_subdivisions`` splits (default 2**16) and splits no interval deeper
-than ``_MAX_DEPTH``; an interval that fails the test after that is accepted
-with its extrapolated estimate, so the rule always terminates.  Integrands are
-assumed finite on the closed interval.
+Two rules with distinct jobs:
 
-The rule has two implementations:
+* Adaptive Simpson, for integrands with kinks (the modulus |phi - gauss|/t,
+  the clips inside gamma) and for the kernel moments.  The classic scheme
+  with Richardson extrapolation: an interval is accepted once the two-panel
+  refinement and the single-panel estimate agree to within 15x the local
+  absolute tolerance; otherwise it is split in two and each half gets half
+  the tolerance.  Each integral may make at most ``max_subdivisions`` splits
+  (default 2**16) and splits no interval deeper than ``_MAX_DEPTH``; an
+  interval that fails the test after that is accepted with its extrapolated
+  estimate, so the rule always terminates.  ``adaptive_simpson_lanes`` is the
+  kernel: it integrates many integrals ("lanes") breadth-first, one
+  refinement level of every lane it holds per array call
+  ``f(points, lanes)``; ``adaptive_simpson_vec`` is its batch of one.
+* Gauss-Legendre, for entire integrands (sums of exponentials times
+  polynomials, such as the permanent identity's), on which it converges
+  geometrically.  ``gauss_legendre`` tries a fixed ladder of orders and
+  raises ``ConvergenceError`` rather than return an unconverged value.
 
-* ``adaptive_simpson_lanes`` -- the vectorised kernel.  It integrates many
-  integrals ("lanes") breadth-first, one refinement level of every lane it
-  holds per array call ``f(points, lanes)``; ``adaptive_simpson_vec`` is its
-  batch of one.
-* ``adaptive_simpson`` -- a depth-first recursion for scalar callables that
-  cannot be evaluated on arrays.
-
-The two agree to within the tolerance, not bit for bit: they sum in different
-orders, and when the subdivision budget binds they spend it on different
-intervals (depth-first versus level by level).
+Integrands are assumed finite on the closed interval.
 """
 
 from __future__ import annotations
@@ -29,9 +28,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ConvergenceError, ParameterError
 
-# Hard recursion guard; the subdivision budget is the real limiter.
+# Deepest split of an interval; the subdivision budget is the real limiter.
 _MAX_DEPTH = 60
 # Most intervals one step of the lane kernel refines: a step takes the whole
 # lanes at the front of the queue that fit (a lane that alone holds more is
@@ -41,55 +40,8 @@ _MAX_DEPTH = 60
 # kernel moments of ``analytic.damped_moment_integrals``).
 _QUEUE_INTERVALS = 1 << 12
 _ONE_LANE = np.zeros(1, dtype=int)
-
-
-def adaptive_simpson(
-    f: Callable[[float], complex],
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-    max_subdivisions: int = 1 << 16,
-) -> complex:
-    """Integrate ``f`` over ``[a, b]`` to absolute tolerance ``tol``.
-
-    Works unchanged for complex-valued integrands; the acceptance test is on
-    the modulus of the Richardson defect.  Returns 0 for ``a == b`` and the
-    negated integral for reversed bounds.
-    """
-    if not tol > 0:
-        raise ParameterError(f"quadrature tolerance must be positive, got {tol}")
-    if a == b:
-        return 0.0
-    if a > b:
-        return -adaptive_simpson(f, b, a, tol, max_subdivisions)
-
-    budget = [max_subdivisions]
-
-    def simpson(fa, fm, fb, h):
-        return h / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(lo, hi, flo, fmid, fhi, whole, tol_local, depth):
-        mid = 0.5 * (lo + hi)
-        lmid = 0.5 * (lo + mid)
-        rmid = 0.5 * (mid + hi)
-        flm = f(lmid)
-        frm = f(rmid)
-        left = simpson(flo, flm, fmid, mid - lo)
-        right = simpson(fmid, frm, fhi, hi - mid)
-        refined = left + right
-        defect = refined - whole
-        if abs(defect) <= 15.0 * tol_local or depth >= _MAX_DEPTH or budget[0] <= 0:
-            return refined + defect / 15.0
-        budget[0] -= 1
-        return recurse(lo, mid, flo, flm, fmid, left, 0.5 * tol_local, depth + 1) + recurse(
-            mid, hi, fmid, frm, fhi, right, 0.5 * tol_local, depth + 1
-        )
-
-    fa = f(a)
-    fb = f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    return recurse(a, b, fa, fm, fb, simpson(fa, fm, fb, b - a), tol, 0)
+# Gauss-Legendre orders tried in turn; order k is exact up to degree 2k - 1.
+_GL_ORDERS = (8, 16, 32, 64)
 
 
 def adaptive_simpson_vec(
@@ -108,6 +60,40 @@ def adaptive_simpson_vec(
     """
     (total,) = adaptive_simpson_lanes(lambda x, _: f(x), a, b, tol, max_subdivisions)
     return complex(total) if np.iscomplexobj(total) else float(total)
+
+
+def gauss_legendre(
+    f: "Callable[[np.ndarray], np.ndarray]",
+    a: float,
+    b: float,
+    tol: float = 1e-10,
+) -> complex:
+    """Integrate an array-valued integrand ``f`` over ``[a, b]`` by Gauss-Legendre.
+
+    ``f(points)`` is evaluated at the nodes of orders 8, 16, 32 and 64 in
+    turn; the higher-order value is returned once two successive orders differ
+    by at most ``tol`` (absolute).  Meant for smooth, in practice entire,
+    integrands: a kink or a singularity keeps the orders apart.  Raises
+    ``ConvergenceError`` when no two successive orders agree.  Returns a
+    float, or a complex for a complex-valued integrand; 0 for ``a == b`` and
+    the negated integral for reversed bounds.
+    """
+    if not tol > 0:
+        raise ParameterError(f"quadrature tolerance must be positive, got {tol}")
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    previous = gap = None
+    for order in _GL_ORDERS:
+        nodes, weights = np.polynomial.legendre.leggauss(order)
+        value = half * (weights @ np.asarray(f(mid + half * nodes)))
+        if previous is not None:
+            gap = abs(value - previous)
+            if gap <= tol:
+                return complex(value) if np.iscomplexobj(value) else float(value)
+        previous = value
+    raise ConvergenceError(
+        f"Gauss-Legendre orders {_GL_ORDERS[-2]} and {_GL_ORDERS[-1]} differ by {gap:.3g}, "
+        f"above the tolerance {tol:.3g}"
+    )
 
 
 def _halves(rows: tuple, k: np.ndarray) -> np.ndarray:

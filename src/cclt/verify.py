@@ -163,7 +163,7 @@ def _check_beta_routes(seed: int, quad_tol: float) -> CheckResult:
     for n in (2, 3, 4, 5, 6):
         for _ in range(4):
             y = _rand_complex(rng, n)
-            pair = identity_terms(y, enum_cap=0).beta
+            pair = identity_terms(y).beta
             quad = beta_quadruple(y)
             worst = max(worst, abs(pair - quad) / max(1.0, abs(pair)))
     return CheckResult("beta_two_routes", worst <= 1e-10, {"max_rel_residual": worst})
@@ -188,7 +188,7 @@ def _check_cf_specialization(seed: int, quad_tol: float) -> CheckResult:
         stats = center(m)
         for t in (0.3, 0.8):
             y = ComplexScoreMatrix(1j * t * m.a)
-            terms = identity_terms(y, enum_cap=0)
+            terms = identity_terms(y)
             worst = max(worst, abs(terms.alpha - 1j * t * stats.mu))
             worst = max(worst, abs(terms.beta + stats.sigma2 * t * t))
             chk = identity_check(y, tol=quad_tol)

@@ -26,7 +26,6 @@ from cclt import (
     theorem_constants,
     v_of_w,
 )
-from cclt.quadrature import adaptive_simpson
 from conftest import rand_matrix
 
 
@@ -82,9 +81,8 @@ class TestSmoothingThreshold:
     def test_solves_defining_equation(self):
         for w in (0.3, 0.89):
             v = v_of_w(w)
-            integral = adaptive_simpson(
-                lambda x: (math.sin(x) / x) ** 2 if x != 0.0 else 1.0, 0.0, v, tol=1e-12
-            )
+            with mpmath.workdps(30):
+                integral = float(mpmath.quad(lambda x: (mpmath.sin(x) / x) ** 2, [0, v]))
             assert 2.0 / math.pi * integral == pytest.approx((1.0 + w) / 2.0, abs=1e-8)
 
     @pytest.mark.parametrize("v", [0.25, 3.0, 5.329260, 40.0])
@@ -245,12 +243,14 @@ class TestSmoothingBound:
         # independently of the implementation's quadrature path.
         w, sigma, cutoff = 0.89, 2.0, 5.0
 
-        def integrand(t):
-            if t == 0.0:
-                return 0.0
-            return abs(math.cos(2.0 * t) - math.exp(-2.0 * t * t)) / t
+        # Split at the roots of cos 2t = exp(-2 t^2) in (0, 5], near 3 pi / 4
+        # and 5 pi / 4, where the modulus has its kinks.
+        def gap(t):
+            return mpmath.cos(2 * t) - mpmath.exp(-2 * t * t)
 
-        integral = adaptive_simpson(integrand, 0.0, cutoff, tol=1e-11)
+        with mpmath.workdps(30):
+            roots = [mpmath.findroot(gap, k * mpmath.pi / 4) for k in (3, 5)]
+            integral = float(mpmath.quad(lambda t: abs(gap(t)) / t, [0, *roots, cutoff]))
         expected = integral / (math.pi * w) + (1.0 + w) * v_of_w(w) / (
             math.sqrt(2.0 * math.pi) * w * sigma * cutoff
         )

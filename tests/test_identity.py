@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from cclt import (
     CapExceededError,
     ComplexScoreMatrix,
+    ConvergenceError,
     InvalidMatrixError,
     ParameterError,
     beta_quadruple,
@@ -21,6 +23,7 @@ from cclt import (
     identity_terms,
     swap_identity_check,
 )
+from cclt import permtables
 from conftest import rand_complex_entries, rand_matrix
 
 
@@ -44,7 +47,7 @@ class TestComplexScoreMatrix:
 
 class TestIdentityTerms:
     def test_zero_matrix(self):
-        terms = identity_terms(ComplexScoreMatrix(np.zeros((3, 3), dtype=complex)))
+        terms = identity_terms(ComplexScoreMatrix(np.zeros((3, 3), dtype=complex)), enum_cap=3)
         assert terms.alpha == 0.0
         assert terms.beta == 0.0
         assert set(terms.c_values.values()) == {0.0}
@@ -52,10 +55,17 @@ class TestIdentityTerms:
 
     def test_c_values_match_direct_sums(self, rng):
         y = rand_complex(rng, 3)
-        terms = identity_terms(y)
+        terms = identity_terms(y, enum_cap=3)
         for perm, c in terms.c_values.items():
             direct = sum(y.y[j, perm[j] - 1] for j in range(3))
             assert abs(c - direct) <= 1e-14
+
+    def test_c_values_are_opt_in(self, rng):
+        y = rand_complex(rng, 3)
+        default, opted = identity_terms(y), identity_terms(y, enum_cap=3)
+        assert default.c_values is None
+        assert len(opted.c_values) == 6
+        assert (default.alpha, default.beta) == (opted.alpha, opted.beta)
 
     def test_c_values_respect_cap(self, rng):
         terms = identity_terms(rand_complex(rng, 5), enum_cap=4)
@@ -113,7 +123,7 @@ class TestFTerms:
     def test_weighted_sum_identity(self, rng):
         # f(u) = sum over permutations of (c_r - alpha - u beta) exp(u c_r)
         y = rand_complex(rng, 4)
-        terms = identity_terms(y)
+        terms = identity_terms(y, enum_cap=4)
         u = 0.3
         direct = sum(
             (c - terms.alpha - u * terms.beta) * np.exp(u * c) for c in terms.c_values.values()
@@ -172,11 +182,30 @@ class TestIdentityCheck:
         with pytest.raises(ParameterError):
             identity_check(rand_complex(rng, 3), tol=-1e-9)
 
-    def test_memory_budget_refuses_n10(self, rng):
-        # 10! * 10^2 complex pair differences are 5.8 GB; the check must refuse
-        # before building any of them.
-        with pytest.raises(CapExceededError, match="5806080000 bytes"):
-            identity_check(rand_complex(rng, 10))
+    def test_peak_memory_set_by_one_block(self, rng, monkeypatch):
+        # With 5! rows per permutation block, n = 7 streams 42 blocks where
+        # n = 6 streams 6, each about as large; holding all n! rows' pair
+        # differences instead (7! * 49 complex values, 4 MB) would show here.
+        monkeypatch.setattr(permtables, "_TABLE_N", 5)
+        identity_check(rand_complex(rng, 5))  # warm the permutation table and numpy caches
+        peaks = {}
+        for n in (6, 7):
+            y = rand_complex(rng, n)
+            tracemalloc.start()
+            try:
+                chk = identity_check(y)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert chk.residual <= 1e-9
+        assert peaks[7] <= 2.0 * peaks[6], peaks
+
+    def test_unconverged_integral_raises(self, rng):
+        # At 10x scale |lhs| is about 1e10; no Gauss-Legendre order resolves
+        # the integral to tol there, so the check must raise, not return.
+        y = ComplexScoreMatrix(10.0 * rand_complex_entries(rng, 3))
+        with pytest.raises(ConvergenceError, match="Gauss-Legendre"):
+            identity_check(y, tol=1e-10)
 
     def test_nan_tolerance(self, rng):
         with pytest.raises(ParameterError):

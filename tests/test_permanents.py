@@ -303,8 +303,6 @@ class TestCfDifferenceBounds:
     def test_small_n_reduces_to_first_term(self, two_by_two):
         # h_3 and h_4 terms vanish for n = 2, so the bound equals the
         # first-term integral computed directly.
-        from cclt.quadrature import adaptive_simpson
-
         profile = GammaProfile(two_by_two)
         kap, _ = kappa()
         t = 1.7
@@ -319,7 +317,14 @@ class TestCfDifferenceBounds:
                 -(1.0 - u * u) * sigma2 * t * t / 2.0
             )
 
-        expected = adaptive_simpson(first_term, 0.0, 1.0, tol=1e-12)
+        # Split at the kinks: the clips |x b| = 1 of both gamma arguments,
+        # and the h_2 kink where damp reaches 0, i.e. where gamma(2 kappa t u)
+        # reaches 4 sigma^2 at its last clip.
+        b = np.unique(profile.b_abs[profile.b_abs > 0])
+        h2_kink = 1.0 / (2.0 * kap * t * b.max())
+        kinks = np.concatenate((1.0 / (2.0 * kap * t * b), 4.0 / (t * b), [h2_kink]))
+        points = [0.0, *sorted(set(kinks[(kinks > 0.0) & (kinks < 1.0)].tolist())), 1.0]
+        expected = float(mpmath.quad(lambda u: first_term(float(u)), points))
         got = cf_diff_bound_integral(profile, t, tol=1e-12)
         assert got == pytest.approx(expected, abs=1e-10)
 

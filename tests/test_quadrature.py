@@ -6,42 +6,44 @@ import math
 import numpy as np
 import pytest
 
-from cclt import ParameterError, adaptive_simpson
+from cclt import CcltError, ConvergenceError, ParameterError
 from cclt import quadrature
-from cclt.quadrature import adaptive_simpson_lanes, adaptive_simpson_vec
+from cclt.quadrature import adaptive_simpson_lanes, adaptive_simpson_vec, gauss_legendre
 
 
 def test_cubic_is_exact():
-    assert adaptive_simpson(lambda x: x**3, 0.0, 1.0) == pytest.approx(0.25, abs=1e-14)
+    assert adaptive_simpson_vec(lambda x: x**3, 0.0, 1.0) == pytest.approx(0.25, abs=1e-14)
 
 
 def test_sine_integral():
-    assert adaptive_simpson(math.sin, 0.0, math.pi, tol=1e-12) == pytest.approx(2.0, abs=1e-11)
+    assert adaptive_simpson_vec(np.sin, 0.0, math.pi, tol=1e-12) == pytest.approx(2.0, abs=1e-11)
 
 
 def test_degenerate_and_reversed_bounds():
-    assert adaptive_simpson(math.exp, 1.0, 1.0) == 0.0
-    forward = adaptive_simpson(math.exp, 0.0, 2.0, tol=1e-12)
-    assert adaptive_simpson(math.exp, 2.0, 0.0, tol=1e-12) == pytest.approx(-forward, abs=1e-12)
+    assert adaptive_simpson_vec(np.exp, 1.0, 1.0) == 0.0
+    forward = adaptive_simpson_vec(np.exp, 0.0, 2.0, tol=1e-12)
+    assert adaptive_simpson_vec(np.exp, 2.0, 0.0, tol=1e-12) == pytest.approx(-forward, abs=1e-12)
 
 
 def test_complex_integrand():
-    got = adaptive_simpson(lambda x: cmath.exp(1j * x), 0.0, 1.0, tol=1e-12)
-    want = (cmath.exp(1j) - 1.0) / 1j
-    assert abs(got - want) < 1e-11
+    got = gauss_legendre(lambda x: np.exp(1j * x), 0.0, 1.0, tol=1e-12)
+    assert isinstance(got, complex)
+    assert abs(got - (cmath.exp(1j) - 1.0) / 1j) < 1e-14
 
 
 def test_sharp_peak_converges():
     # Narrow Gaussian bump; mass over [-1, 1] is erf(100)/ (well, ~sqrt(pi)/100).
-    got = adaptive_simpson(lambda x: math.exp(-(100.0 * x) ** 2), -1.0, 1.0, tol=1e-12)
+    got = adaptive_simpson_vec(lambda x: np.exp(-((100.0 * x) ** 2)), -1.0, 1.0, tol=1e-12)
     assert got == pytest.approx(math.sqrt(math.pi) / 100.0, rel=1e-9)
 
 
 def test_invalid_tolerance():
     with pytest.raises(ParameterError):
-        adaptive_simpson(math.sin, 0.0, 1.0, tol=0.0)
+        adaptive_simpson_vec(np.sin, 0.0, 1.0, tol=0.0)
     with pytest.raises(ParameterError):
         adaptive_simpson_vec(np.sin, 0.0, 1.0, tol=-1.0)
+    with pytest.raises(ParameterError):
+        gauss_legendre(np.sin, 0.0, 1.0, tol=0.0)
 
 
 def test_nan_tolerance_rejected_before_any_call():
@@ -51,8 +53,9 @@ def test_nan_tolerance_rejected_before_any_call():
         calls.append(x)
         return x * x
 
-    with pytest.raises(ParameterError):
-        adaptive_simpson(f, 0.0, 1.0, tol=math.nan)
+    for rule in (adaptive_simpson_vec, gauss_legendre):
+        with pytest.raises(ParameterError):
+            rule(f, 0.0, 1.0, tol=math.nan)
     assert calls == []
 
 
@@ -61,7 +64,7 @@ def test_vectorised_matches_scalar():
         return np.exp(-x) * np.sin(3.0 * x)
 
     got = adaptive_simpson_vec(f, 0.0, 4.0, tol=1e-12)
-    want = adaptive_simpson(lambda x: math.exp(-x) * math.sin(3.0 * x), 0.0, 4.0, tol=1e-12)
+    want = (3.0 - math.exp(-4.0) * (math.sin(12.0) + 3.0 * math.cos(12.0))) / 10.0
     assert got == pytest.approx(want, abs=1e-11)
 
 
@@ -69,6 +72,42 @@ def test_vectorised_complex():
     got = adaptive_simpson_vec(lambda x: np.exp(1j * x), 0.0, 1.0, tol=1e-12)
     want = (cmath.exp(1j) - 1.0) / 1j
     assert abs(got - want) < 1e-11
+
+
+@pytest.mark.parametrize("degree", [0, 1, 7, 15])
+def test_gauss_legendre_exact_for_polynomials(degree):
+    # Order 8 integrates degree 15 exactly, so orders 8 and 16 agree at once.
+    coef = np.random.default_rng(degree).standard_normal(degree + 1)
+    poly = np.polynomial.Polynomial(coef)
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return poly(x)
+
+    got = gauss_legendre(f, -0.25, 1.0, tol=1e-12)
+    antiderivative = poly.integ()
+    want = antiderivative(1.0) - antiderivative(-0.25)
+    assert isinstance(got, float)
+    assert got == pytest.approx(want, rel=1e-14, abs=1e-14)
+    assert calls == [8, 16]
+
+
+def test_gauss_legendre_degenerate_and_reversed_bounds():
+    assert gauss_legendre(np.exp, 1.0, 1.0) == 0.0
+    forward = gauss_legendre(np.exp, 0.0, 2.0, tol=1e-13)
+    assert forward == pytest.approx(math.exp(2.0) - 1.0, rel=1e-15)
+    assert gauss_legendre(np.exp, 2.0, 0.0, tol=1e-13) == -forward
+
+
+def test_gauss_legendre_raises_when_orders_disagree():
+    # sqrt has a branch point at 0: successive orders differ by 1.5e-4,
+    # 2.0e-5 and 2.6e-6, never by 1e-12.
+    with pytest.raises(ConvergenceError, match="differ by 2.62e-06") as info:
+        gauss_legendre(np.sqrt, 0.0, 1.0, tol=1e-12)
+    assert isinstance(info.value, CcltError) and isinstance(info.value, ValueError)
+    # A loose tolerance accepts the same integrand at the first pair it meets.
+    assert gauss_legendre(np.sqrt, 0.0, 1.0, tol=1e-3) == pytest.approx(2.0 / 3.0, abs=1e-4)
 
 
 def _points_counted(f):
