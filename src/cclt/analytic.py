@@ -161,7 +161,8 @@ def damped_moment_integrals(c: float, numeric_tol: float = 1e-8) -> MomentIntegr
     the inner t-integral is truncated at sqrt(45 / rate(u)), where
     rate(u) = c u^2 + (1 - u^2)/2 and the Gaussian factor is e^-45, and runs
     to ``numeric_tol / 50``.  The inner integrals of one outer level are the
-    lanes of a single vectorised quadrature call.
+    lanes of a single vectorised quadrature call.  Raises ``ConvergenceError``
+    when a quadrature does not converge.
     """
     if not 0.0 < c < 0.5:
         raise ParameterError(f"c must lie in (0, 1/2), got {c}")

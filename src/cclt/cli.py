@@ -80,7 +80,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--quad-tol", type=float, default=1e-10, help="quadrature absolute tolerance (default 1e-10)")
     parser.add_argument("--mc-samples", type=int, default=10**6, help="Monte Carlo sample count (default 1e6)")
     parser.add_argument("--seed", type=int, default=0, help="64-bit seed for randomized paths (default 0)")
-    parser.add_argument("--threads", type=int, default=None, help="worker threads (default CCLT_THREADS or 1)")
+    parser.add_argument("--threads", type=int, default=None, help="Monte Carlo worker threads (default CCLT_THREADS or 1)")
     parser.add_argument("--output", default=None, help="write the JSON report here instead of stdout")
 
 
@@ -209,7 +209,7 @@ def _cmd_constants(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     config = _config(args)
-    summary = run_suite(args.suite, seed=config.seed, quad_tol=config.quad_tol, threads=config.threads)
+    summary = run_suite(args.suite, seed=config.seed, quad_tol=config.quad_tol)
     _emit(summary, config)
     return 0 if summary["passed"] else 1
 

@@ -191,7 +191,7 @@ def h_ell(m: ScoreMatrix | GammaProfile, t: float, ell: float) -> DampingBound:
 
 
 def restricted_sum_check(
-    m: ScoreMatrix,
+    m: ScoreMatrix | GammaProfile,
     cols_removed,
     rows_removed,
     t: float,
@@ -207,7 +207,8 @@ def restricted_sum_check(
 
     and the right-hand side is h_ell(t); lhs <= rhs holds for every t.
     """
-    n = m.n
+    profile = _as_profile(m)
+    n = profile.n
     cols = sorted(set(int(c) for c in cols_removed))
     rows = sorted(set(int(r) for r in rows_removed))
     if len(cols) != len(cols_removed) or len(rows) != len(rows_removed):
@@ -223,10 +224,10 @@ def restricted_sum_check(
         raise CapExceededError(f"restricted sum needs {k}! terms, above cap {enum_cap}")
     keep_rows = np.array([r for r in range(n) if r + 1 not in rows], dtype=int)
     keep_cols = np.array([c for c in range(n) if c + 1 not in cols], dtype=int)
-    sub = m.a[np.ix_(keep_rows, keep_cols)]
+    sub = profile.matrix.a[np.ix_(keep_rows, keep_cols)]
     total = sum(np.exp(1j * t * sub[np.arange(k), block].sum(axis=1)).sum() for block in perm_blocks(k))
     lhs = abs(total) / math.factorial(k)
-    rhs = h_ell(m, t, ell).value
+    rhs = h_ell(profile, t, ell).value
     return float(lhs), float(rhs)
 
 
@@ -248,7 +249,7 @@ def cf_diff_bound_integral_grid(
     The h_3 term vanishes for n = 2 and the h_4 term for n <= 3.  All t are
     integrated in one lanes call, one lane per t; a lane's value does not
     depend on the other t.  The bound is 0 at t = 0, where the integrand is
-    not evaluated.
+    not evaluated.  Raises ``ConvergenceError`` when a lane does not converge.
     """
     if not tol > 0:
         raise ParameterError(f"tol must be positive, got {tol}")

@@ -7,13 +7,13 @@ Two rules with distinct jobs:
   with Richardson extrapolation: an interval is accepted once the two-panel
   refinement and the single-panel estimate agree to within 15x the local
   absolute tolerance; otherwise it is split in two and each half gets half
-  the tolerance.  Each integral may make at most ``max_subdivisions`` splits
-  (default 2**16) and splits no interval deeper than ``_MAX_DEPTH``; an
-  interval that fails the test after that is accepted with its extrapolated
-  estimate, so the rule always terminates.  ``adaptive_simpson_lanes`` is the
-  kernel: it integrates many integrals ("lanes") breadth-first, one
-  refinement level of every lane it holds per array call
-  ``f(points, lanes)``; ``adaptive_simpson_vec`` is its batch of one.
+  the tolerance.  A call returns only converged values: it raises
+  ``ConvergenceError`` when an interval still fails the test at depth
+  ``_MAX_DEPTH``, or when its splits exceed ``_MAX_SUBDIVISIONS`` per lane,
+  summed over the call.  ``adaptive_simpson_lanes`` is the kernel: it
+  integrates many integrals ("lanes") breadth-first, one refinement level of
+  every lane it holds per array call ``f(points, lanes)``;
+  ``adaptive_simpson_vec`` is its batch of one.
 * Gauss-Legendre, for entire integrands (sums of exponentials times
   polynomials, such as the permanent identity's), on which it converges
   geometrically.  ``gauss_legendre`` tries a fixed ladder of orders and
@@ -30,14 +30,16 @@ import numpy as np
 
 from .errors import ConvergenceError, ParameterError
 
-# Deepest split of an interval; the subdivision budget is the real limiter.
+# Deepest split of an interval.
 _MAX_DEPTH = 60
+# Splits a call may make per lane, summed over its lanes.
+_MAX_SUBDIVISIONS = 1 << 16
 # Most intervals one step of the lane kernel refines: a step takes the whole
 # lanes at the front of the queue that fit (a lane that alone holds more is
 # refined on its own), and new lanes are admitted only while the queue holds
-# fewer.  This bounds a step's temporaries however many lanes a call carries;
-# the queue itself can grow larger (to about 21,000 intervals, 1.5 MB, for the
-# kernel moments of ``analytic.damped_moment_integrals``).
+# fewer.  This bounds a step's temporaries however many lanes a call carries.
+# The queue itself grows by one interval per split, so it never holds more
+# than lanes x (1 + _MAX_SUBDIVISIONS) intervals.
 _QUEUE_INTERVALS = 1 << 12
 _ONE_LANE = np.zeros(1, dtype=int)
 # Gauss-Legendre orders tried in turn; order k is exact up to degree 2k - 1.
@@ -49,16 +51,16 @@ def adaptive_simpson_vec(
     a: float,
     b: float,
     tol: float = 1e-10,
-    max_subdivisions: int = 1 << 16,
 ) -> complex:
     """Integrate an array-valued integrand ``f`` over ``[a, b]``.
 
     A batch of one for ``adaptive_simpson_lanes``: every refinement level
     issues a single vectorised call ``f(points)``.  Intended for integrands
     whose evaluation cost is dominated by numpy dispatch overhead.  Returns a
-    float, or a complex for a complex-valued integrand.
+    float, or a complex for a complex-valued integrand; raises
+    ``ConvergenceError`` when the integral does not converge.
     """
-    (total,) = adaptive_simpson_lanes(lambda x, _: f(x), a, b, tol, max_subdivisions)
+    (total,) = adaptive_simpson_lanes(lambda x, _: f(x), a, b, tol)
     return complex(total) if np.iscomplexobj(total) else float(total)
 
 
@@ -111,7 +113,6 @@ def adaptive_simpson_lanes(
     a: "np.ndarray | float",
     b: "np.ndarray | float",
     tol: "np.ndarray | float" = 1e-10,
-    max_subdivisions: int = 1 << 16,
 ) -> np.ndarray:
     """Integrate lane i over ``[a[i], b[i]]`` to absolute tolerance ``tol[i]``.
 
@@ -119,12 +120,12 @@ def adaptive_simpson_lanes(
     returns the integrand at ``points``, where ``lanes[k]`` is the lane of
     ``points[k]``.  Each step refines one level of the lanes it holds, with
     one call of ``f`` that also evaluates the ends and the middle of the lanes
-    admitted in that step.  Each lane has its own budget of
-    ``max_subdivisions`` splits, spent on its failing intervals in queue order
-    (after a level: the left halves, then the right halves); the failing
-    intervals left over are accepted with their extrapolated estimates.
-    Returns the array of lane integrals: 0 where ``a == b`` (``f`` is never
-    called for such a lane) and the negated integral for reversed bounds.
+    admitted in that step.  Returns the array of lane integrals: 0 where
+    ``a == b`` (``f`` is never called for such a lane) and the negated
+    integral for reversed bounds.  Every value is converged: the call raises
+    ``ConvergenceError`` instead when an interval fails its test at depth
+    ``_MAX_DEPTH``, or when the call's splits exceed ``_MAX_SUBDIVISIONS``
+    times the number of lanes.
 
     When ``f`` evaluates each point independently of the others, a lane's
     result depends only on its own integrand and arguments, bit for bit: not
@@ -137,7 +138,7 @@ def adaptive_simpson_lanes(
     lo0, hi0 = np.minimum(a, b), np.maximum(a, b)
     todo = np.flatnonzero(a != b)
     total = np.zeros(a.size)
-    budget = np.full(a.size, max(max_subdivisions, 0))
+    splits, budget = 0, _MAX_SUBDIVISIONS * a.size
     # The queue: one column per live interval, grouped by lane in lane order.
     # X holds lo, hi, 15 x tol and depth; F holds f(lo), f(mid), f(hi) and the
     # one-panel Simpson estimate.
@@ -179,23 +180,22 @@ def adaptive_simpson_lanes(
         right = (hi - mid) / 6.0 * (fmid + 4.0 * frm + fhi)
         refined = left + right
         defect = refined - whole
-        split = ~(np.abs(defect) <= cut) & (dp < _MAX_DEPTH)
+        split = ~(np.abs(defect) <= cut)
+        stuck = split & (dp >= _MAX_DEPTH)
+        if stuck.any():
+            j = stuck.argmax()
+            raise ConvergenceError(f"adaptive Simpson: lane {ln[j]} fails at depth {_MAX_DEPTH} near x = {lo[j]:.6g}")
+        splits += np.count_nonzero(split)
+        if splits > budget:
+            raise ConvergenceError(f"adaptive Simpson: more than {budget} splits for {a.size} lane(s)")
 
         # Per-lane sums over the segments of the step's lanes (a single lane
         # is one segment at 0).
         several = ln[0] != ln[-1]
         starts = np.concatenate(([0], (ln[1:] != ln[:-1]).nonzero()[0] + 1)) if several else _ONE_LANE
-        seg = ln[starts]
-        count = np.add.reduceat(split, starts, dtype=int)
-        room = budget[seg]
-        for j in (count > room).nonzero()[0]:
-            # The budget binds: only the lane's first failing intervals split.
-            count[j] = room[j]
-            split[(split & (ln == seg[j])).nonzero()[0][count[j] :]] = False
-        budget[seg] = room - count
         estimate = refined + defect / 15.0
         estimate[split] = 0.0
-        total[seg] += np.add.reduceat(estimate, starts)
+        total[ln[starts]] += np.add.reduceat(estimate, starts)
 
         # The halves of the split intervals, left halves first, replace them.
         k = split.nonzero()[0]

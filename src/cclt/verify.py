@@ -9,7 +9,6 @@ its contract at the stated tolerance; the suite passes when all checks do.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -254,12 +253,12 @@ def _check_restricted_sums(seed: int, quad_tol: float) -> CheckResult:
     rng = np.random.default_rng(seed + 7)
     worst = -math.inf
     for _ in range(4):
-        m = _rand_matrix(rng, 6)
+        profile = GammaProfile(_rand_matrix(rng, 6))
         for ell in range(5):
             cols = rng.choice(np.arange(1, 7), size=ell, replace=False).tolist()
             rows = rng.choice(np.arange(1, 7), size=ell, replace=False).tolist()
             for t in np.linspace(-8.0, 8.0, 17):
-                lhs, rhs = restricted_sum_check(m, cols, rows, float(t))
+                lhs, rhs = restricted_sum_check(profile, cols, rows, float(t))
                 worst = max(worst, lhs - rhs)
     return CheckResult("restricted_sum_bound", worst <= 1e-12, {"max_violation": worst})
 
@@ -395,22 +394,12 @@ _SUITES: dict[str, tuple] = {
 }
 
 
-def run_suite(
-    suite: str,
-    seed: int = 0,
-    quad_tol: float = 1e-10,
-    threads: int = 1,
-) -> dict:
+def run_suite(suite: str, seed: int = 0, quad_tol: float = 1e-10) -> dict:
     """Run one verification suite; returns a JSON-ready summary."""
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {', '.join(SUITE_NAMES)}")
     names = ("identity", "bounds", "constants", "cf") if suite == "all" else (suite,)
-    checks = [fn for name in names for fn in _SUITES[name]]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda fn: fn(seed, quad_tol), checks))
-    else:
-        results = [fn(seed, quad_tol) for fn in checks]
+    results = [fn(seed, quad_tol) for name in names for fn in _SUITES[name]]
     return {
         "schema": 1,
         "suite": suite,

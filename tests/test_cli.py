@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import cclt
+from cclt import quadrature
 from cclt import (
     GammaProfile,
     MatrixParseError,
@@ -255,6 +256,15 @@ class TestCharfnCommand:
         code, _, err = run_cli(capsys, "charfn", "--input", fixture_csv, "--t-grid", "1:2")
         assert code == 2
         assert "t-grid" in err
+
+    def test_unconverged_quadrature_exits_2(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "m5.csv"
+        rows = np.random.default_rng(2).standard_normal((5, 5)).tolist()
+        path.write_text("\n".join(",".join(repr(v) for v in row) for row in rows))
+        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 10)
+        code, out, err = run_cli(capsys, "charfn", "--input", str(path), "--t-grid=0:3:4")
+        assert code == 2 and out == ""
+        assert err.startswith("error: adaptive Simpson: more than 40 splits")
 
     @pytest.mark.parametrize("spec, field", [("nan:1:2", "start"), ("0:inf:2", "stop")])
     def test_nonfinite_grid_rejected(self, capsys, fixture_csv, spec, field):

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cclt import analytic
+from cclt import analytic, quadrature
 from cclt import (
+    ConvergenceError,
     DegenerateMatrixError,
     ParameterError,
     ScoreMatrix,
@@ -278,3 +279,11 @@ class TestSmoothingBound:
     def test_degenerate_matrix_rejected(self):
         with pytest.raises(DegenerateMatrixError):
             smoothing_bound(ScoreMatrix(np.zeros((3, 3))), 0.89, 2.0)
+
+    def test_unconverged_quadrature_raises(self, rng, monkeypatch):
+        m = rand_matrix(rng, 5)
+        cutoff = 10.0 / math.sqrt(center(m).sigma2)
+        assert smoothing_bound(m, 0.89, cutoff) > 0.0
+        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 10)
+        with pytest.raises(ConvergenceError, match="more than 10 splits"):
+            smoothing_bound(m, 0.89, cutoff)

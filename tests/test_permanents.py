@@ -8,6 +8,7 @@ import pytest
 
 from cclt import (
     CapExceededError,
+    ConvergenceError,
     GammaProfile,
     ParameterError,
     center,
@@ -24,7 +25,7 @@ from cclt import (
     permanent_reference,
     restricted_sum_check,
 )
-from cclt import permanents
+from cclt import permanents, quadrature
 from cclt.permanents import (
     cf_diff_bound_closed_grid,
     cf_diff_bound_integral_grid,
@@ -255,6 +256,13 @@ class TestRestrictedSums:
             lhs, rhs = restricted_sum_check(m, removed, removed, t)
             assert lhs <= rhs
 
+    def test_profile_matches_matrix(self, rng):
+        m = rand_matrix(rng, 6)
+        profile = GammaProfile(m)
+        for ell, t in ((0, 0.7), (2, -2.5), (4, 6.0)):
+            removed = list(range(1, ell + 1))
+            assert restricted_sum_check(profile, removed, removed, t) == restricted_sum_check(m, removed, removed, t)
+
     def test_rejects_mismatched_sets(self, rng):
         m = rand_matrix(rng, 4)
         with pytest.raises(ParameterError):
@@ -349,6 +357,14 @@ class TestCfDifferenceBounds:
     def test_invalid_tolerance(self, rng):
         with pytest.raises(ParameterError):
             cf_diff_bound_integral(rand_matrix(rng, 4), 1.0, tol=0.0)
+
+    def test_unconverged_quadrature_raises(self, rng, monkeypatch):
+        profile = GammaProfile(rand_matrix(rng, 5))
+        ts = [0.0, 1.0, 3.0]
+        assert cf_diff_bound_integral_grid(profile, ts).min() == 0.0
+        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 10)
+        with pytest.raises(ConvergenceError, match="more than 30 splits for 3 lane"):
+            cf_diff_bound_integral_grid(profile, ts)
 
     @pytest.mark.parametrize("t", [0.0, 1.0])
     def test_nan_tolerance(self, rng, t):

@@ -110,25 +110,35 @@ def test_gauss_legendre_raises_when_orders_disagree():
     assert gauss_legendre(np.sqrt, 0.0, 1.0, tol=1e-3) == pytest.approx(2.0 / 3.0, abs=1e-4)
 
 
-def _points_counted(f):
-    """Wrap an array integrand so that ``calls[0]`` counts the points it saw."""
-    calls = [0]
-
-    def counted(x):
-        calls[0] += x.size
-        return f(x)
-
-    return counted, calls
+def test_simpson_raises_at_depth_cap():
+    # sqrt has a branch point at 0: the leftmost interval fails its test at
+    # every depth, so the rule raises rather than return an unconverged value.
+    with pytest.raises(ConvergenceError, match="lane 0 fails at depth 60 near x = 0"):
+        adaptive_simpson_vec(np.sqrt, 0.0, 1.0, tol=1e-12)
+    # A loose tolerance converges on the same integrand.
+    assert adaptive_simpson_vec(np.sqrt, 0.0, 1.0, tol=1e-6) == pytest.approx(2.0 / 3.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("cap", [10, 100, 1000])
-def test_subdivision_budget_is_exact(cap):
+def test_split_budget_raises(monkeypatch, cap):
+    points = [0]
+
+    def f(x):
+        points[0] += x.size
+        return np.sin(200.0 * x)
+
+    # The default budget is ample for sin(200x) at 1e-12.
+    got = adaptive_simpson_vec(f, 0.0, 1.0, tol=1e-12)
+    assert got == pytest.approx((1.0 - math.cos(200.0)) / 200.0, abs=1e-11)
     # The first level evaluates 3 + 2 points and each split adds two intervals
-    # of 2 new points each, so a run that spends its whole budget sees
-    # 5 + 4 * cap points.
-    f, points = _points_counted(lambda x: np.sin(200.0 * x))
-    adaptive_simpson_vec(f, 0.0, 1.0, tol=1e-12, max_subdivisions=cap)
-    assert points[0] == 5 + 4 * cap
+    # of 2 new points each, so a call stopped by its budget sees at most
+    # 5 + 4 * cap points before it raises; at least half of that, as the
+    # splits per level double.
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", cap)
+    points[0] = 0
+    with pytest.raises(ConvergenceError, match=f"more than {cap} splits for 1 lane"):
+        adaptive_simpson_vec(f, 0.0, 1.0, tol=1e-12)
+    assert 5 + 4 * cap // 2 < points[0] <= 5 + 4 * cap
 
 
 # Mixed lanes: a reversed one, tolerances from 1e-8 to 1e-13.
@@ -169,21 +179,20 @@ def test_lanes_independent_of_queue_cap(monkeypatch, complex_valued):
         np.testing.assert_array_equal(adaptive_simpson_lanes(f, a, b, tol), full)
 
 
-def test_exhausted_lane_leaves_others_unchanged():
+def test_lanes_call_with_one_unconverged_lane_raises(monkeypatch):
     # Lane 0 (sin(200x) at tol 1e-12) needs far more than 10 splits; the
-    # other lanes need fewer.
+    # other lanes converge within 10 each, alone or together.
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 10)
     w = np.array([200.0, 1.0, 2.0])
     tol = np.array([1e-12, 1e-6, 1e-6])
 
     def f(x, lanes):
         return np.sin(w[lanes] * x)
 
-    got = adaptive_simpson_lanes(f, 0.0, 1.0, tol, max_subdivisions=10)
-    for i in range(3):
-        alone = adaptive_simpson_vec(lambda x: np.sin(w[i] * x), 0.0, 1.0, tol=tol[i], max_subdivisions=10)
-        assert got[i] == alone
-    assert got[1] == pytest.approx(1.0 - math.cos(1.0), abs=1e-6)
-    assert got[2] == pytest.approx((1.0 - math.cos(2.0)) / 2.0, abs=1e-6)
+    with pytest.raises(ConvergenceError, match="more than 30 splits for 3 lane"):
+        adaptive_simpson_lanes(f, 0.0, 1.0, tol)
+    rest = adaptive_simpson_lanes(lambda x, lanes: f(x, lanes + 1), 0.0, 1.0, tol[1:])
+    assert rest == pytest.approx([1.0 - math.cos(1.0), (1.0 - math.cos(2.0)) / 2.0], abs=1e-6)
 
 
 def test_lanes_degenerate_and_reversed():
