@@ -2,6 +2,8 @@
 
 ``enumerate_distribution`` walks all n! permutations and returns the exact
 law of S* = (S - mu)/sigma as a list of atoms with rational weights k/n!.
+The values of S are the row sums of the ``perm_rows`` blocks, written into
+one n! array and sorted in place.
 The Kolmogorov distance to the standard normal,
 
     Delta = sup_x | P(S* <= x) - Phi(x) |,
@@ -24,7 +26,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import CapExceededError, InvalidMatrixError, ParameterError
-from .permtables import perm_blocks
+from .permtables import perm_rows
 from .scores import GammaProfile, ScoreMatrix, _as_profile, require_nondegenerate
 
 _MERGE_RTOL = 1e-12
@@ -118,7 +120,13 @@ def normal_cdf(x: float) -> float:
 
 
 def _statistic_values(m: ScoreMatrix) -> np.ndarray:
-    return np.concatenate([m.a[np.arange(m.n), block].sum(axis=1) for block in perm_blocks(m.n)])
+    """The n! values of S in ``perm_rows`` order, each a contiguous row sum."""
+    values = np.empty(math.factorial(m.n))
+    start = 0
+    for rows in perm_rows(m.a):
+        rows.sum(axis=1, out=values[start : start + len(rows)])
+        start += len(rows)
+    return values
 
 
 def enumerate_distribution(m: ScoreMatrix | GammaProfile, enum_cap: int = 10) -> AtomDistribution:
@@ -127,7 +135,10 @@ def enumerate_distribution(m: ScoreMatrix | GammaProfile, enum_cap: int = 10) ->
     Values agreeing to within 1e-12 of the statistic scale are merged into a
     single atom before standardization, which prevents floating-point noise
     from fragmenting genuinely equal outcomes while keeping the k/n! weights
-    exact.
+    exact.  The n! values are sorted in place by numpy's default (unstable)
+    sort: equal floats are interchangeable and a run of signed zeros sums to
+    the same value in any order, so the atoms do not depend on the order
+    the sort leaves ties in.
     """
     n = m.n
     if n > enum_cap:
@@ -137,21 +148,27 @@ def enumerate_distribution(m: ScoreMatrix | GammaProfile, enum_cap: int = 10) ->
     profile = _as_profile(m)
     stats = profile.stats
     require_nondegenerate(stats)
-    s = np.sort(_statistic_values(profile.matrix), kind="stable")
+    s = _statistic_values(profile.matrix)
+    s.sort()
     scale = float(max(abs(s[0]), abs(s[-1]), 1e-300))
-    tol = _MERGE_RTOL * scale
-    boundaries = np.flatnonzero(np.diff(s) > tol) + 1
-    starts = np.concatenate(([0], boundaries))
-    counts = np.diff(np.concatenate((starts, [s.size])))
-    sums = np.add.reduceat(s, starts)
-    values = sums / counts
-    sigma = math.sqrt(stats.sigma2)
-    return AtomDistribution(
-        values=(values - stats.mu) / sigma,
-        counts=counts.astype(np.int64),
-        n=n,
-        standardized=True,
-    )
+    is_start = np.empty(s.size, dtype=bool)
+    is_start[0] = True
+    np.greater(np.diff(s), _MERGE_RTOL * scale, out=is_start[1:])
+    starts = np.flatnonzero(is_start)
+    values = np.add.reduceat(s, starts)
+    # Free the n! values before the counts are built: peak memory stays at
+    # three value-sized arrays.
+    del s, is_start
+    counts = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+    counts[-1] = math.factorial(n) - starts[-1]
+    del starts
+    # In place, in the order of (sums / counts - mu) / sigma, so every value
+    # rounds as that expression does.
+    values /= counts
+    values -= stats.mu
+    values /= math.sqrt(stats.sigma2)
+    return AtomDistribution(values=values, counts=counts, n=n, standardized=True)
 
 
 def kolmogorov_distance(d: AtomDistribution) -> DeltaReport:
@@ -162,11 +179,17 @@ def kolmogorov_distance(d: AtomDistribution) -> DeltaReport:
     only moves at atoms.
     """
     cum = np.cumsum(d.counts)
-    total = float(cum[-1])
-    f_right = cum / total
-    f_left = np.concatenate(([0.0], f_right[:-1]))
+    f = cum / float(cum[-1])
+    del cum
     phi = ndtr(d.values)
-    dev = np.maximum(np.abs(f_right - phi), np.abs(f_left - phi))
+    dev = np.subtract(f, phi)
+    np.abs(dev, out=dev)
+    # F(x-) is F at the previous atom (0 at the first): overwrite phi with
+    # the left deviations.
+    np.subtract(f[:-1], phi[1:], out=phi[1:])
+    phi[0] = -phi[0]
+    np.abs(phi, out=phi)
+    np.maximum(dev, phi, out=dev)
     i = int(np.argmax(dev))
     return DeltaReport(
         delta=float(dev[i]),
@@ -199,7 +222,10 @@ def monte_carlo_delta(
     fills its sums in consecutive row chunks of about ``_MC_CHUNK`` elements,
     so its memory does not grow with n; the chunking leaves every sample
     unchanged.  The reported ``std_error`` is the 1/(2*sqrt(samples))
-    empirical-CDF scale.
+    empirical-CDF scale.  The standardized samples are sorted by numpy's
+    default (unstable) sort, which leaves equal samples in any order; the
+    only visible effect is the sign of ``arg_x`` when it is a zero that
+    ties with a zero of the other sign.
     """
     if samples < 10_000:
         raise ParameterError(f"samples must be at least 10000, got {samples}")
@@ -234,7 +260,10 @@ def monte_carlo_delta(
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(run_batch, jobs))
-    s = np.sort((np.concatenate(parts) - stats.mu) / sigma, kind="stable")
+    s = np.concatenate(parts)
+    s -= stats.mu
+    s /= sigma
+    s.sort()
     total = s.size
     phi = ndtr(s)
     grid = np.arange(1, total + 1) / total

@@ -43,7 +43,7 @@ import numpy as np
 
 from .analytic import kappa
 from .errors import CapExceededError, ParameterError
-from .permtables import perm_blocks
+from .permtables import perm_rows
 from .quadrature import adaptive_simpson_lanes
 from .scores import GammaProfile, ScoreMatrix, _as_profile, require_nondegenerate
 
@@ -108,8 +108,7 @@ def permanent(matrix, perm_cap: int = 20) -> complex:
 def permanent_reference(matrix) -> complex:
     """Naive permutation-sum permanent, the independent oracle."""
     m = np.asarray(matrix, dtype=complex)
-    rows = np.arange(m.shape[0])
-    return complex(sum(m[rows, block].prod(axis=1).sum() for block in perm_blocks(len(rows))))
+    return complex(sum(rows.prod(axis=1).sum() for rows in perm_rows(m)))
 
 
 def charfn(m: ScoreMatrix, t: float, perm_cap: int = 20) -> complex:
@@ -225,7 +224,7 @@ def restricted_sum_check(
     keep_rows = np.array([r for r in range(n) if r + 1 not in rows], dtype=int)
     keep_cols = np.array([c for c in range(n) if c + 1 not in cols], dtype=int)
     sub = profile.matrix.a[np.ix_(keep_rows, keep_cols)]
-    total = sum(np.exp(1j * t * sub[np.arange(k), block].sum(axis=1)).sum() for block in perm_blocks(k))
+    total = sum(np.exp(1j * t * rows.sum(axis=1)).sum() for rows in perm_rows(sub))
     lhs = abs(total) / math.factorial(k)
     rhs = h_ell(profile, t, ell).value
     return float(lhs), float(rhs)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from cclt import exact
+from cclt.permtables import perm_blocks
 from cclt import (
     AtomDistribution,
     CapExceededError,
@@ -92,6 +93,64 @@ class TestEnumerate:
         dist = enumerate_distribution(m)
         assert len(dist.atoms) < 6
         assert int(dist.counts.sum()) == 6
+
+
+def enumerate_oracle(m: ScoreMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Standardized atoms by one gather per block, a stable sort and the merge."""
+    n = m.n
+    rows = np.arange(n)
+    s = np.concatenate([m.a[rows, block].sum(axis=1) for block in perm_blocks(n)])
+    s = np.sort(s, kind="stable")
+    scale = float(max(abs(s[0]), abs(s[-1]), 1e-300))
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(s) > exact._MERGE_RTOL * scale) + 1))
+    counts = np.diff(np.concatenate((starts, [s.size])))
+    stats = center(m)
+    values = (np.add.reduceat(s, starts) / counts - stats.mu) / math.sqrt(stats.sigma2)
+    return values, counts
+
+
+def kolmogorov_oracle(values: np.ndarray, counts: np.ndarray) -> tuple[float, float]:
+    cum = np.cumsum(counts)
+    f_right = cum / float(cum[-1])
+    f_left = np.concatenate(([0.0], f_right[:-1]))
+    phi = ndtr(values)
+    dev = np.maximum(np.abs(f_right - phi), np.abs(f_left - phi))
+    i = int(np.argmax(dev))
+    return float(dev[i]), float(values[i])
+
+
+def lattice_matrices(n: int) -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(n)
+    p = rng.permutation(n) + 1.0
+    q = rng.permutation(n) + 1.0
+    return {
+        "spearman": np.outer(p, q),
+        "footrule": np.abs(p[:, None] - q[None, :]),
+        "integers": rng.integers(-3, 4, (n, n)).astype(float),
+    }
+
+
+class TestEnumerateMatchesOracle:
+    """Atoms equal, bit for bit, a stable sort of the block-gather values."""
+
+    @pytest.mark.parametrize("n", [8, 9])
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 10.0])
+    def test_gaussian(self, n, scale):
+        self.check(rand_matrix(np.random.default_rng(100 + n), n, scale))
+
+    @pytest.mark.parametrize("n", [8, 9])
+    @pytest.mark.parametrize("kind", ["spearman", "footrule", "integers"])
+    def test_lattice(self, n, kind):
+        self.check(ScoreMatrix(lattice_matrices(n)[kind]))
+
+    @staticmethod
+    def check(m: ScoreMatrix):
+        values, counts = enumerate_oracle(m)
+        dist = enumerate_distribution(m)
+        assert dist.values.tobytes() == values.tobytes()
+        assert np.array_equal(dist.counts, counts)
+        rep = kolmogorov_distance(dist)
+        assert (rep.delta, rep.arg_x) == kolmogorov_oracle(values, counts)
 
 
 class TestKolmogorov:

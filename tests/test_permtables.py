@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cclt.permtables import perm_blocks
+from cclt.permtables import perm_blocks, perm_rows
 
 MAX_BLOCK_ROWS = math.factorial(8)
 
@@ -38,3 +38,34 @@ def test_n10_rows_are_distinct_and_increasing():
         rows += len(block)
     # Strictly increasing rows are distinct, so these are all of S_10.
     assert rows == math.factorial(10)
+
+
+def random_square(n: int, dtype) -> np.ndarray:
+    rng = np.random.default_rng(n)
+    if dtype == np.int8:
+        return rng.integers(-128, 128, (n, n)).astype(np.int8)
+    a = rng.standard_normal((n, n))
+    if dtype == np.complex128:
+        a = a + 1j * rng.standard_normal((n, n))
+    return a
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.int8])
+@pytest.mark.parametrize("n", range(1, 11))
+def test_rows_are_the_block_gather_bit_for_bit(n, dtype):
+    a = random_square(n, dtype)
+    for rows, block in zip(perm_rows(a), perm_blocks(n), strict=True):
+        gathered = a[np.arange(n), block]
+        assert rows.dtype == a.dtype and rows.flags.c_contiguous
+        assert rows.shape == gathered.shape
+        assert rows.tobytes() == gathered.tobytes()
+
+
+def test_yielded_rows_do_not_alias():
+    a = random_square(9, np.float64)
+    held = list(perm_rows(a))
+    assert len(held) == 9
+    for i, rows in enumerate(held):
+        assert rows.base is None
+        assert not any(np.shares_memory(rows, other) for other in held[i + 1 :])
+    assert not any(np.shares_memory(rows, a) for rows in held)
