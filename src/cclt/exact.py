@@ -261,13 +261,20 @@ def monte_carlo_delta(
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(run_batch, jobs))
     s = np.concatenate(parts)
+    del parts
     s -= stats.mu
     s /= sigma
     s.sort()
     total = s.size
     phi = ndtr(s)
-    grid = np.arange(1, total + 1) / total
-    dev = np.maximum(np.abs(grid - phi), np.abs(grid - 1.0 / total - phi))
+    grid = np.arange(1, total + 1, dtype=float)
+    grid /= total
+    dev = np.subtract(grid, phi)
+    np.abs(dev, out=dev)
+    grid -= 1.0 / total
+    grid -= phi
+    np.abs(grid, out=grid)
+    np.maximum(dev, grid, out=dev)
     i = int(np.argmax(dev))
     return DeltaReport(
         delta=float(dev[i]),

@@ -30,8 +30,8 @@ Specialising y = i t a for a real score matrix reproduces the
 characteristic-function difference phi(t) - exp(i t mu - sigma2 t^2 / 2)
 with alpha = i t mu and beta = -sigma2 t^2.
 
-The permutation sums are evaluated in vectorised form (one gather per
-permutation block); a literal nested-loop reference implementation is kept
+The permutation sums are evaluated in vectorised form (one pair-difference
+tensor per chunk of permutations); a literal nested-loop reference is kept
 for small n as the independent oracle, and this whole module is itself a
 verification oracle rather than a production path.
 
@@ -53,8 +53,11 @@ import numpy as np
 
 from .errors import CapExceededError, InvalidMatrixError, ParameterError
 from .permanents import permanent
-from .permtables import perm_blocks
+from .permtables import perm_rows
 from .quadrature import gauss_legendre
+
+# Pair differences per chunk of ``_blocks`` (4 MB); a whole n <= 7 block fits.
+_CHUNK_ELEMS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -81,36 +84,24 @@ class ComplexScoreMatrix:
 
 @dataclass(frozen=True)
 class IdentityTerms:
-    """alpha, beta, and (for small n) the map permutation -> c_r."""
+    """alpha and beta of the identity."""
 
     alpha: complex
     beta: complex
-    c_values: dict[tuple[int, ...], complex] | None
 
 
 def _centered(y: np.ndarray) -> np.ndarray:
     return y - y.mean(axis=0)[None, :] - y.mean(axis=1)[:, None] + y.mean()
 
 
-def identity_terms(Y: ComplexScoreMatrix, enum_cap: int = 0) -> IdentityTerms:
-    """Compute alpha, beta (pair-sum form), and optionally all c_r.
-
-    ``c_values`` maps 1-based permutation tuples to c_r and is materialised
-    only when n <= enum_cap, so the n! entries are opt-in (the default cap 0
-    never builds them); alpha and beta are always available.
-    """
+def identity_terms(Y: ComplexScoreMatrix) -> IdentityTerms:
+    """Compute alpha and beta (pair-sum form)."""
     y = Y.y
     n = Y.n
     alpha = complex(y.sum() / n)
     yt = _centered(y)
     beta = complex((yt * yt).sum() / (n - 1))
-    c_values = None
-    if n <= enum_cap:
-        c_values = {}
-        for block in perm_blocks(n):
-            c = y[np.arange(n), block].sum(axis=1)
-            c_values.update(zip(map(tuple, (block + 1).tolist()), c.tolist()))
-    return IdentityTerms(alpha=alpha, beta=beta, c_values=c_values)
+    return IdentityTerms(alpha=alpha, beta=beta)
 
 
 def beta_quadruple(Y: ComplexScoreMatrix) -> complex:
@@ -127,6 +118,18 @@ def beta_quadruple(Y: ComplexScoreMatrix) -> complex:
     rows, cols = np.nonzero(off)
     zd = z[rows, cols][:, rows, cols]
     return complex((zd * zd).sum() / (4.0 * n * n * (n - 1)))
+
+
+def _blocks(n: int):
+    """The column choices of all n! permutations, in ``perm_rows`` order.
+
+    int8 chunks of at most ``_CHUNK_ELEMS`` pair differences: each n <= 7
+    block is one chunk; at n >= 8 the identity sums may move in last digits.
+    """
+    rows = max(1, _CHUNK_ELEMS // (n * n))
+    for block in perm_rows(np.tile(np.arange(n, dtype=np.int8), (n, 1))):
+        for start in range(0, len(block), rows):
+            yield block[start : start + rows]
 
 
 def _pair_diff_tensor(y: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -170,6 +173,19 @@ def _combine_f(n: int, f1: complex, f2: complex, f3: complex) -> complex:
     return f1 / (4.0 * n) + f2 / (n * n * (n - 1)) + f3 / (4.0 * n * n * (n - 1))
 
 
+def _f_sums(y: np.ndarray, us) -> list[list[complex]]:
+    """[f1, f2, f3] at each u of ``us`` from one block walk, bit for bit as
+    a walk at that u alone (each u's parts are added in block order)."""
+    n = y.shape[0]
+    sums = [[0.0 + 0.0j] * 3 for _ in us]
+    for block in _blocks(n):
+        c, z1 = _pair_diff_tensor(y, block)
+        for acc, u in zip(sums, us):
+            for i, part in enumerate(_f_parts(u, n, c, z1)):
+                acc[i] += part
+    return sums
+
+
 @dataclass(frozen=True)
 class FTerms:
     """The three permutation sums and their weighted combination f(u)."""
@@ -185,15 +201,7 @@ def f_terms(Y: ComplexScoreMatrix, u: float, enum_cap: int = 10) -> FTerms:
     n = Y.n
     if n > enum_cap:
         raise CapExceededError(f"f-terms need {n}! permutation terms, above cap {enum_cap}")
-    f1 = 0.0 + 0.0j
-    f2 = 0.0 + 0.0j
-    f3 = 0.0 + 0.0j
-    for block in perm_blocks(n):
-        c, z1 = _pair_diff_tensor(Y.y, block)
-        p1, p2, p3 = _f_parts(u, n, c, z1)
-        f1 += p1
-        f2 += p2
-        f3 += p3
+    [(f1, f2, f3)] = _f_sums(Y.y, [u])
     return FTerms(f1=f1, f2=f2, f3=f3, f=_combine_f(n, f1, f2, f3))
 
 
@@ -247,7 +255,7 @@ def f_residual(Y: ComplexScoreMatrix, u: float, enum_cap: int = 10) -> float:
     terms = identity_terms(Y)
     direct = 0.0 + 0.0j
     f_val = 0.0 + 0.0j
-    for block in perm_blocks(n):
+    for block in _blocks(n):
         c, z1 = _pair_diff_tensor(Y.y, block)
         direct += ((c - terms.alpha - u * terms.beta) * np.exp(u * c)).sum()
         f_val += _combine_f(n, *_f_parts(u, n, c, z1))
@@ -271,11 +279,12 @@ def identity_check(Y: ComplexScoreMatrix, tol: float = 1e-10, enum_cap: int = 10
     over [0, 1] by Gauss-Legendre (``quadrature.gauss_legendre``), the
     integrand being entire in u.  ``tol`` bounds the absolute difference
     between the last two Gauss-Legendre orders of rhs, and the residual stays
-    within a small multiple of it.  Each node evaluates f(u) by ``f_terms``,
-    one permutation block at a time, so memory is set by one block, not by
-    n!.  Raises ``ConvergenceError`` when no two successive orders agree to
-    ``tol`` (entries too large for double precision to resolve the integral),
-    rather than return an unconverged rhs.
+    within a small multiple of it.  Each order evaluates f at all its nodes
+    in one walk over the permutations (``_f_sums``), so memory is set by one
+    chunk of ``_blocks``, not by n!.  Raises ``ConvergenceError`` when no two
+    successive orders agree to ``tol`` (entries too large for double
+    precision to resolve the integral), rather than return an unconverged
+    rhs.
     """
     if not tol > 0:
         raise ParameterError(f"tol must be positive, got {tol}")
@@ -287,7 +296,8 @@ def identity_check(Y: ComplexScoreMatrix, tol: float = 1e-10, enum_cap: int = 10
     lhs = permanent(np.exp(Y.y)) / fact - cmath.exp(terms.alpha + terms.beta / 2.0)
 
     def integrand(us: np.ndarray) -> np.ndarray:
-        f_vals = np.array([f_terms(Y, u, enum_cap).f for u in us])
+        # Python complex per node: numpy's complex / real multiplies by 1/real.
+        f_vals = np.array([_combine_f(n, *parts) for parts in _f_sums(Y.y, us)])
         return f_vals * np.exp((1.0 - us) * terms.alpha + (1.0 - us * us) * terms.beta / 2.0)
 
     rhs = gauss_legendre(integrand, 0.0, 1.0, tol=tol * fact) / fact
@@ -324,7 +334,7 @@ def swap_identity_check(
     for g in (lambda v, w: v + 2.0 * w, lambda v, w: v * w):
         lhs = 0.0 + 0.0j
         rhs = 0.0 + 0.0j
-        for block in perm_blocks(n):
+        for block in _blocks(n):
             c, z1 = _pair_diff_tensor(Y.y, block)
             weight = np.exp(c)
             rj = block[:, jj] + 1.0

@@ -1,21 +1,18 @@
 """The package's one permutation source.
 
-Every exhaustive sum over the symmetric group iterates one of two generators
-that walk the n! permutations of range(n) in the lexicographic order of
-``itertools.permutations``, block by block:
-
-* ``perm_rows(a)`` yields, for an n x n array ``a``, the rows
-  ``a[np.arange(n), block]`` of each block as a fresh C-contiguous array;
-* ``perm_blocks(n)`` yields the blocks themselves, as int8 rows of 0-based
-  column choices; it is ``perm_rows`` of the int8 matrix whose row i is
-  range(n).
+Every exhaustive sum over the symmetric group iterates ``perm_rows(a)``: for
+an n x n array ``a`` it walks the n! permutations of range(n) in the
+lexicographic order of ``itertools.permutations``, block by block, and yields
+the rows ``a[np.arange(n), block]`` of each block as a fresh C-contiguous
+array.  A caller that needs the column choices themselves passes the int8
+matrix whose row i is range(n).
 
 A block fixes its first n - k entries (a prefix), k = min(n, 8), and maps
 the one cached table of the k! permutations of range(k) onto the remaining
 columns, so it has at most 8! rows and no caller holds the n! x n table.
-The prefix columns of ``perm_rows`` are broadcast from ``a[head, prefix]``;
-the last k columns are one gather from the k x k submatrix
-``a[n-k:, rest]`` through the cached flat index ``table + k*arange(k)``.
+The prefix columns are broadcast from ``a[head, prefix]``; the last k
+columns are one gather from the k x k submatrix ``a[n-k:, rest]`` through
+the cached flat index ``table + k*arange(k)``.
 """
 
 from __future__ import annotations
@@ -55,13 +52,14 @@ def _flat_index(k: int) -> np.ndarray:
     return flat
 
 
-def _rows(a: np.ndarray) -> Iterator[np.ndarray]:
-    """The generator behind both public ones.
+def perm_rows(a: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield ``a[np.arange(n), block]`` for each block of permutations.
 
-    ``perm_rows`` and ``perm_blocks`` each delegate here, not to each other,
-    so a wrapper around a public generator (the perfbench tracer's) sees
-    every row once.
+    ``a`` is a square array of any dtype; every yielded array is a fresh
+    C-contiguous (rows, n) array of that dtype, equal bit for bit to the
+    gather through the block.
     """
+    a = np.asarray(a)
     n = len(a)
     k = min(n, _TABLE_N)
     flat = _flat_index(k)
@@ -72,18 +70,3 @@ def _rows(a: np.ndarray) -> Iterator[np.ndarray]:
         out[:, : n - k] = a[head, prefix]
         out[:, n - k :] = a[n - k :, rest].ravel()[flat]
         yield out
-
-
-def perm_rows(a: np.ndarray) -> Iterator[np.ndarray]:
-    """Yield ``a[np.arange(n), block]`` for each block of ``perm_blocks(n)``.
-
-    ``a`` is a square array of any dtype; every yielded array is a fresh
-    C-contiguous (rows, n) array of that dtype, equal bit for bit to the
-    gather through the block.
-    """
-    yield from _rows(np.asarray(a))
-
-
-def perm_blocks(n: int) -> Iterator[np.ndarray]:
-    """Yield all n! permutations of range(n) in lexicographic int8 blocks."""
-    yield from _rows(np.tile(np.arange(n, dtype=np.int8), (n, 1)))

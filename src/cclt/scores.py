@@ -288,8 +288,8 @@ class GammaProfile:
     def _split_tables(self):
         if self._split is None:
             b_sq, b_abs = self._literal_tables()
-            order = np.sort(b_abs)
             perm = np.argsort(b_abs, kind="stable")
+            order = b_abs[perm]
             sq_sorted = b_sq[perm]
             prefix_cube = np.concatenate(([0.0], np.cumsum(sq_sorted * order)))
             prefix_sq = np.concatenate(([0.0], np.cumsum(sq_sorted)))

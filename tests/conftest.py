@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import itertools
+import math
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -31,6 +35,16 @@ def rand_matrix(rng: np.random.Generator, n: int, scale: float = 1.0) -> ScoreMa
 
 def rand_complex_entries(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, (n, n)) + 1j * rng.uniform(-1.0, 1.0, (n, n))
+
+
+@lru_cache(maxsize=None)
+def itertools_perms(n: int) -> np.ndarray:
+    """All n! permutations of range(n) from ``itertools``, as read-only int8 rows."""
+    flat = itertools.chain.from_iterable(itertools.permutations(range(n)))
+    rows = math.factorial(n)
+    table = np.fromiter(flat, dtype=np.int8, count=rows * n).reshape(rows, n)
+    table.setflags(write=False)
+    return table
 
 
 @pytest.fixture

@@ -119,7 +119,7 @@ def test_criterion_3_variance_and_beta_identities():
     for _ in range(200):
         n = int(rng.integers(2, 9))
         y = ComplexScoreMatrix(rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n)))
-        pair = identity_terms(y, enum_cap=0).beta
+        pair = identity_terms(y).beta
         quad = beta_quadruple(y)
         rel = abs(pair - quad) / max(1e-30, abs(pair))
         worst_beta = max(worst_beta, rel)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from cclt import exact
-from cclt.permtables import perm_blocks
 from cclt import (
     AtomDistribution,
     CapExceededError,
@@ -23,7 +23,7 @@ from cclt import (
     monte_carlo_delta,
     normal_cdf,
 )
-from conftest import rand_matrix
+from conftest import itertools_perms, rand_matrix
 
 # Phi(1) frozen from the power series of erf at 1/sqrt(2) (see oracle below).
 PHI_AT_ONE = 0.8413447460685429
@@ -96,10 +96,8 @@ class TestEnumerate:
 
 
 def enumerate_oracle(m: ScoreMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Standardized atoms by one gather per block, a stable sort and the merge."""
-    n = m.n
-    rows = np.arange(n)
-    s = np.concatenate([m.a[rows, block].sum(axis=1) for block in perm_blocks(n)])
+    """Standardized atoms by one gather of all ``itertools`` permutations, a stable sort, the merge."""
+    s = m.a[np.arange(m.n), itertools_perms(m.n)].sum(axis=1)
     s = np.sort(s, kind="stable")
     scale = float(max(abs(s[0]), abs(s[-1]), 1e-300))
     starts = np.concatenate(([0], np.flatnonzero(np.diff(s) > exact._MERGE_RTOL * scale) + 1))
@@ -284,6 +282,18 @@ class TestMonteCarlo:
         assert mc.method == "monte-carlo"
         assert mc.std_error == pytest.approx(0.0005)
         assert abs(mc.delta - exact) <= 3.0 * mc.std_error
+
+    def test_peak_memory_at_1e6_samples(self, rng):
+        # The sorted sample, its normal CDF and the two deviations are four
+        # 8 MB arrays; the batch sums are freed before the tail starts.
+        m = rand_matrix(rng, 30)
+        tracemalloc.start()
+        try:
+            monte_carlo_delta(m, 10**6, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40e6, peak
 
     def test_two_by_two_target(self, two_by_two):
         mc = monte_carlo_delta(two_by_two, 10**6, seed=1)

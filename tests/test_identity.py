@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import tracemalloc
 
@@ -23,7 +24,7 @@ from cclt import (
     identity_terms,
     swap_identity_check,
 )
-from cclt import permtables
+from cclt import identity, permtables
 from conftest import rand_complex_entries, rand_matrix
 
 
@@ -47,36 +48,15 @@ class TestComplexScoreMatrix:
 
 class TestIdentityTerms:
     def test_zero_matrix(self):
-        terms = identity_terms(ComplexScoreMatrix(np.zeros((3, 3), dtype=complex)), enum_cap=3)
+        terms = identity_terms(ComplexScoreMatrix(np.zeros((3, 3), dtype=complex)))
         assert terms.alpha == 0.0
         assert terms.beta == 0.0
-        assert set(terms.c_values.values()) == {0.0}
-        assert len(terms.c_values) == 6
-
-    def test_c_values_match_direct_sums(self, rng):
-        y = rand_complex(rng, 3)
-        terms = identity_terms(y, enum_cap=3)
-        for perm, c in terms.c_values.items():
-            direct = sum(y.y[j, perm[j] - 1] for j in range(3))
-            assert abs(c - direct) <= 1e-14
-
-    def test_c_values_are_opt_in(self, rng):
-        y = rand_complex(rng, 3)
-        default, opted = identity_terms(y), identity_terms(y, enum_cap=3)
-        assert default.c_values is None
-        assert len(opted.c_values) == 6
-        assert (default.alpha, default.beta) == (opted.alpha, opted.beta)
-
-    def test_c_values_respect_cap(self, rng):
-        terms = identity_terms(rand_complex(rng, 5), enum_cap=4)
-        assert terms.c_values is None
-        assert terms.beta != 0.0
 
     def test_imaginary_scaling_of_real_matrix(self, rng):
         a = rand_matrix(rng, 5)
         stats = center(a)
         t = 0.8
-        terms = identity_terms(ComplexScoreMatrix(1j * t * a.a), enum_cap=0)
+        terms = identity_terms(ComplexScoreMatrix(1j * t * a.a))
         assert abs(terms.alpha - 1j * t * stats.mu) <= 1e-12
         assert abs(terms.beta + stats.sigma2 * t * t) <= 1e-12
 
@@ -92,7 +72,7 @@ class TestBetaRoutes:
     @pytest.mark.parametrize("n", [2, 3, 5, 7])
     def test_pair_sum_equals_quadruple_sum(self, rng, n):
         y = rand_complex(rng, n)
-        pair = identity_terms(y, enum_cap=0).beta
+        pair = identity_terms(y).beta
         quad = beta_quadruple(y)
         assert abs(pair - quad) <= 1e-10 * max(1.0, abs(pair))
 
@@ -123,11 +103,10 @@ class TestFTerms:
     def test_weighted_sum_identity(self, rng):
         # f(u) = sum over permutations of (c_r - alpha - u beta) exp(u c_r)
         y = rand_complex(rng, 4)
-        terms = identity_terms(y, enum_cap=4)
+        terms = identity_terms(y)
         u = 0.3
-        direct = sum(
-            (c - terms.alpha - u * terms.beta) * np.exp(u * c) for c in terms.c_values.values()
-        )
+        c_values = [sum(y.y[j, r[j]] for j in range(4)) for r in itertools.permutations(range(4))]
+        direct = sum((c - terms.alpha - u * terms.beta) * np.exp(u * c) for c in c_values)
         assert abs(f_terms(y, u).f - direct) <= 1e-10 * max(1.0, abs(direct))
 
     def test_scaling_moves_between_argument_and_matrix(self, rng):
@@ -142,6 +121,39 @@ class TestFTerms:
     def test_cap(self, rng):
         with pytest.raises(CapExceededError):
             f_terms(rand_complex(rng, 5), 0.5, enum_cap=4)
+
+    def test_batch_of_one_is_bit_identical(self, rng):
+        # f_terms is _f_sums at one u; the batch walk adds each u's parts in
+        # the same block order, so every node of an order matches exactly.
+        y = rand_complex(rng, 6)
+        nodes, _ = np.polynomial.legendre.leggauss(8)
+        us = 0.5 * (nodes + 1.0)
+        for u, (f1, f2, f3) in zip(us, identity._f_sums(y.y, us), strict=True):
+            ft = f_terms(y, u)
+            assert (ft.f1, ft.f2, ft.f3) == (f1, f2, f3)
+
+    def test_chunked_blocks_agree(self, rng, monkeypatch):
+        y = rand_complex(rng, 6)
+        whole = f_terms(y, 0.6)
+        monkeypatch.setattr(identity, "_CHUNK_ELEMS", 7 * 36)
+        assert sum(1 for _ in identity._blocks(6)) == 103  # 720 rows, 7 per chunk
+        chunked = f_terms(y, 0.6)
+        for name in ("f1", "f2", "f3", "f"):
+            ref = getattr(whole, name)
+            assert abs(getattr(chunked, name) - ref) <= 1e-12 * abs(ref), name
+
+    def test_n8_peak_memory(self, rng):
+        # One 8! block's pair differences are 41 MB of complex values, and
+        # the f parts keep about ten such temporaries; chunks of the block
+        # bound them.
+        y = rand_complex(rng, 8)
+        tracemalloc.start()
+        try:
+            f_terms(y, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 100e6, peak
 
 
 class TestPointwiseResidual:
@@ -199,6 +211,28 @@ class TestIdentityCheck:
                 tracemalloc.stop()
             assert chk.residual <= 1e-9
         assert peaks[7] <= 2.0 * peaks[6], peaks
+
+    def test_one_block_walk_per_order(self, rng, monkeypatch):
+        walks = []
+        orders = []
+        gauss_legendre = identity.gauss_legendre
+
+        def counted_rows(a):
+            walks.append(len(a))
+            return permtables.perm_rows(a)
+
+        def counted_gauss_legendre(f, a, b, tol):
+            def integrand(us):
+                orders.append(len(us))
+                return f(us)
+
+            return gauss_legendre(integrand, a, b, tol)
+
+        monkeypatch.setattr(identity, "perm_rows", counted_rows)
+        monkeypatch.setattr(identity, "gauss_legendre", counted_gauss_legendre)
+        chk = identity_check(rand_complex(rng, 5))
+        assert chk.residual <= 1e-9
+        assert len(orders) >= 2 and walks == [5] * len(orders), (orders, walks)
 
     def test_unconverged_integral_raises(self, rng):
         # At 10x scale |lhs| is about 1e10; no Gauss-Legendre order resolves

@@ -1,14 +1,19 @@
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 import pytest
 
-from cclt.permtables import perm_blocks, perm_rows
+from cclt.permtables import perm_rows
+from conftest import itertools_perms
 
 MAX_BLOCK_ROWS = math.factorial(8)
+
+
+def column_choices(n: int) -> np.ndarray:
+    """The int8 matrix whose row i is range(n): ``perm_rows`` of it yields the blocks."""
+    return np.tile(np.arange(n, dtype=np.int8), (n, 1))
 
 
 def lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -20,15 +25,15 @@ def lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @pytest.mark.parametrize("n", range(10))
 def test_blocks_are_itertools_order(n):
-    blocks = list(perm_blocks(n))
+    blocks = list(perm_rows(column_choices(n)))
     assert all(block.dtype == np.int8 and len(block) <= MAX_BLOCK_ROWS for block in blocks)
-    assert np.array_equal(np.concatenate(blocks), np.array(list(itertools.permutations(range(n)))))
+    assert np.array_equal(np.concatenate(blocks), itertools_perms(n))
 
 
 def test_n10_rows_are_distinct_and_increasing():
     rows = 0
     last = None
-    for block in perm_blocks(10):
+    for block in perm_rows(column_choices(10)):
         assert len(block) <= MAX_BLOCK_ROWS
         assert (np.sort(block, axis=1) == np.arange(10)).all()
         assert lex_less(block[:-1], block[1:]).all()
@@ -54,11 +59,16 @@ def random_square(n: int, dtype) -> np.ndarray:
 @pytest.mark.parametrize("n", range(1, 11))
 def test_rows_are_the_block_gather_bit_for_bit(n, dtype):
     a = random_square(n, dtype)
-    for rows, block in zip(perm_rows(a), perm_blocks(n), strict=True):
-        gathered = a[np.arange(n), block]
+    perms = itertools_perms(n)
+    start = 0
+    for rows in perm_rows(a):
+        assert len(rows) <= MAX_BLOCK_ROWS
+        gathered = a[np.arange(n), perms[start : start + len(rows)]]
         assert rows.dtype == a.dtype and rows.flags.c_contiguous
         assert rows.shape == gathered.shape
         assert rows.tobytes() == gathered.tobytes()
+        start += len(rows)
+    assert start == len(perms)
 
 
 def test_yielded_rows_do_not_alias():
