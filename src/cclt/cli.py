@@ -62,6 +62,8 @@ class RunConfig:
             raise ParameterError(f"mc samples must be >= 10000, got {self.mc_samples}")
         if self.threads < 1:
             raise ParameterError(f"threads must be >= 1, got {self.threads}")
+        if not 0 <= self.seed < 1 << 64:
+            raise ParameterError(f"seed must be in [0, 2^64), got {self.seed}")
 
 
 def _default_threads() -> int:

@@ -32,9 +32,9 @@ from .scores import GammaProfile, ScoreMatrix, _as_profile, require_nondegenerat
 _MERGE_RTOL = 1e-12
 _MC_BATCH = 1 << 18
 # Elements (rows x n) permuted and gathered at a time inside one batch: 4 MB
-# per int64 array, so a batch's memory stays about 12 MB per thread for any n,
-# while small calls (up to 2^19 elements, such as 1e5 samples at n = 5) run
-# as one chunk.
+# for the index buffer and 4 MB for the gathered values, so a batch's memory
+# stays about 8 MB per thread for any n, while small calls (up to 2^19
+# elements, such as 1e5 samples at n = 5) run as one chunk.
 _MC_CHUNK = 1 << 19
 
 
@@ -219,13 +219,18 @@ def monte_carlo_delta(
     Each batch shuffles its own rows with an independently seeded generator
     spawned deterministically from ``seed``; the batch layout depends only on
     ``samples``, so results are identical for any ``threads`` value.  A batch
-    fills its sums in consecutive row chunks of about ``_MC_CHUNK`` elements,
-    so its memory does not grow with n; the chunking leaves every sample
-    unchanged.  The reported ``std_error`` is the 1/(2*sqrt(samples))
-    empirical-CDF scale.  The standardized samples are sorted by numpy's
-    default (unstable) sort, which leaves equal samples in any order; the
-    only visible effect is the sign of ``arg_x`` when it is a zero that
-    ties with a zero of the other sign.
+    fills its slice of one sample array in consecutive row chunks of about
+    ``_MC_CHUNK`` elements, through one reused index buffer, so its memory
+    does not grow with n; the chunking leaves every sample unchanged.  With
+    the matrix stored column by column, each buffer row starts as the column
+    offsets r * n, is shuffled in place and has j added, and one flat
+    ``take`` reads a[j, pi(j)]: every sample equals the row sum of the gather
+    ``a[rows, rng.permuted(tile(rows), axis=1)]``, bit for bit.  The
+    reported ``std_error`` is the 1/(2*sqrt(samples)) empirical-CDF scale.
+    The standardized samples are sorted by numpy's default (unstable) sort,
+    which leaves equal samples in any order; the only visible effect is the
+    sign of ``arg_x`` when it is a zero that ties with a zero of the other
+    sign.
     """
     if samples < 10_000:
         raise ParameterError(f"samples must be at least 10000, got {samples}")
@@ -235,33 +240,38 @@ def monte_carlo_delta(
     stats = profile.stats
     sigma = math.sqrt(require_nondegenerate(stats))
     n = profile.n
-    a = profile.matrix.a
-    rows = np.arange(n)
-    seeds = np.random.SeedSequence(seed).spawn(len(_mc_batch_layout(samples)))
+    # a[j, r] sits at r * n + j: one flat index per drawn entry.
+    a_cols = np.ascontiguousarray(profile.matrix.a.T).ravel()
+    cols = np.arange(n)
+    offsets = cols * n
+    layout = _mc_batch_layout(samples)
+    seeds = np.random.SeedSequence(seed).spawn(len(layout))
     chunk_rows = max(1, _MC_CHUNK // n)
+    s = np.empty(samples)
 
     def run_batch(args):
-        ss, size = args
+        ss, first, size = args
         rng = np.random.default_rng(ss)
-        out = np.empty(size)
+        buf = np.empty((min(size, chunk_rows), n), dtype=np.intp)
         for start in range(0, size, chunk_rows):
             stop = min(size, start + chunk_rows)
-            # A fresh C-contiguous tile per chunk: the generator permutes
-            # consecutive chunks into the same rows as one whole-batch call,
-            # and the gather keeps the whole-batch layout, so each row sum
-            # rounds as before.
-            perms = rng.permuted(np.tile(rows, (stop - start, 1)), axis=1)
-            out[start:stop] = a[rows, perms].sum(axis=1)
-        return out
+            # The swaps depend only on the row length and the generator, so
+            # the offsets move as range(n) would and consecutive chunks draw
+            # as one whole-batch call; ``take`` returns the C-contiguous
+            # layout of a fancy-index gather, so each row sum rounds the same.
+            block = buf[: stop - start]
+            block[...] = offsets
+            rng.permuted(block, axis=1, out=block)
+            block += cols
+            a_cols.take(block).sum(axis=1, out=s[first + start : first + stop])
 
-    jobs = list(zip(seeds, _mc_batch_layout(samples)))
+    jobs = list(zip(seeds, range(0, samples, _MC_BATCH), layout))
     if threads == 1:
-        parts = [run_batch(job) for job in jobs]
+        for job in jobs:
+            run_batch(job)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run_batch, jobs))
-    s = np.concatenate(parts)
-    del parts
+            list(pool.map(run_batch, jobs))
     s -= stats.mu
     s /= sigma
     s.sort()

@@ -249,6 +249,11 @@ def cf_diff_bound_integral_grid(
     integrated in one lanes call, one lane per t; a lane's value does not
     depend on the other t.  The bound is 0 at t = 0, where the integrand is
     not evaluated.  Raises ``ConvergenceError`` when a lane does not converge.
+
+    ``tol`` is Simpson's local acceptance target, not a bound on the error of
+    the result: on a 14 x 14 Gaussian matrix over 25 points of [0, 6/sigma]
+    the value at tol 1e-10 is up to 8.6e-9 above its value at tol 1e-14, and
+    at two points up to 2.1e-10 below it.
     """
     if not tol > 0:
         raise ParameterError(f"tol must be positive, got {tol}")

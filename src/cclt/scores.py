@@ -274,7 +274,10 @@ class GammaProfile:
         threshold 1/|x| regroups sum b^2 min(1, |x b|) into a linear prefix
         plus a constant suffix, O(log) per argument.  Exact up to summation
         order; agrees with ``gamma_many`` to ~1e-12 relative.  Used inside
-        quadrature loops where evaluation count dominates.
+        quadrature loops where evaluation count dominates.  The tables keep
+        only the distinct |b| and the prefix sums at the end of each run of
+        equal |b|: a right-sided search always lands at a run end, so every
+        value is the one the full sorted tables give.
         """
         order, prefix_cube, prefix_sq = self._split_tables()
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -291,9 +294,13 @@ class GammaProfile:
             perm = np.argsort(b_abs, kind="stable")
             order = b_abs[perm]
             sq_sorted = b_sq[perm]
-            prefix_cube = np.concatenate(([0.0], np.cumsum(sq_sorted * order)))
-            prefix_sq = np.concatenate(([0.0], np.cumsum(sq_sorted)))
-            self._split = (order, prefix_cube, prefix_sq)
+            # Prefix index i counts the first i sorted entries; keep i = 0 and
+            # the index just past each run of equal |b|.
+            ends = np.flatnonzero(np.diff(order)) + 1
+            keep = np.concatenate(([0], ends, [order.size]))
+            prefix_cube = np.concatenate(([0.0], np.cumsum(sq_sorted * order)))[keep]
+            prefix_sq = np.concatenate(([0.0], np.cumsum(sq_sorted)))[keep]
+            self._split = (order[keep[1:] - 1], prefix_cube, prefix_sq)
         return self._split
 
 

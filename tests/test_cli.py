@@ -114,6 +114,17 @@ class TestBoundCommand:
         assert payload["delta"]["method"] == "monte-carlo"
         assert payload["delta"]["std_error"] == pytest.approx(0.5 / math.sqrt(20000))
 
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+    def test_seed_out_of_range_exits_2(self, capsys, tmp_path, seed):
+        path = tmp_path / "m5.csv"
+        path.write_text("\n".join(",".join(str(v) for v in row) for row in np.eye(5) + np.arange(5)))
+        code, out, err = run_cli(
+            capsys, "bound", "--input", str(path), "--enum-cap", "2", "--mc-samples", "10000", f"--seed={seed}"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: seed must be in [0, 2^64)")
+
     def test_parse_error_names_row(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1,2\nx,4\n")
@@ -350,6 +361,12 @@ class TestVerifyCommand:
         assert "cf_modulus_bound" in names
         assert all(c["passed"] for c in payload["checks"])
 
+    def test_negative_seed_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "identity", "--seed=-1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: seed must be in [0, 2^64)")
+
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify", "nonsense"])
@@ -391,3 +408,9 @@ class TestRunConfig:
         code, _, err = run_cli(capsys, "charfn", "--input", fixture_csv, "--t-grid=0:1:2", "--quad-tol", "nan")
         assert code == 2
         assert "quad tolerance" in err
+
+    def test_seed_range(self):
+        assert RunConfig(seed=(1 << 64) - 1).seed == (1 << 64) - 1
+        for seed in (-1, 1 << 64):
+            with pytest.raises(ParameterError, match="seed"):
+                RunConfig(seed=seed)

@@ -275,6 +275,31 @@ class TestMonteCarlo:
             assert np.array_equal(seen.pop(), s)
             assert (report.delta, report.arg_x) == (float(dev[i]), float(s[i]))
 
+    @pytest.mark.parametrize("n, kind", [(12, "footrule"), (33, "integers")])
+    def test_matches_gather_oracle(self, monkeypatch, n, kind):
+        # The offset shuffle and flat ``take`` against a fancy-index gather
+        # of permuted C-contiguous tiles, bit for bit: the sorted
+        # standardized sample handed to the normal CDF, delta and arg_x.
+        m = ScoreMatrix(lattice_matrices(n)[kind])
+        samples = exact._MC_BATCH + 4_321
+        sizes = exact._mc_batch_layout(samples)
+        rows = np.arange(n)
+        sums = [
+            m.a[rows, np.random.default_rng(ss).permuted(np.tile(rows, (size, 1)), axis=1)].sum(axis=1)
+            for ss, size in zip(np.random.SeedSequence(11).spawn(len(sizes)), sizes)
+        ]
+        stats = center(m)
+        s = np.sort((np.concatenate(sums) - stats.mu) / math.sqrt(stats.sigma2), kind="stable")
+        grid = np.arange(1, samples + 1) / samples
+        phi = ndtr(s)
+        dev = np.maximum(np.abs(grid - phi), np.abs(grid - 1.0 / samples - phi))
+        i = int(np.argmax(dev))
+        seen = []
+        monkeypatch.setattr(exact, "ndtr", lambda x: seen.append(x.copy()) or ndtr(x))
+        report = monte_carlo_delta(m, samples, seed=11, threads=2)
+        assert seen.pop().tobytes() == s.tobytes()
+        assert (report.delta, report.arg_x) == (float(dev[i]), float(s[i]))
+
     def test_close_to_exact_for_large_sample(self, rng):
         m = rand_matrix(rng, 5)
         exact = kolmogorov_distance(enumerate_distribution(m)).delta
