@@ -53,7 +53,7 @@ from .errors import CapExceededError, ParameterError
 from .exact import DeltaReport, enumerate_distribution, kolmogorov_distance
 from .permanents import charfn_grid
 from .quadrature import adaptive_simpson_vec
-from .scores import GammaProfile, ScoreMatrix, _as_profile, require_nondegenerate
+from .scores import GammaProfile, ScoreMatrix, _as_profile, _row_pair_sums, require_nondegenerate
 
 # Published constants of the certified inequality and of its Lyapunov form.
 THEOREM_C1 = 15.84
@@ -226,8 +226,6 @@ class BoundReport:
 
 def berry_esseen_bound(
     m: ScoreMatrix | GammaProfile,
-    c1: float = THEOREM_C1,
-    c2: float = THEOREM_C2,
     enum_cap: int = 10,
     attach_delta: bool = True,
 ) -> BoundReport:
@@ -241,8 +239,8 @@ def berry_esseen_bound(
     stats = profile.stats
     sigma2 = require_nondegenerate(stats)
     sigma = math.sqrt(sigma2)
-    gamma_at = profile.gamma(c2 / sigma)
-    bound = c1 / sigma2 * gamma_at
+    gamma_at = profile.gamma(THEOREM_C2 / sigma)
+    bound = THEOREM_C1 / sigma2 * gamma_at
     lyapunov = LYAPUNOV_COEFFICIENT / ((stats.n - 1) * sigma**3) * float(
         (np.abs(stats.a_tilde) ** 3).sum()
     )
@@ -263,7 +261,7 @@ def berry_esseen_bound(
     )
 
 
-def sampling_bound_specialized(values, m_draw: int, sigma2: float, c1: float = THEOREM_C1, c2: float = THEOREM_C2) -> float:
+def sampling_bound_specialized(values, m_draw: int, sigma2: float) -> float:
     """Without-replacement specialisation of the theorem bound.
 
     For the sampling design with value vector c and draw size m,
@@ -274,7 +272,9 @@ def sampling_bound_specialized(values, m_draw: int, sigma2: float, c1: float = T
                 (c_r - c_s)^2 min(1, C2/sigma |c_r - c_s|),
 
     because exactly 2 m (n - m) of the row pairs contribute each column-pair
-    difference.  Must agree with the generic bound on the induced matrix.
+    difference.  The pair sum is the row-pair window sum of the 2 x n matrix
+    with rows c and 0 at the cutoff sigma/C2, in O(n log n) time and O(n)
+    memory.  Must agree with the generic bound on the induced matrix.
     """
     c = np.asarray(values, dtype=float)
     n = c.size
@@ -282,10 +282,9 @@ def sampling_bound_specialized(values, m_draw: int, sigma2: float, c1: float = T
         raise ParameterError(f"m_draw={m_draw} out of range 1..{n}")
     sigma2 = require_nondegenerate(sigma2)
     sigma = math.sqrt(sigma2)
-    diff = c[:, None] - c[None, :]
-    contrib = diff**2 * np.minimum(1.0, c2 / sigma * np.abs(diff))
-    total = float(contrib.sum())  # diagonal terms vanish
-    return 2.0 * c1 * m_draw * (n - m_draw) / (n * n * (n - 1) * sigma2) * total
+    cubes, squares = _row_pair_sums(np.vstack([c, 0.0 * c]), np.array([sigma / THEOREM_C2]))
+    total = 2.0 * (THEOREM_C2 / sigma * cubes[0] + squares[0])  # ordered pairs: twice s < r
+    return 2.0 * THEOREM_C1 * m_draw * (n - m_draw) / (n * n * (n - 1) * sigma2) * total
 
 
 def smoothing_bound(

@@ -318,13 +318,14 @@ def _row_pair_sums(a: np.ndarray, cutoffs: np.ndarray) -> tuple[np.ndarray, np.n
     Returns (cubes, squares): the sums of |b|^3 over 0 < |b| <= T and of b^2
     over |b| > T, each over the row pairs j < k and the column pairs s < r
     (a quarter of the full quadruple sum).  T = inf closes every square and
-    T = 0 every cube window.  See ``GammaProfile`` for the method and its
-    rounding allowance.
+    T = 0 every cube window.  ``a`` may be any rows x cols array: the row
+    pairs come from its rows and the windows run along its columns.  See
+    ``GammaProfile`` for the method and its rounding allowance.
     """
-    n = a.shape[0]
+    n = a.shape[1]
     mid = n // 2
     cols = np.arange(n)
-    rows_j, rows_k = np.triu_indices(n, 1)
+    rows_j, rows_k = np.triu_indices(a.shape[0], 1)
     step = max(1, _PAIR_CHUNK // n)
     cubes = [[] for _ in range(cutoffs.size)]
     squares = [[] for _ in range(cutoffs.size)]

@@ -1,20 +1,25 @@
-"""Seeded self-verification batteries behind the ``verify`` CLI subcommand.
+"""One check function per paper claim, and the seeded batteries of ``cclt verify``.
 
-Each check runs a deterministic corpus (derived from the configured seed)
-through one family of identities or inequalities and reports the worst
-residual or slack observed.  A check passes when every instance satisfies
-its contract at the stated tolerance; the suite passes when all checks do.
+A check takes its instances (matrices, (profile, t-grid) pairs, ...) and a
+tolerance, computes the raw violation of its claim on every instance, with no
+allowance folded into the formula, and returns a ``CheckResult`` that passes
+iff the worst violation is at most the tolerance and names the instance where
+each violation peaked.  The ``verify`` suites run small corpora derived from
+the seed through these functions at their own tolerances; the acceptance
+suite (``tests/test_acceptance.py``) runs its larger corpora through the same
+functions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .analytic import damped_moment_integrals, kappa, taylor_remainder_check, v_of_w
 from .constants import berry_esseen_bound, sampling_bound_specialized, smoothing_bound, theorem_constants
+from .errors import ParameterError
 from .exact import enumerate_distribution, kolmogorov_distance, monte_carlo_delta
 from .identity import (
     ComplexScoreMatrix,
@@ -25,9 +30,10 @@ from .identity import (
     swap_identity_check,
 )
 from .permanents import (
+    cf_diff_bound_closed_grid,
+    cf_diff_bound_integral_grid,
     charfn_bound_grid,
     charfn_grid,
-    evaluate_cf_grid,
     gauss_cf,
     restricted_sum_check,
 )
@@ -36,43 +42,72 @@ from .scores import GammaProfile, ScoreMatrix, center, from_sampling
 SUITE_NAMES = ("identity", "bounds", "constants", "cf", "all")
 
 
-def _plain(value):
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    return value
-
-
 @dataclass(frozen=True)
 class CheckResult:
+    """Outcome of one check; ``worst`` (not reported) maps each violation's detail key to its worst instance."""
+
     name: str
     passed: bool
     detail: dict
+    worst: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "detail": {k: _plain(v) for k, v in self.detail.items()},
-        }
+        return {"name": self.name, "passed": bool(self.passed), "detail": dict(self.detail)}
 
 
-def _rand_matrix(rng: np.random.Generator, n: int, scale: float = 1.0) -> ScoreMatrix:
-    return ScoreMatrix(scale * rng.standard_normal((n, n)))
+class _Worst:
+    """Running maximum of one violation and the instance where it occurred (NaN sticks)."""
+
+    def __init__(self, start: float = -math.inf):
+        self.value, self.where = start, "no instance"
+
+    def add(self, value, where: str) -> bool:
+        value = float(value)
+        if value > self.value or math.isnan(value):
+            self.value, self.where = value, where
+            return True
+        return False
 
 
-def _rand_complex(rng: np.random.Generator, n: int) -> ComplexScoreMatrix:
-    return ComplexScoreMatrix(rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n)))
+def _result(name: str, parts: dict) -> CheckResult:
+    """``parts`` maps each detail key to its (running worst, tolerance)."""
+    return CheckResult(
+        name,
+        all(w.value <= tol for w, tol in parts.values()),
+        {key: w.value for key, (w, _) in parts.items()},
+        {key: w.where for key, (w, _) in parts.items()},
+    )
+
+
+def _at(i: int, m, **where) -> str:
+    return ", ".join([f"instance {i} (n = {m.n})"] + [f"{k} = {v:.6g}" for k, v in where.items()])
+
+
+def t_grids(matrices, span: float, count: int) -> list:
+    """(profile, linspace(-span/sigma, span/sigma, count)) for each matrix."""
+    out = []
+    for m in matrices:
+        profile = GammaProfile(m)
+        sigma = math.sqrt(profile.stats.sigma2)
+        out.append((profile, np.linspace(-span / sigma, span / sigma, count)))
+    return out
+
+
+def restricted_instances(matrices, rng: np.random.Generator, ts):
+    """(profile, cols, rows, ts) with ell = 0..4 random rows and columns removed, drawn per matrix."""
+    for m in matrices:
+        profile = GammaProfile(m)
+        for ell in range(5):
+            cols = rng.choice(np.arange(1, m.n + 1), size=ell, replace=False).tolist()
+            rows = rng.choice(np.arange(1, m.n + 1), size=ell, replace=False).tolist()
+            yield profile, cols, rows, ts
 
 
 # ---------------------------------------------------------------------------
-# constants suite
+# constants
 
 
-def _check_kappa(seed: int, quad_tol: float) -> CheckResult:
+def check_kappa() -> CheckResult:
     kap, x0 = kappa()
     err_k = abs(kap - 0.09916191)
     err_x = abs(x0 - 3.99589)
@@ -83,21 +118,20 @@ def _check_kappa(seed: int, quad_tol: float) -> CheckResult:
     )
 
 
-def _check_kappa_inequality(seed: int, quad_tol: float) -> CheckResult:
+def check_cubic_correction(xs, tol: float) -> CheckResult:
     kap, _ = kappa()
-    xs = np.linspace(-50.0, 50.0, 20001)
-    lhs = np.cos(xs) - 1.0 + xs * xs / 2.0
-    worst = float(np.max(lhs - kap * np.abs(xs) ** 3))
-    return CheckResult("cubic_correction_inequality", worst <= 1e-12, {"max_violation": worst})
+    worst = _Worst()
+    worst.add(np.max(np.cos(xs) - 1.0 + xs * xs / 2.0 - kap * np.abs(xs) ** 3), "the x grid")
+    return _result("cubic_correction_inequality", {"max_violation": (worst, tol)})
 
 
-def _check_v_of_w(seed: int, quad_tol: float) -> CheckResult:
+def check_v_of_w() -> CheckResult:
     v = v_of_w(0.89)
     err = abs(v - 5.329260)
     return CheckResult("smoothing_threshold_value", err <= 1e-5, {"v": v, "err": err})
 
 
-def _check_pipeline(seed: int, quad_tol: float) -> CheckResult:
+def check_pipeline() -> CheckResult:
     rep = theorem_constants()
     ok = (
         abs(rep.c3 - 1.2992) <= 1e-3
@@ -113,293 +147,301 @@ def _check_pipeline(seed: int, quad_tol: float) -> CheckResult:
     )
 
 
-def _check_kernel_moments(seed: int, quad_tol: float) -> CheckResult:
-    worst = -1.0
-    for c in (0.01, 0.1, 0.25, 0.4, 0.49):
+def check_kernel_moments(cs, tol: float) -> CheckResult:
+    worst = _Worst(-1.0)
+    for c in cs:
         mi = damped_moment_integrals(c)
-        worst = max(worst, mi.i1_numeric_residual, mi.i2_numeric_residual)
-    return CheckResult("kernel_moment_closed_forms", worst <= 1e-6, {"max_residual": worst})
+        worst.add(max(mi.i1_numeric_residual, mi.i2_numeric_residual), f"c = {c}")
+    return _result("kernel_moment_closed_forms", {"max_residual": (worst, tol)})
 
 
-def _check_taylor(seed: int, quad_tol: float) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    worst = -math.inf
-    for _ in range(300):
-        x = rng.uniform(-20.0, 20.0)
-        k = int(rng.integers(0, 7))
+def check_taylor(instances, tol: float) -> CheckResult:
+    """Taylor remainder inequality at each (x, k)."""
+    worst = _Worst()
+    for x, k in instances:
         lhs, rhs = taylor_remainder_check(x, k)
-        worst = max(worst, lhs - rhs)
-    return CheckResult("taylor_remainder_inequality", worst <= 1e-12, {"max_violation": worst})
+        worst.add(lhs - rhs, f"x = {x:.6g}, k = {k}")
+    return _result("taylor_remainder_inequality", {"max_violation": (worst, tol)})
 
 
 # ---------------------------------------------------------------------------
-# identity suite
+# identities (complex matrices)
 
 
-def _check_permanent_identity(seed: int, quad_tol: float) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    worst = -1.0
-    for n in (2, 3, 4, 5):
-        for _ in range(3):
-            chk = identity_check(_rand_complex(rng, n), tol=quad_tol)
-            worst = max(worst, chk.residual)
-    return CheckResult("permanent_identity", worst <= 1e-9, {"max_residual": worst})
+def check_permanent_identity(matrices, tol: float, quad_tol: float = 1e-10) -> CheckResult:
+    worst = _Worst(-1.0)
+    for i, y in enumerate(matrices):
+        worst.add(identity_check(y, tol=quad_tol).residual, _at(i, y))
+    return _result("permanent_identity", {"max_residual": (worst, tol)})
 
 
-def _check_pointwise_identity(seed: int, quad_tol: float) -> CheckResult:
-    rng = np.random.default_rng(seed + 1)
-    worst = -1.0
-    for n in (2, 3, 4, 5):
-        y = _rand_complex(rng, n)
+def check_pointwise_identity(matrices, tol: float) -> CheckResult:
+    worst = _Worst(-1.0)
+    for i, y in enumerate(matrices):
         for u in (0.0, 0.25, 0.5, 0.75, 1.0):
-            worst = max(worst, f_residual(y, u))
-    return CheckResult("pointwise_derivative_identity", worst <= 1e-9, {"max_residual": worst})
+            worst.add(f_residual(y, u), _at(i, y, u=u))
+    return _result("pointwise_derivative_identity", {"max_residual": (worst, tol)})
 
 
-def _check_beta_routes(seed: int, quad_tol: float) -> CheckResult:
-    rng = np.random.default_rng(seed + 2)
-    worst = -1.0
-    for n in (2, 3, 4, 5, 6):
-        for _ in range(4):
-            y = _rand_complex(rng, n)
-            pair = identity_terms(y).beta
-            quad = beta_quadruple(y)
-            worst = max(worst, abs(pair - quad) / max(1.0, abs(pair)))
-    return CheckResult("beta_two_routes", worst <= 1e-10, {"max_rel_residual": worst})
+def check_beta_routes(matrices, tol: float) -> CheckResult:
+    """Relative gap between the pair-sum and quadruple-sum beta."""
+    worst = _Worst(-1.0)
+    for i, y in enumerate(matrices):
+        pair = identity_terms(y).beta
+        worst.add(abs(pair - beta_quadruple(y)) / max(1e-30, abs(pair)), _at(i, y))
+    return _result("beta_two_routes", {"max_rel_residual": (worst, tol)})
 
 
-def _check_swap_identity(seed: int, quad_tol: float) -> CheckResult:
-    rng = np.random.default_rng(seed + 3)
-    worst = -1.0
-    for n in (2, 3, 4, 5):
-        y = _rand_complex(rng, n)
-        pairs = [(1, 2), (1, n)] if n == 2 else [(1, 2), (1, n), (2, n)]
-        for j, k in pairs:
-            worst = max(worst, swap_identity_check(y, j, k))
-    return CheckResult("index_swap_identity", worst <= 1e-10, {"max_residual": worst})
+def check_swap_identity(matrices, tol: float) -> CheckResult:
+    worst = _Worst(-1.0)
+    for i, y in enumerate(matrices):
+        n = y.n
+        for j, k in [(1, 2), (1, n)] if n == 2 else [(1, 2), (1, n), (2, n)]:
+            worst.add(swap_identity_check(y, j, k), _at(i, y, j=j, k=k))
+    return _result("index_swap_identity", {"max_residual": (worst, tol)})
 
 
-def _check_cf_specialization(seed: int, quad_tol: float) -> CheckResult:
-    rng = np.random.default_rng(seed + 4)
-    worst = -1.0
-    for n in (3, 4, 5):
-        m = _rand_matrix(rng, n)
+def check_cf_specialization(matrices, tol: float, quad_tol: float = 1e-10) -> CheckResult:
+    """alpha, beta and the identity's left side at Y = i t A against mu, sigma2 and phi - gauss."""
+    worst = _Worst(-1.0)
+    for i, m in enumerate(matrices):
         stats = center(m)
         for t in (0.3, 0.8):
             y = ComplexScoreMatrix(1j * t * m.a)
             terms = identity_terms(y)
-            worst = max(worst, abs(terms.alpha - 1j * t * stats.mu))
-            worst = max(worst, abs(terms.beta + stats.sigma2 * t * t))
-            chk = identity_check(y, tol=quad_tol)
+            lhs = identity_check(y, tol=quad_tol).lhs
             expected = charfn_grid(m, [t])[0] - gauss_cf(m, t)
-            worst = max(worst, abs(chk.lhs - expected))
-    return CheckResult("cf_specialization", worst <= 1e-9, {"max_residual": worst})
+            gaps = (abs(terms.alpha - 1j * t * stats.mu), abs(terms.beta + stats.sigma2 * t * t), abs(lhs - expected))
+            worst.add(max(gaps), _at(i, m, t=t))
+    return _result("cf_specialization", {"max_residual": (worst, tol)})
 
 
 # ---------------------------------------------------------------------------
-# cf suite
+# characteristic-function bounds on (profile, t-grid) instances
 
 
-def _check_modulus_bound(seed: int, quad_tol: float) -> CheckResult:
-    rng = np.random.default_rng(seed + 5)
-    worst = -math.inf
-    for n in (3, 4, 5, 6):
-        for _ in range(4):
-            m = _rand_matrix(rng, n)
-            sigma = math.sqrt(center(m).sigma2)
-            ts = np.linspace(-10.0 / sigma, 10.0 / sigma, 41)
-            slack = np.abs(charfn_grid(m, ts)) - charfn_bound_grid(m, ts)
-            worst = max(worst, float(slack.max()))
-    return CheckResult("cf_modulus_bound", worst <= 1e-12, {"max_violation": worst})
+def check_modulus_bound(instances, tol: float) -> CheckResult:
+    worst = _Worst()
+    for i, (profile, ts) in enumerate(instances):
+        slack = np.abs(charfn_grid(profile.matrix, ts)) - charfn_bound_grid(profile, ts)
+        worst.add(slack.max(), _at(i, profile))
+    return _result("cf_modulus_bound", {"max_violation": (worst, tol)})
 
 
-def _check_modulus_equality(seed: int, quad_tol: float) -> CheckResult:
-    m = ScoreMatrix([[1.0, -1.0], [-1.0, 1.0]])
-    ts = np.linspace(-4.0, 4.0, 81)
-    gap = np.abs(np.abs(charfn_grid(m, ts)) - charfn_bound_grid(m, ts))
-    worst = float(gap.max())
-    return CheckResult("cf_modulus_equality_2x2", worst <= 1e-14, {"max_gap": worst})
+def check_modulus_equality(instances, tol: float) -> CheckResult:
+    worst = _Worst()
+    for i, (profile, ts) in enumerate(instances):
+        gap = np.abs(np.abs(charfn_grid(profile.matrix, ts)) - charfn_bound_grid(profile, ts))
+        worst.add(gap.max(), _at(i, profile))
+    return _result("cf_modulus_equality_2x2", {"max_gap": (worst, tol)})
 
 
-def _check_cf_difference_bounds(seed: int, quad_tol: float) -> CheckResult:
-    rng = np.random.default_rng(seed + 6)
-    worst_int = -math.inf
-    worst_chain = -math.inf
-    worst_simple = -math.inf
-    for n in (3, 4, 6, 7):
-        m = _rand_matrix(rng, n)
-        profile = GammaProfile(m)
-        sigma = math.sqrt(profile.stats.sigma2)
-        ts = np.linspace(-10.0 / sigma, 10.0 / sigma, 21)
-        for ev in evaluate_cf_grid(profile, ts, tol=quad_tol):
-            diff = abs(ev.phi - ev.gauss)
-            worst_int = max(worst_int, diff - ev.diff_bound_integral - quad_tol)
-            worst_chain = max(worst_chain, ev.diff_bound_integral - ev.diff_bound_closed - quad_tol)
-            if ev.diff_bound_closed_simplified is not None:
-                worst_simple = max(worst_simple, diff - ev.diff_bound_closed_simplified)
-    ok = worst_int <= 1e-12 and worst_chain <= 1e-12 and worst_simple <= 1e-12
-    return CheckResult(
-        "cf_difference_bounds",
-        ok,
-        {
-            "max_violation_integral": worst_int,
-            "max_violation_chain": worst_chain,
-            "max_violation_simplified": worst_simple,
-        },
+def check_cf_difference_bounds(instances, tol: float, quad_tol: float = 1e-10) -> CheckResult:
+    """|phi - gauss| under the integral, closed and (n >= 6) simplified bounds; integral under closed.
+
+    The two integral-form violations are held to ``quad_tol``, the closed forms to ``tol``.
+    """
+    parts = {key: _Worst() for key in ("integral", "chain", "closed", "simplified")}
+    for i, (profile, ts) in enumerate(instances):
+        stats = profile.stats
+        gauss = np.exp(1j * ts * stats.mu - stats.sigma2 * ts * ts / 2.0)
+        diffs = np.abs(charfn_grid(profile.matrix, ts) - gauss)
+        integral = cf_diff_bound_integral_grid(profile, ts, tol=quad_tol)
+        closed, simplified = cf_diff_bound_closed_grid(profile, ts)
+        at = _at(i, profile)
+        parts["integral"].add(np.max(diffs - integral), at)
+        parts["chain"].add(np.max(integral - closed), at)
+        parts["closed"].add(np.max(diffs - closed), at)
+        if simplified is not None:
+            parts["simplified"].add(np.max(diffs - simplified), at)
+    tols = {"integral": quad_tol, "chain": quad_tol, "closed": tol, "simplified": tol}
+    return _result(
+        "cf_difference_bounds", {f"max_violation_{key}": (w, tols[key]) for key, w in parts.items()}
     )
 
 
-def _check_restricted_sums(seed: int, quad_tol: float) -> CheckResult:
-    rng = np.random.default_rng(seed + 7)
-    worst = -math.inf
-    for _ in range(4):
-        profile = GammaProfile(_rand_matrix(rng, 6))
-        for ell in range(5):
-            cols = rng.choice(np.arange(1, 7), size=ell, replace=False).tolist()
-            rows = rng.choice(np.arange(1, 7), size=ell, replace=False).tolist()
-            for t in np.linspace(-8.0, 8.0, 17):
-                lhs, rhs = restricted_sum_check(profile, cols, rows, float(t))
-                worst = max(worst, lhs - rhs)
-    return CheckResult("restricted_sum_bound", worst <= 1e-12, {"max_violation": worst})
+def check_restricted_sums(instances, tol: float) -> CheckResult:
+    """Restricted permutation sums under h_ell at each t of each (profile, cols, rows, ts)."""
+    worst = _Worst()
+    for i, (profile, cols, rows, ts) in enumerate(instances):
+        for t in ts:
+            lhs, rhs = restricted_sum_check(profile, cols, rows, float(t))
+            worst.add(lhs - rhs, _at(i, profile, ell=len(cols), t=t))
+    return _result("restricted_sum_bound", {"max_violation": (worst, tol)})
 
 
 # ---------------------------------------------------------------------------
-# bounds suite
+# bounds on the Kolmogorov distance and the clipped moments (real matrices)
 
 
-def _check_theorem_domination(seed: int, quad_tol: float) -> CheckResult:
-    rng = np.random.default_rng(seed + 8)
-    worst_bound = -math.inf
-    worst_lyap = -math.inf
-    for n in (3, 4, 5, 6, 7):
-        for scale in (0.1, 1.0, 10.0):
-            m = _rand_matrix(rng, n, scale)
-            rep = berry_esseen_bound(m)
-            worst_bound = max(worst_bound, rep.delta_report.delta - rep.bound)
-            worst_lyap = max(worst_lyap, rep.delta_report.delta - rep.lyapunov_bound)
-    ok = worst_bound <= 1e-12 and worst_lyap <= 1e-12
-    return CheckResult(
+def check_theorem_domination(matrices, tol: float) -> CheckResult:
+    """Exact Delta under the theorem bound and under the Lyapunov bound."""
+    bound, lyapunov = _Worst(), _Worst()
+    for i, m in enumerate(matrices):
+        rep = berry_esseen_bound(m)
+        at = _at(i, m)
+        bound.add(rep.delta_report.delta - rep.bound, at)
+        lyapunov.add(rep.delta_report.delta - rep.lyapunov_bound, at)
+    return _result(
         "theorem_and_lyapunov_domination",
-        ok,
-        {"max_violation_bound": worst_bound, "max_violation_lyapunov": worst_lyap},
+        {"max_violation_bound": (bound, tol), "max_violation_lyapunov": (lyapunov, tol)},
     )
 
 
-def _check_sandwich(seed: int, quad_tol: float) -> CheckResult:
-    rng = np.random.default_rng(seed + 9)
-    worst = -math.inf
-    for n in (3, 5, 7):
-        for _ in range(4):
-            m = _rand_matrix(rng, n)
-            profile = GammaProfile(m)
-            stats = profile.stats
-            sigma = math.sqrt(stats.sigma2)
-            for x in (0.1 / sigma, 1.0 / sigma, 10.0 / sigma):
-                g = profile.gamma(x)
-                worst = max(worst, g - min(4.0 * stats.sigma2, abs(x) * stats.delta) - 1e-12 * g)
-                worst = max(worst, 4.0 * (stats.sigma2 - (n - 1) / (27.0 * x * x)) - g - 1e-9 * abs(g))
-                worst = max(worst, g - 16.0 * profile.gamma_tilde(x) - 1e-12 * g)
-                for y in (0.25, 0.5, 0.75):
-                    lower = (1.0 - y * y * ((n - 1) / n) ** 2) * profile.gamma_tilde(x * y)
-                    worst = max(worst, lower - g - 1e-12 * abs(g))
-    return CheckResult("clipped_moment_sandwich", worst <= 1e-12, {"max_violation": worst})
+def check_sandwich(matrices, tol: float) -> CheckResult:
+    """Clipped-moment sandwich chains at x in {0.1, 1, 10}/sigma, relative to max(1, gamma(x))."""
+    worst = _Worst()
+    for i, m in enumerate(matrices):
+        profile = GammaProfile(m)
+        stats, n = profile.stats, profile.n
+        sigma = math.sqrt(stats.sigma2)
+        for x in (0.1 / sigma, 1.0 / sigma, 10.0 / sigma):
+            g = profile.gamma(x)
+            gaps = [
+                g - 16.0 * profile.gamma_tilde(x),
+                4.0 * (stats.sigma2 - (n - 1) / (27.0 * x * x)) - g,
+                g - min(4.0 * stats.sigma2, abs(x) * stats.delta),
+            ]
+            for y in (0.25, 0.5, 0.75):
+                gaps.append((1.0 - y * y * ((n - 1) / n) ** 2) * profile.gamma_tilde(x * y) - g)
+            worst.add(max(gaps) / max(1.0, g), _at(i, m, x=x))
+    return _result("clipped_moment_sandwich", {"max_violation": (worst, tol)})
 
 
-def _check_gamma_shape(seed: int, quad_tol: float) -> CheckResult:
-    rng = np.random.default_rng(seed + 10)
-    worst = -math.inf
-    for n in (3, 6):
-        m = _rand_matrix(rng, n)
+def check_gamma_shape(matrices, tol: float) -> CheckResult:
+    """gamma nondecreasing from gamma(0) = 0 on [0, 5], and its split evaluation within 1e-10 of it."""
+    worst = _Worst()
+    for i, m in enumerate(matrices):
         profile = GammaProfile(m)
         xs = np.linspace(0.0, 5.0, 41)
         gs = profile.gamma_many(xs)
-        worst = max(worst, float(np.max(np.diff(gs) * -1.0)))  # nondecreasing on x >= 0
-        worst = max(worst, abs(gs[0]))
         split = profile.gamma_split_many(xs)
-        worst = max(worst, float(np.max(np.abs(split - gs))) - 1e-10 * float(np.max(gs)))
-    return CheckResult("gamma_shape", worst <= 1e-12, {"max_violation": worst})
+        at = _at(i, m)
+        worst.add(np.max(np.diff(gs) * -1.0), at)
+        worst.add(abs(gs[0]), at)
+        worst.add(float(np.max(np.abs(split - gs))) - 1e-10 * float(np.max(gs)), at)
+    return _result("gamma_shape", {"max_violation": (worst, tol)})
 
 
-def _check_smoothing(seed: int, quad_tol: float) -> CheckResult:
-    rng = np.random.default_rng(seed + 11)
-    worst = -math.inf
-    for n in (3, 4, 5):
-        m = _rand_matrix(rng, n)
+def check_smoothing(matrices, tol: float) -> CheckResult:
+    """Exact Delta under the smoothing bound (w = 0.89, quadrature tol 1e-8) at T in {2, 10}/sigma."""
+    worst = _Worst()
+    for i, m in enumerate(matrices):
         sigma = math.sqrt(center(m).sigma2)
         delta = kolmogorov_distance(enumerate_distribution(m)).delta
         for cutoff in (2.0 / sigma, 10.0 / sigma):
-            bound = smoothing_bound(m, 0.89, cutoff, tol=1e-8)
-            worst = max(worst, delta - bound - 1e-8)
-    return CheckResult("smoothing_inequality", worst <= 1e-12, {"max_violation": worst})
+            worst.add(delta - smoothing_bound(m, 0.89, cutoff, tol=1e-8), _at(i, m, T=cutoff))
+    return _result("smoothing_inequality", {"max_violation": (worst, tol)})
 
 
-def _check_sampling(seed: int, quad_tol: float) -> CheckResult:
-    rng = np.random.default_rng(seed + 12)
-    worst = -math.inf
-    for n, m_draw in ((4, 2), (6, 3), (8, 5)):
-        values = rng.standard_normal(n)
+def check_sampling(designs, tol: float) -> CheckResult:
+    """Closed-form moments and the specialised bound of each (values, m_draw) design, relative."""
+    worst = _Worst(-1.0)
+    for values, m_draw in designs:
         design = from_sampling(values, m_draw)
         stats = center(design.matrix)
-        worst = max(worst, abs(stats.sigma2 - design.sigma2) / max(1.0, design.sigma2))
-        worst = max(worst, abs(stats.mu - design.mu) / max(1.0, abs(design.mu)))
-        rep = berry_esseen_bound(design.matrix, attach_delta=False)
         special = sampling_bound_specialized(values, m_draw, design.sigma2)
-        worst = max(worst, abs(rep.bound - special) / max(1.0, rep.bound))
-    return CheckResult("sampling_specialization", worst <= 1e-10, {"max_rel_residual": worst})
+        bound = berry_esseen_bound(design.matrix, attach_delta=False).bound
+        gaps = (
+            abs(stats.sigma2 - design.sigma2) / max(1.0, design.sigma2),
+            abs(stats.mu - design.mu) / max(1.0, abs(design.mu)),
+            abs(bound - special) / max(1.0, bound),
+        )
+        worst.add(max(gaps), f"n = {len(values)}, m = {m_draw}")
+    return _result("sampling_specialization", {"max_rel_residual": (worst, tol)})
 
 
-def _check_mc_vs_exact(seed: int, quad_tol: float) -> CheckResult:
-    rng = np.random.default_rng(seed + 13)
-    m = _rand_matrix(rng, 5)
-    exact = kolmogorov_distance(enumerate_distribution(m)).delta
-    mc = monte_carlo_delta(m, 100_000, seed=seed)
-    gap = abs(mc.delta - exact)
-    return CheckResult(
-        "monte_carlo_consistency",
-        gap <= 4.0 * mc.std_error,
-        {"exact": exact, "monte_carlo": mc.delta, "gap": gap, "std_error": mc.std_error},
+def check_monte_carlo(instances, tol: float) -> CheckResult:
+    """Monte Carlo Delta within ``tol`` standard errors of the exact Delta at each (matrix, samples, seed).
+
+    The detail is that of the instance with the largest gap in standard errors.
+    """
+    worst, detail = _Worst(), {}
+    for i, (m, samples, seed) in enumerate(instances):
+        exact = kolmogorov_distance(enumerate_distribution(m)).delta
+        mc = monte_carlo_delta(m, samples, seed=seed)
+        gap = abs(mc.delta - exact)
+        if worst.add(gap / mc.std_error, _at(i, m, seed=seed)):
+            detail = {"exact": exact, "monte_carlo": mc.delta, "gap": gap, "std_error": mc.std_error}
+    return replace(_result("monte_carlo_consistency", {"gap_in_std_errors": (worst, tol)}), detail=detail)
+
+
+# ---------------------------------------------------------------------------
+# the seeded batteries of ``cclt verify``: each suite is a table of (check,
+# corpus, tolerance), and each corpus draws from its own stream seed + k.
+
+
+def _real(seed: int, ns, count: int, scales=(1.0,)) -> list:
+    rng = np.random.default_rng(seed)
+    return [ScoreMatrix(s * rng.standard_normal((n, n))) for n in ns for s in scales for _ in range(count)]
+
+
+def _complex(seed: int, ns, count: int) -> list:
+    rng = np.random.default_rng(seed)
+    return [
+        ComplexScoreMatrix(rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n)))
+        for n in ns
+        for _ in range(count)
+    ]
+
+
+def _identity_suite(seed: int, quad_tol: float) -> tuple:
+    return (
+        check_permanent_identity(_complex(seed, (2, 3, 4, 5), 3), 1e-9, quad_tol),
+        check_pointwise_identity(_complex(seed + 1, (2, 3, 4, 5), 1), 1e-9),
+        check_beta_routes(_complex(seed + 2, (2, 3, 4, 5, 6), 4), 1e-10),
+        check_swap_identity(_complex(seed + 3, (2, 3, 4, 5), 1), 1e-10),
+        check_cf_specialization(_real(seed + 4, (3, 4, 5), 1), 1e-9, quad_tol),
     )
 
 
-_SUITES: dict[str, tuple] = {
-    "constants": (
-        _check_kappa,
-        _check_kappa_inequality,
-        _check_v_of_w,
-        _check_pipeline,
-        _check_kernel_moments,
-        _check_taylor,
-    ),
-    "identity": (
-        _check_permanent_identity,
-        _check_pointwise_identity,
-        _check_beta_routes,
-        _check_swap_identity,
-        _check_cf_specialization,
-    ),
-    "cf": (
-        _check_modulus_bound,
-        _check_modulus_equality,
-        _check_cf_difference_bounds,
-        _check_restricted_sums,
-    ),
-    "bounds": (
-        _check_theorem_domination,
-        _check_sandwich,
-        _check_gamma_shape,
-        _check_smoothing,
-        _check_sampling,
-        _check_mc_vs_exact,
-    ),
-}
+def _bounds_suite(seed: int, quad_tol: float) -> tuple:
+    rng = np.random.default_rng(seed + 12)
+    designs = [(rng.standard_normal(n), m_draw) for n, m_draw in ((4, 2), (6, 3), (8, 5))]
+    return (
+        check_theorem_domination(_real(seed + 8, (3, 4, 5, 6, 7), 1, (0.1, 1.0, 10.0)), 1e-12),
+        check_sandwich(_real(seed + 9, (3, 5, 7), 4), 1e-12),
+        check_gamma_shape(_real(seed + 10, (3, 6), 1), 1e-12),
+        check_smoothing(_real(seed + 11, (3, 4, 5), 1), 1e-8),
+        check_sampling(designs, 1e-10),
+        check_monte_carlo([(_real(seed + 13, (5,), 1)[0], 100_000, seed)], 4.0),
+    )
+
+
+def _constants_suite(seed: int, quad_tol: float) -> tuple:
+    rng = np.random.default_rng(seed)
+    taylor = [(rng.uniform(-20.0, 20.0), int(rng.integers(0, 7))) for _ in range(300)]
+    return (
+        check_kappa(),
+        check_cubic_correction(np.linspace(-50.0, 50.0, 20001), 1e-12),
+        check_v_of_w(),
+        check_pipeline(),
+        check_kernel_moments((0.01, 0.1, 0.25, 0.4, 0.49), 1e-6),
+        check_taylor(taylor, 1e-12),
+    )
+
+
+def _cf_suite(seed: int, quad_tol: float) -> tuple:
+    rng = np.random.default_rng(seed + 7)
+    # Lazy: each matrix is drawn from the stream just before its index choices.
+    matrices = (ScoreMatrix(rng.standard_normal((6, 6))) for _ in range(4))
+    return (
+        check_modulus_bound(t_grids(_real(seed + 5, (3, 4, 5, 6), 4), 10.0, 41), 1e-12),
+        check_modulus_equality(t_grids([ScoreMatrix([[1.0, -1.0], [-1.0, 1.0]])], 8.0, 81), 1e-14),
+        check_cf_difference_bounds(t_grids(_real(seed + 6, (3, 4, 6, 7), 1), 10.0, 21), 1e-12, quad_tol),
+        check_restricted_sums(restricted_instances(matrices, rng, np.linspace(-8.0, 8.0, 17)), 1e-12),
+    )
+
+
+_SUITES = {"identity": _identity_suite, "bounds": _bounds_suite, "constants": _constants_suite, "cf": _cf_suite}
 
 
 def run_suite(suite: str, seed: int = 0, quad_tol: float = 1e-10) -> dict:
     """Run one verification suite; returns a JSON-ready summary."""
     if suite not in SUITE_NAMES:
-        raise ValueError(f"unknown suite {suite!r}; expected one of {', '.join(SUITE_NAMES)}")
+        raise ParameterError(f"unknown suite {suite!r}; expected one of {', '.join(SUITE_NAMES)}")
     names = ("identity", "bounds", "constants", "cf") if suite == "all" else (suite,)
-    results = [fn(seed, quad_tol) for name in names for fn in _SUITES[name]]
+    results = [r for name in names for r in _SUITES[name](seed, quad_tol)]
     return {
         "schema": 1,
         "suite": suite,

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cclt import analytic, quadrature
+from cclt.constants import THEOREM_C1, THEOREM_C2
 from cclt import (
     ConvergenceError,
     DegenerateMatrixError,
@@ -223,6 +225,50 @@ class TestSamplingBound:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateMatrixError):
             sampling_bound_specialized([1.0, 1.0, 1.0], 2, 0.0)
+
+    @staticmethod
+    def pair_matrix_oracle(values, m_draw, sigma2):
+        """The specialised bound from the n x n matrix of value differences."""
+        c = np.asarray(values, dtype=float)
+        n = c.size
+        sigma = math.sqrt(sigma2)
+        diff = c[:, None] - c[None, :]
+        total = float((diff**2 * np.minimum(1.0, THEOREM_C2 / sigma * np.abs(diff))).sum())
+        return 2.0 * THEOREM_C1 * m_draw * (n - m_draw) / (n * n * (n - 1) * sigma2) * total
+
+    @pytest.mark.parametrize("seed, kind", [(0, "gaussian"), (1, "zero-one"), (2, "integers")])
+    def test_window_kernel_matches_pair_matrix(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        checked = 0
+        for _ in range(60):
+            n = int(rng.integers(4, 80))
+            if kind == "gaussian":
+                values = rng.standard_normal(n)
+            elif kind == "zero-one":
+                values = rng.integers(0, 2, n).astype(float)
+            else:
+                values = rng.integers(-3, 4, n).astype(float)
+            m_draw = int(rng.integers(1, n))
+            design = from_sampling(values, m_draw)
+            if design.degenerate:
+                continue
+            expected = self.pair_matrix_oracle(values, m_draw, design.sigma2)
+            got = sampling_bound_specialized(values, m_draw, design.sigma2)
+            # The same terms summed in another order: a few ulps apart.
+            assert got == pytest.approx(expected, rel=2e-15, abs=0.0), (n, m_draw)
+            checked += 1
+        assert checked >= 50
+
+    def test_holds_no_n_by_n_array(self):
+        values = np.random.default_rng(4000).standard_normal(4000)
+        sigma2 = from_sampling(values, 1000).sigma2
+        tracemalloc.start()
+        try:
+            sampling_bound_specialized(values, 1000, sigma2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6, f"peak {peak / 1e6:.1f} MB"  # one 4000 x 4000 float64 array is 128 MB
 
 
 class TestSmoothingBound:
