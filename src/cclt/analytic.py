@@ -11,10 +11,9 @@ Four self-contained items live here:
   (1+w)/2 = (2/pi) * integral_0^v sin^2(x)/x^2 dx;
 * ``damped_moment_integrals`` -- closed forms of the first and second
   tu-moments of the Gaussian damping kernel exp(-c t^2 u^2 - (1-u^2) t^2/2)
-  over (t, u) in [0, inf) x [0, 1], cross-checked by nested quadrature: an
-  outer ``adaptive_simpson_vec`` over u whose integrand computes the inner
-  t-integrals of all u points of a level as one ``adaptive_simpson_lanes``
-  call.
+  over (t, u) in [0, inf) x [0, 1], cross-checked by quadrature of the
+  truncated double integral, factored into a u-integral (adaptive Simpson)
+  times an s-integral (Gauss-Legendre).
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import numpy as np
 from scipy.special import sici
 
 from .errors import ParameterError
-from .quadrature import adaptive_simpson_lanes, adaptive_simpson_vec
+from .quadrature import adaptive_simpson_vec, gauss_legendre
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -135,16 +134,18 @@ class MomentIntegrals:
     i2_numeric_residual: float
 
 
-def _nested_kernel_moment(c: float, power: int, outer_tol: float) -> float:
-    def inner(us: np.ndarray) -> np.ndarray:
-        rate = c * us * us + (1.0 - us * us) / 2.0
+def _kernel_moment(c: float, power: int, tol: float) -> float:
+    """The truncated double integral of ``damped_moment_integrals`` as U * J.
 
-        def integrand(ts: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-            return (ts * us[lanes]) ** power * np.exp(-rate[lanes] * ts * ts)
+    With t = s / sqrt(rate(u)), J = integral_0^sqrt(45) s^p exp(-s^2) ds (Gauss-Legendre)
+    and U = integral_0^1 u^p rate(u)^(-(p+1)/2) du (adaptive Simpson to tol / (50 J)).
+    """
 
-        return adaptive_simpson_lanes(integrand, 0.0, np.sqrt(45.0 / rate), outer_tol / 50.0)
+    def u_factor(us: np.ndarray) -> np.ndarray:
+        return us**power * (c * us * us + (1.0 - us * us) / 2.0) ** (-(power + 1) / 2.0)
 
-    return adaptive_simpson_vec(inner, 0.0, 1.0, tol=outer_tol)
+    j = gauss_legendre(lambda s: s**power * np.exp(-s * s), 0.0, math.sqrt(45.0), tol=tol / 50.0)
+    return adaptive_simpson_vec(u_factor, 0.0, 1.0, tol=tol / (50.0 * j)) * j
 
 
 def damped_moment_integrals(c: float, numeric_tol: float = 1e-8) -> MomentIntegrals:
@@ -155,14 +156,11 @@ def damped_moment_integrals(c: float, numeric_tol: float = 1e-8) -> MomentIntegr
         I1 = -log(2c) / (2 ct^2)
         I2 = sqrt(pi) / (2 ct^2 sqrt(c)) * (1 - sqrt(2c)/ct * arcsin(ct))
 
-    Both are cross-checked against nested adaptive quadrature of the defining
-    double integrals; the residuals are returned alongside.  The outer
-    u-integral runs on [0, 1] to absolute tolerance ``numeric_tol``; for each u
-    the inner t-integral is truncated at sqrt(45 / rate(u)), where
-    rate(u) = c u^2 + (1 - u^2)/2 and the Gaussian factor is e^-45, and runs
-    to ``numeric_tol / 50``.  The inner integrals of one outer level are the
-    lanes of a single vectorised quadrature call.  Raises ``ConvergenceError``
-    when a quadrature does not converge.
+    Both are cross-checked against quadrature of the defining double
+    integrals, truncated where the Gaussian factor is e^-45 (at
+    t = sqrt(45 / rate(u)), rate(u) = c u^2 + (1 - u^2)/2) and factored by
+    ``_kernel_moment``; the residuals are returned alongside.  Raises
+    ``ConvergenceError`` when a quadrature does not converge.
     """
     if not 0.0 < c < 0.5:
         raise ParameterError(f"c must lie in (0, 1/2), got {c}")
@@ -172,8 +170,8 @@ def damped_moment_integrals(c: float, numeric_tol: float = 1e-8) -> MomentIntegr
     i2 = math.sqrt(math.pi) / (2.0 * ct_sq * math.sqrt(c)) * (
         1.0 - math.sqrt(2.0 * c) / ct * math.asin(ct)
     )
-    i1_num = _nested_kernel_moment(c, 1, numeric_tol)
-    i2_num = _nested_kernel_moment(c, 2, numeric_tol)
+    i1_num = _kernel_moment(c, 1, numeric_tol)
+    i2_num = _kernel_moment(c, 2, numeric_tol)
     return MomentIntegrals(
         i1=i1,
         i2=i2,

@@ -53,7 +53,7 @@ from .errors import CapExceededError, ParameterError
 from .exact import DeltaReport, enumerate_distribution, kolmogorov_distance
 from .permanents import charfn_grid
 from .quadrature import adaptive_simpson_vec
-from .scores import GammaProfile, ScoreMatrix, _as_profile, _row_pair_sums, require_nondegenerate
+from .scores import GammaProfile, ScoreMatrix, _as_profile, _row_pair_sums, _sampling_values, require_nondegenerate
 
 # Published constants of the certified inequality and of its Lyapunov form.
 THEOREM_C1 = 15.84
@@ -276,10 +276,8 @@ def sampling_bound_specialized(values, m_draw: int, sigma2: float) -> float:
     with rows c and 0 at the cutoff sigma/C2, in O(n log n) time and O(n)
     memory.  Must agree with the generic bound on the induced matrix.
     """
-    c = np.asarray(values, dtype=float)
+    c = _sampling_values(values, m_draw)
     n = c.size
-    if not 1 <= m_draw <= n:
-        raise ParameterError(f"m_draw={m_draw} out of range 1..{n}")
     sigma2 = require_nondegenerate(sigma2)
     sigma = math.sqrt(sigma2)
     cubes, squares = _row_pair_sums(np.vstack([c, 0.0 * c]), np.array([sigma / THEOREM_C2]))

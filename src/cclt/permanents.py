@@ -18,7 +18,7 @@ Three explicit inequalities for phi are implemented:
 
 * a modulus bound,
       |phi(t)| <= ( mean over distinct index pairs of cos^2(t b / 2) )^(floor(n/2)/2),
-  with the mean normalised by n^2 (n-1)^2;
+  with the mean normalised by n^2 (n-1)^2, summed per row pair in O(n^3) per t;
 * an exponential damping bound h_ell(t) for permutation sums restricted by
   fixing ell rows and columns,
       h_ell(t) = min(1, exp(ell - (n-ell-1)/(4(n-1)) * t^2 *
@@ -27,10 +27,11 @@ Three explicit inequalities for phi are implemented:
   (adaptive quadrature over an auxiliary variable u in [0, 1]) and a
   closed form, plus a simplified closed form available for n >= 6.
 
-Each of phi and the bounds has one implementation, over an array of t (the
-``_grid`` functions and ``_damping_many``; the integral form integrates one
-quadrature lane per t).  The value at one t depends on that t alone, so the
-scalar functions are batches of one and agree with the grids bit for bit.
+Each of phi, the restricted sums and the bounds has one implementation, over
+an array of t (the ``_grid`` functions and ``_damping_many``; the integral
+form integrates one quadrature lane per t), and its scalar call is a batch of
+one.  They agree bit for bit, except that the Glynn kernel tabulates fewer sign
+bits for a larger batch, so a permanent's last bits may depend on its batch.
 """
 
 from __future__ import annotations
@@ -133,20 +134,20 @@ def gauss_cf(m: ScoreMatrix | GammaProfile, t: float) -> complex:
 def charfn_bound_grid(m: ScoreMatrix | GammaProfile, ts) -> np.ndarray:
     """Modulus bound (mean cos^2(t b / 2))^(floor(n/2)/2) for |phi(t)| at each t.
 
-    The mean runs over all index quadruples with distinct rows and distinct
-    columns, normalised by n^2 (n-1)^2; the bound is tight for the 2 x 2
-    matrix [[t, -t], [-t, t]].
+    The mean over index quadruples with distinct rows and columns is normalised
+    by n^2 (n-1)^2; row pair j < k adds (n(n-2) + |sum_r exp(i t d_r)|^2) / 2,
+    d = a[k] - a[j].  Tight for the 2 x 2 matrix [[t, -t], [-t, t]].
     """
     profile = _as_profile(m)
     ts = _t_values(ts)
-    n = profile.n
-    out = np.empty(ts.shape)
-    step = max(1, (1 << 22) // max(1, profile.b_abs.size))
-    for start in range(0, ts.size, step):
-        block = np.cos(0.5 * ts[start : start + step, None] * profile.b_abs[None, :])
-        out[start : start + step] = (block * block).sum(axis=1)
-    out /= n * n * (n - 1.0) * (n - 1.0)
-    return out ** ((n // 2) / 2.0)
+    n, a = profile.n, profile.matrix.a
+    step = max(1, _BLOCK_ELEMS // (n * n))
+    total = np.full(ts.shape, n * (n - 1.0) * n * (n - 2.0) / 2.0)
+    for j in range(n - 1):
+        for lo in range(0, ts.size, step):
+            phase = ts[lo : lo + step, None, None] * (a[j + 1 :] - a[j])
+            total[lo : lo + step] += (np.cos(phase).sum(axis=2) ** 2 + np.sin(phase).sum(axis=2) ** 2).sum(axis=1)
+    return (total / (n * n * (n - 1.0) * (n - 1.0))) ** ((n // 2) / 2.0)
 
 
 def charfn_bound(m: ScoreMatrix | GammaProfile, t: float) -> float:
@@ -189,22 +190,18 @@ def h_ell(m: ScoreMatrix | GammaProfile, t: float, ell: float) -> DampingBound:
     return DampingBound(ell=ell, t=t, value=float(value))
 
 
-def restricted_sum_check(
-    m: ScoreMatrix | GammaProfile,
-    cols_removed,
-    rows_removed,
-    t: float,
-    enum_cap: int = 10,
-) -> tuple[float, float]:
-    """Compare a restricted permutation sum against its damping bound.
+def restricted_sum_grid(
+    m: ScoreMatrix | GammaProfile, cols_removed, rows_removed, ts, perm_cap: int = 20
+) -> tuple[np.ndarray, np.ndarray]:
+    """Restricted permutation sums and their damping bound at each t.
 
     ``cols_removed`` and ``rows_removed`` are equal-sized sets of 1-based
     column and row indices (sizes ell).  The left-hand side is
 
         | sum over bijections r from the remaining rows onto the remaining
-          columns of exp(i t sum_j a[j, r(j)]) |  /  (n - ell)!
+          columns of exp(i t sum_j a[j, r(j)]) |  /  (n - ell)!,
 
-    and the right-hand side is h_ell(t); lhs <= rhs holds for every t.
+    by one Glynn batch over t (n - ell <= ``perm_cap``); rhs = h_ell(t) >= lhs for every t.
     """
     profile = _as_profile(m)
     n = profile.n
@@ -217,17 +214,23 @@ def restricted_sum_check(
     for idx in cols + rows:
         if not 1 <= idx <= n:
             raise IndexError(f"index {idx} out of range 1..{n}")
-    ell = len(cols)
-    k = n - ell
-    if k > enum_cap:
-        raise CapExceededError(f"restricted sum needs {k}! terms, above cap {enum_cap}")
-    keep_rows = np.array([r for r in range(n) if r + 1 not in rows], dtype=int)
-    keep_cols = np.array([c for c in range(n) if c + 1 not in cols], dtype=int)
-    sub = profile.matrix.a[np.ix_(keep_rows, keep_cols)]
-    total = sum(np.exp(1j * t * rows.sum(axis=1)).sum() for rows in perm_rows(sub))
-    lhs = abs(total) / math.factorial(k)
-    rhs = h_ell(profile, t, ell).value
-    return float(lhs), float(rhs)
+    ell, k = len(cols), n - len(cols)
+    if k > perm_cap:
+        raise CapExceededError(f"restricted sum needs a {k} x {k} permanent, above cap {perm_cap}")
+    ts = _t_values(ts)
+    kept_rows = np.delete(profile.matrix.a, np.array(rows, dtype=int) - 1, axis=0)
+    sub = np.delete(kept_rows, np.array(cols, dtype=int) - 1, axis=1)
+    lhs = np.abs(_perm_batch(np.exp(1j * ts[:, None, None] * sub))) / math.factorial(k)
+    kap, _ = kappa()
+    return lhs, _damping_many(profile, ts, ell, profile.gamma_many(2.0 * kap * ts))
+
+
+def restricted_sum_check(
+    m: ScoreMatrix | GammaProfile, cols_removed, rows_removed, t: float, perm_cap: int = 20
+) -> tuple[float, float]:
+    """(lhs, rhs) of the restricted-sum bound at one t (see ``restricted_sum_grid``)."""
+    lhs, rhs = restricted_sum_grid(m, cols_removed, rows_removed, [t], perm_cap=perm_cap)
+    return float(lhs[0]), float(rhs[0])
 
 
 def cf_diff_bound_integral_grid(

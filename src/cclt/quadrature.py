@@ -15,9 +15,9 @@ Two rules with distinct jobs:
   every lane it holds per array call ``f(points, lanes)``;
   ``adaptive_simpson_vec`` is its batch of one.
 * Gauss-Legendre, for entire integrands (sums of exponentials times
-  polynomials, such as the permanent identity's), on which it converges
-  geometrically.  ``gauss_legendre`` tries a fixed ladder of orders and
-  raises ``ConvergenceError`` rather than return an unconverged value.
+  polynomials: the permanent identity's, the kernel moments' s-factor), on
+  which it converges geometrically.  ``gauss_legendre`` tries a fixed ladder
+  of orders and raises ``ConvergenceError`` rather than return an unconverged value.
 
 Integrands are assumed finite on the closed interval.
 """

@@ -130,7 +130,7 @@ class GammaProfile:
       the windows that reach it.  Row pairs run in chunks of ``_PAIR_CHUNK``
       elements; the chunk totals are combined by ``math.fsum``.  The literal
       tables are built only on first use of ``b_sq``/``b_abs`` (by
-      ``gamma_split_many`` and the modulus bound).
+      ``gamma_split_many``).
 
     Rounding allowance of the row-pair route, to first order in u = 2^-53:
     with M_jk = M_kj the largest |e| of the row pair j < k and chi_jk(x) = 1 when
@@ -464,6 +464,22 @@ class SamplingScores:
     degenerate: bool
 
 
+def _sampling_values(values, m_draw: int) -> np.ndarray:
+    """``values`` as a float vector of a valid design with ``m_draw`` draws.
+
+    Raises ``InvalidMatrixError`` unless the values form a finite 1-D vector of
+    at least 2 entries, and ``ParameterError`` unless 1 <= m_draw <= n.
+    """
+    c = np.asarray(values, dtype=float)
+    if c.ndim != 1 or c.size < 2:
+        raise InvalidMatrixError(f"need a 1-D vector of at least 2 values, got shape {c.shape}")
+    if not np.all(np.isfinite(c)):
+        raise InvalidMatrixError("values must be finite")
+    if not 1 <= m_draw <= c.size:
+        raise ParameterError(f"m_draw={m_draw} out of range 1..{c.size}")
+    return c
+
+
 def from_sampling(values, m_draw: int) -> SamplingScores:
     """Build the score matrix for a without-replacement sum of ``m_draw`` values.
 
@@ -474,14 +490,8 @@ def from_sampling(values, m_draw: int) -> SamplingScores:
         mu     = m_draw * mean(values)
         sigma2 = m_draw (n - m_draw) / (n (n-1)) * sum((values - mean)^2)
     """
-    c = np.asarray(values, dtype=float)
-    if c.ndim != 1 or c.size < 2:
-        raise InvalidMatrixError(f"need a 1-D vector of at least 2 values, got shape {c.shape}")
-    if not np.all(np.isfinite(c)):
-        raise InvalidMatrixError("values must be finite")
+    c = _sampling_values(values, m_draw)
     n = c.size
-    if not 1 <= m_draw <= n:
-        raise ParameterError(f"m_draw={m_draw} out of range 1..{n}")
     a = np.zeros((n, n))
     a[:m_draw, :] = c[None, :]
     cbar = float(c.mean())

@@ -37,6 +37,24 @@ def rand_complex_entries(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, (n, n)) + 1j * rng.uniform(-1.0, 1.0, (n, n))
 
 
+def row_pair_corpus(rng: np.random.Generator, n: int) -> dict[str, np.ndarray]:
+    """Entries for the row-pair oracle tests: scales, lattices and cancellation."""
+    p = rng.permutation(n) + 1.0
+    q = rng.permutation(n) + 1.0
+    spike = 1e-3 * rng.standard_normal((n, n))
+    spike[rng.integers(n), rng.integers(n)] = 1e6
+    return {
+        "gauss-0.1": 0.1 * rng.standard_normal((n, n)),
+        "gauss-1": rng.standard_normal((n, n)),
+        "gauss-10": 10.0 * rng.standard_normal((n, n)),
+        "spearman": np.outer(p, q),
+        "footrule": np.abs(p[:, None] - q[None, :]),
+        "integers": rng.integers(-3, 4, (n, n)).astype(float),
+        "near-1e6": 1e6 + rng.uniform(-1e-3, 1e-3, (n, n)),
+        "spike": spike,
+    }
+
+
 @lru_cache(maxsize=None)
 def itertools_perms(n: int) -> np.ndarray:
     """All n! permutations of range(n) from ``itertools``, as read-only int8 rows."""

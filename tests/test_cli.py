@@ -167,11 +167,14 @@ class TestBoundCommand:
         entries = np.random.default_rng(3).standard_normal((120, 120))
         path.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in entries))
         report = tmp_path / "report.json"
+        # The child reports its own high-water RSS (VmHWM, of the address space
+        # exec made).  ru_maxrss would also carry the pytest process's peak,
+        # which a vfork-and-exec child inherits.
         child = (
-            "import resource, sys\n"
+            "import sys\n"
             "from cclt.cli import main\n"
             "code = main(sys.argv[1:])\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+            "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')))\n"
             "sys.exit(code)\n"
         )
         src = str(Path(cclt.__file__).resolve().parents[1])
@@ -181,7 +184,7 @@ class TestBoundCommand:
             [sys.executable, "-c", child, *argv], capture_output=True, text=True, env=env, timeout=300
         )
         assert proc.returncode == 0, proc.stderr
-        peak_bytes = int(proc.stdout.split()[-1]) * 1024  # ru_maxrss is in KiB on Linux
+        peak_bytes = int(proc.stdout.split()[-1]) * 1024  # VmHWM is in kB
         assert peak_bytes < 300e6
         payload = json.loads(report.read_text())
         assert payload["n"] == 120
@@ -368,8 +371,25 @@ class TestVerifyCommand:
         assert err.startswith("error: seed must be in [0, 2^64)")
 
     def test_unknown_suite_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["verify", "nonsense"])
+        code, out, err = run_cli(capsys, "verify", "nonsense")
+        assert code == 2
+        assert out == ""
+        assert err == "error: unknown suite 'nonsense'; expected one of identity, bounds, constants, cf, all\n"
+
+    def test_battery_loads_only_for_verify(self):
+        # Only ``cclt.verify`` knows the suite names: importing the CLI leaves
+        # the battery unloaded, and ``verify`` rejects an unknown suite itself.
+        child = (
+            "import sys\n"
+            "import cclt.cli\n"
+            "assert 'cclt.verify' not in sys.modules, 'cclt.verify imported with the CLI'\n"
+            "sys.exit(cclt.cli.main(['verify', 'nonsense']))\n"
+        )
+        src = str(Path(cclt.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: unknown suite 'nonsense'")
 
     def test_threads_do_not_change_output(self, capsys):
         _, serial, _ = run_cli(capsys, "verify", "constants", "--threads", "1")

@@ -2,18 +2,22 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
+from scipy.stats import hypergeom
 
 from cclt import analytic, quadrature
 from cclt.constants import THEOREM_C1, THEOREM_C2
 from cclt import (
     ConvergenceError,
     DegenerateMatrixError,
+    InvalidMatrixError,
     ParameterError,
     ScoreMatrix,
     berry_esseen_bound,
@@ -123,7 +127,7 @@ class TestKernelMoments:
         # Integrating t out exactly leaves the u-integral of
         # u^p Gamma((p+1)/2) / (2 rate(u)^((p+1)/2)), rate(u) = c u^2 + (1-u^2)/2,
         # which mpmath evaluates to 30 digits.
-        from cclt.analytic import _nested_kernel_moment
+        from cclt.analytic import _kernel_moment
 
         mi = damped_moment_integrals(c)
         for power, closed in ((1, mi.i1), (2, mi.i2)):
@@ -136,7 +140,8 @@ class TestKernelMoments:
 
                 oracle = float(mpmath.quad(integrand, [0, 1]))
             assert closed == pytest.approx(oracle, rel=1e-13, abs=0.0)
-            assert abs(_nested_kernel_moment(c, power, 1e-8) - oracle) <= 1e-9
+            # The factored quadrature is good to rounding, far inside its tol 1e-8.
+            assert abs(_kernel_moment(c, power, 1e-8) - oracle) <= 1e-12
 
     @pytest.mark.parametrize("c", [0.0, 0.5, -0.1, 0.9])
     def test_domain(self, c):
@@ -269,6 +274,91 @@ class TestSamplingBound:
         finally:
             tracemalloc.stop()
         assert peak <= 16e6, f"peak {peak / 1e6:.1f} MB"  # one 4000 x 4000 float64 array is 128 MB
+
+    @pytest.mark.parametrize(
+        "values", [[[1.0, 2.0], [3.0, 4.0]], [1.0, math.nan, 2.0], [2.0]], ids=["matrix", "nan", "single"]
+    )
+    def test_rejects_what_from_sampling_rejects(self, values):
+        with pytest.raises(InvalidMatrixError):
+            from_sampling(values, 1)
+        with pytest.raises(InvalidMatrixError):
+            sampling_bound_specialized(values, 1, 1.0)
+
+
+def hypergeometric_pmf(n: int, ones: int, draws: int) -> tuple[int, np.ndarray]:
+    """(k_min, pmf) of the ones among ``draws`` of n values drawn without replacement.
+
+    The pmf over k_min..k_max comes from the ratio recursion
+    p(k+1)/p(k) = (ones - k)(draws - k) / ((k + 1)(n - ones - draws + k + 1))
+    in float64, run outward from the mode and normalised by its sum.
+    """
+    k_min, k_max = max(0, draws - (n - ones)), min(ones, draws)
+    k = np.arange(k_min, k_max, dtype=float)
+    ratio = (ones - k) * (draws - k) / ((k + 1.0) * (n - ones - draws + k + 1.0))
+    mode = (draws + 1) * (ones + 1) // (n + 2) - k_min
+    pmf = np.ones(k_max - k_min + 1)
+    pmf[mode + 1 :] = np.cumprod(ratio[mode:])
+    pmf[:mode] = np.cumprod(1.0 / ratio[:mode][::-1])[::-1]
+    return k_min, pmf / pmf.sum()
+
+
+def hypergeometric_delta(n: int, ones: int, draws: int, sigma2: float) -> float:
+    """Kolmogorov distance of the standardised count from N(0, 1), over its atoms and their left limits."""
+    k_min, pmf = hypergeometric_pmf(n, ones, draws)
+    z = (np.arange(k_min, k_min + pmf.size) - draws * ones / n) / math.sqrt(sigma2)
+    cdf = np.cumsum(pmf)
+    left = np.concatenate(([0.0], cdf[:-1]))
+    phi = ndtr(z)
+    return float(max(np.abs(cdf - phi).max(), np.abs(left - phi).max()))
+
+
+def balanced_design(n: int) -> tuple[np.ndarray, int, float]:
+    """n/2 ones and n/2 zeros, n/2 draws, and sigma2 from the closed form (no n x n matrix)."""
+    values = np.zeros(n)
+    values[: n // 2] = 1.0
+    draws = n // 2
+    spread = float(((values - values.mean()) ** 2).sum())
+    return values, draws, draws * (n - draws) / (n * (n - 1.0)) * spread
+
+
+class TestTheoremBelowOne:
+    """The theorem where it says something: balanced 0/1 designs, whose bound drops below 1."""
+
+    def test_recursion_matches_scipy(self):
+        n, ones, draws = 30_000, 15_000, 15_000
+        k_min, pmf = hypergeometric_pmf(n, ones, draws)
+        for k in (7_000, 7_400, 7_500, 7_560, 8_000):
+            expected = hypergeom.pmf(k, n, ones, draws)
+            assert pmf[k - k_min] == pytest.approx(expected, rel=1e-9, abs=1e-300), k
+
+    def test_recursion_matches_exact_rationals(self):
+        for n, ones, draws in ((200, 100, 100), (201, 60, 90)):
+            k_min, pmf = hypergeometric_pmf(n, ones, draws)
+            total = math.comb(n, draws)
+            exact = [
+                float(Fraction(math.comb(ones, k) * math.comb(n - ones, draws - k), total))
+                for k in range(k_min, k_min + pmf.size)
+            ]
+            assert pmf == pytest.approx(exact, rel=1e-12, abs=1e-300)
+
+    def test_delta_matches_enumeration(self):
+        values, draws, sigma2 = balanced_design(8)
+        design = from_sampling(values, draws)
+        assert design.sigma2 == pytest.approx(sigma2, rel=1e-15)
+        enumerated = kolmogorov_distance(enumerate_distribution(design.matrix)).delta
+        assert hypergeometric_delta(8, 4, draws, sigma2) == pytest.approx(enumerated, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "n, bound_ref, delta_ref",
+        [(30_000, 0.9511, 4.606e-3), (100_000, 0.5209, 2.523e-3), (1_000_000, 0.1647, 7.979e-4)],
+    )
+    def test_exact_delta_below_bound_below_one(self, n, bound_ref, delta_ref):
+        values, draws, sigma2 = balanced_design(n)
+        bound = sampling_bound_specialized(values, draws, sigma2)
+        delta = hypergeometric_delta(n, n // 2, draws, sigma2)
+        assert delta <= bound < 1.0
+        assert bound == pytest.approx(bound_ref, rel=1e-3)
+        assert delta == pytest.approx(delta_ref, rel=1e-3)
 
 
 class TestSmoothingBound:

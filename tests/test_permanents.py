@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -11,6 +12,7 @@ from cclt import (
     ConvergenceError,
     GammaProfile,
     ParameterError,
+    ScoreMatrix,
     center,
     cf_diff_bound_closed,
     cf_diff_bound_integral,
@@ -32,8 +34,10 @@ from cclt.permanents import (
     charfn_bound_grid,
     charfn_grid,
     evaluate_cf_grid,
+    restricted_sum_grid,
 )
-from conftest import rand_complex_entries, rand_matrix
+from cclt.permtables import perm_rows
+from conftest import rand_complex_entries, rand_matrix, row_pair_corpus
 
 
 def mp_permanent(entries) -> mpmath.mpc:
@@ -191,6 +195,31 @@ class TestModulusBound:
         for i, t in enumerate(ts):
             assert grid[i] == pytest.approx(charfn_bound(m, float(t)), abs=1e-15)
 
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_matches_literal_mean(self, n):
+        # The literal mean of cos^2(t b / 2) over every quadruple of the n^4
+        # table: scales, lattices, a spike and entries near 1e6.
+        for name, entries in row_pair_corpus(np.random.default_rng(n), n).items():
+            profile = GammaProfile(entries)
+            sigma = math.sqrt(profile.stats.sigma2)
+            ts = np.linspace(-10.0 / sigma, 10.0 / sigma, 41)
+            mean = np.array([(np.cos(0.5 * t * profile.b_abs) ** 2).sum() for t in ts.tolist()])
+            literal = (mean / (n * n * (n - 1.0) * (n - 1.0))) ** ((n // 2) / 2.0)
+            assert np.abs(charfn_bound_grid(profile, ts) - literal).max() <= 1e-14, name
+
+    def test_no_quadruple_table_at_n60(self):
+        # The literal n^4 tables at n = 60 take 2 x 12.5M float64 (over 300 MB
+        # with their temporaries); the row-pair form holds O(n^2) plus a block.
+        m = ScoreMatrix(np.random.default_rng(60).standard_normal((60, 60)))
+        tracemalloc.start()
+        try:
+            bound = charfn_bound_grid(m, np.linspace(0.0, 1.5, 25))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6, f"peak {peak / 1e6:.1f} MB"
+        assert bound[0] == 1.0 and np.all(np.diff(bound[:5]) < 0.0)
+
 
 class TestDampingBound:
     def test_indicator_for_small_n(self, two_by_two):
@@ -262,6 +291,48 @@ class TestRestrictedSums:
         for ell, t in ((0, 0.7), (2, -2.5), (4, 6.0)):
             removed = list(range(1, ell + 1))
             assert restricted_sum_check(profile, removed, removed, t) == restricted_sum_check(m, removed, removed, t)
+
+    @staticmethod
+    def enumeration_oracle(a, cols, rows, t):
+        """|sum over the bijections of the kept rows onto the kept columns| / k!, enumerated."""
+        n = len(a)
+        sub = a[np.ix_([r for r in range(n) if r + 1 not in rows], [c for c in range(n) if c + 1 not in cols])]
+        total = sum(np.exp(1j * t * block.sum(axis=1)).sum() for block in perm_rows(sub))
+        return abs(total) / math.factorial(len(sub))
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 7])
+    def test_grid_matches_enumeration(self, rng, n):
+        m = rand_matrix(rng, n)
+        profile = GammaProfile(m)
+        ts = np.linspace(-6.0, 6.0, 13)
+        kap, _ = kappa()
+        for ell in range(n + 1):  # down to k = 1 and k = 0
+            cols = rng.choice(np.arange(1, n + 1), size=ell, replace=False).tolist()
+            rows = rng.choice(np.arange(1, n + 1), size=ell, replace=False).tolist()
+            lhs, rhs = restricted_sum_grid(profile, cols, rows, ts)
+            oracle = [self.enumeration_oracle(m.a, cols, rows, float(t)) for t in ts]
+            assert lhs == pytest.approx(oracle, rel=0.0, abs=1e-14), (ell, cols, rows)
+            assert np.all(lhs <= rhs + 1e-12)
+            for i, t in enumerate(ts.tolist()):
+                assert restricted_sum_check(profile, cols, rows, t) == (lhs[i], rhs[i])
+                assert h_ell(profile, t, ell).value == rhs[i]
+
+    def test_no_fixed_rows_at_n12_is_the_cf_modulus(self, rng):
+        m = rand_matrix(rng, 12)
+        ts = np.array([0.0, 0.3, -1.1, 2.5])
+        lhs, rhs = restricted_sum_grid(m, [], [], ts)
+        assert lhs == pytest.approx(np.abs(charfn_grid(m, ts)), rel=0.0, abs=1e-15)
+        assert lhs[0] == pytest.approx(1.0, abs=1e-14)
+        assert np.all(lhs <= rhs)
+        lhs, _ = restricted_sum_check(m, [], [], 0.3)
+        assert lhs == pytest.approx(abs(charfn(m, 0.3)), rel=0.0, abs=1e-15)
+
+    def test_cap_applies_to_the_submatrix(self, rng):
+        m = rand_matrix(rng, 12)
+        with pytest.raises(CapExceededError, match="12 x 12 permanent, above cap 11"):
+            restricted_sum_check(m, [], [], 0.3, perm_cap=11)
+        lhs, _ = restricted_sum_check(m, [3], [7], 0.3, perm_cap=11)
+        assert 0.0 <= lhs <= 1.0
 
     def test_rejects_mismatched_sets(self, rng):
         m = rand_matrix(rng, 4)

@@ -22,7 +22,7 @@ from cclt import (
     quad_diff,
     variance_quadruple,
 )
-from conftest import rand_matrix
+from conftest import rand_matrix, row_pair_corpus
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -204,24 +204,6 @@ class TestGamma:
 
 U = 2.0**-53
 ROW_PAIR_XS = np.array([0.0, 1e-2, -1e-2, 1.0, 1e9])
-
-
-def row_pair_corpus(rng: np.random.Generator, n: int) -> dict[str, np.ndarray]:
-    """Entries for the row-pair oracle tests: scales, lattices and cancellation."""
-    p = rng.permutation(n) + 1.0
-    q = rng.permutation(n) + 1.0
-    spike = 1e-3 * rng.standard_normal((n, n))
-    spike[rng.integers(n), rng.integers(n)] = 1e6
-    return {
-        "gauss-0.1": 0.1 * rng.standard_normal((n, n)),
-        "gauss-1": rng.standard_normal((n, n)),
-        "gauss-10": 10.0 * rng.standard_normal((n, n)),
-        "spearman": np.outer(p, q),
-        "footrule": np.abs(p[:, None] - q[None, :]),
-        "integers": rng.integers(-3, 4, (n, n)).astype(float),
-        "near-1e6": 1e6 + rng.uniform(-1e-3, 1e-3, (n, n)),
-        "spike": spike,
-    }
 
 
 def row_pair_allowance(a: np.ndarray, x: float) -> float:

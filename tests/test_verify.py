@@ -129,8 +129,8 @@ def test_cf_difference_check_catches_a_low_bound(monkeypatch, name, key, part):
 def test_restricted_sum_check_catches_a_low_bound(monkeypatch):
     corpus = list(restricted_instances(gaussians(5, 2), np.random.default_rng(0), np.linspace(-2.0, 2.0, 3)))
     res = planted(
-        lambda c: verify.check_restricted_sums(c, 1e-12), corpus, monkeypatch, "restricted_sum_check",
-        lambda out, profile, cols, rows, t: (out[0], out[0] - 0.25) if profile is corpus[5][0] and len(cols) == 3
+        lambda c: verify.check_restricted_sums(c, 1e-12), corpus, monkeypatch, "restricted_sum_grid",
+        lambda out, profile, cols, rows, ts: (out[0], out[0] - 0.25) if profile is corpus[5][0] and len(cols) == 3
         else out,
     )
     assert res.detail["max_violation"] == pytest.approx(0.25)
