@@ -273,8 +273,10 @@ def sampling_bound_specialized(values, m_draw: int, sigma2: float) -> float:
 
     because exactly 2 m (n - m) of the row pairs contribute each column-pair
     difference.  The pair sum is the row-pair window sum of the 2 x n matrix
-    with rows c and 0 at the cutoff sigma/C2, in O(n log n) time and O(n)
-    memory.  Must agree with the generic bound on the induced matrix.
+    with rows c and 0 at the cutoff sigma/C2, in O(n log n) time.  Its one
+    row pair is one chunk of ``_row_pair_sums``: about 21 length-n
+    temporaries (169 MB at n = 10^6).  Must agree with the generic bound on
+    the induced matrix.
     """
     c = _sampling_values(values, m_draw)
     n = c.size

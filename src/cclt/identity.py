@@ -55,6 +55,7 @@ from .errors import CapExceededError, InvalidMatrixError, ParameterError
 from .permanents import permanent
 from .permtables import perm_rows
 from .quadrature import gauss_legendre
+from .scores import _double_center, _second_differences
 
 # Pair differences per chunk of ``_blocks`` (4 MB); a whole n <= 7 block fits.
 _CHUNK_ELEMS = 1 << 18
@@ -90,34 +91,28 @@ class IdentityTerms:
     beta: complex
 
 
-def _centered(y: np.ndarray) -> np.ndarray:
-    return y - y.mean(axis=0)[None, :] - y.mean(axis=1)[:, None] + y.mean()
-
-
 def identity_terms(Y: ComplexScoreMatrix) -> IdentityTerms:
     """Compute alpha and beta (pair-sum form)."""
     y = Y.y
     n = Y.n
     alpha = complex(y.sum() / n)
-    yt = _centered(y)
+    yt = _double_center(y)
     beta = complex((yt * yt).sum() / (n - 1))
     return IdentityTerms(alpha=alpha, beta=beta)
 
 
 def beta_quadruple(Y: ComplexScoreMatrix) -> complex:
-    """beta via the quadruple route sum z^2 / (4 n^2 (n-1)), distinct pairs.
+    """beta via the quadruple route sum z^2 / (4 n^2 (n-1)) over distinct pairs.
 
-    Agrees with the pair-sum beta of ``identity_terms`` exactly; both are
-    kept as independent evaluation paths.
+    z^2 is exactly symmetric under j <-> k and under r <-> s, so the sum is
+    4 times its quarter j < k, s < r (``scores._second_differences``) and
+    beta = quarter sum / (n^2 (n-1)).  Agrees with the pair-sum beta of
+    ``identity_terms`` up to roundoff; both are kept as independent
+    evaluation paths.
     """
-    y = Y.y
     n = Y.n
-    row_diff = y[:, None, :] - y[None, :, :]
-    z = row_diff[:, :, :, None] - row_diff[:, :, None, :]
-    off = ~np.eye(n, dtype=bool)
-    rows, cols = np.nonzero(off)
-    zd = z[rows, cols][:, rows, cols]
-    return complex((zd * zd).sum() / (4.0 * n * n * (n - 1)))
+    z = _second_differences(Y.y)
+    return complex((z * z).sum() / (n * n * (n - 1)))
 
 
 def _blocks(n: int):

@@ -28,16 +28,18 @@ error bounds -- is driven by a small family of functionals computed here:
 
   together with  delta = sum_{j!=k, r!=s} |b|^3 / (n^2 (n-1)).
 
-For n <= 20 the quadruple sums are evaluated literally over all admissible
-index quadruples (vectorised, pairwise-summed); there they serve as the
-trusted oracles of the package, so no algebraic shortcuts are applied.  The
-n^4 tables grow fast (about 0.5 GB at n = 60, past 8 GB near n = 110), so
-above n = 20 gamma, delta and the quadruple variance come from sorted row-pair
-windows instead (see ``GammaProfile``): O(n^3 log n) time per argument and
-O(n^2) memory plus one fixed-size chunk.  The literal tables are then built only on
-demand, for the many-point paths that are capped at n <= 20 by default.  All
-public operations are pure, all value types are immutable, and indices
-appearing in the public API are 1-based.
+For n <= 20 the quadruple sums are evaluated literally, termwise
+(vectorised, pairwise-summed), over the quarter table of second differences
+with j < k and s < r: b is exactly antisymmetric in each index pair, so each
+sum over distinct pairs is 4 times its quarter, exactly.  There they serve as
+the trusted oracles of the package, so no algebraic shortcuts are applied.
+The table grows as n^4 / 4 (3.1e6 terms, 25 MB per float64 array, at
+n = 60), so above n = 20 gamma, delta and the quadruple variance come from
+sorted row-pair windows instead (see ``GammaProfile``): O(n^3 log n) time per
+argument and O(n^2) memory plus one chunk of row pairs.  The quarter table is
+then built only on demand, for the many-point paths that are capped at
+n <= 20 by default.  All public operations are pure, all value types are
+immutable, and indices appearing in the public API are 1-based.
 """
 
 from __future__ import annotations
@@ -51,10 +53,11 @@ from .errors import DegenerateMatrixError, InvalidMatrixError, ParameterError
 
 # Row/column sums of the centered matrix must vanish to this relative level.
 _CENTERING_RTOL = 1e-10
-# Largest n whose quadruple sums run over the literal n^4 tables; the default
-# ``perm_cap``, where the tables hold 20^2 * 19^2 = 1.44e5 terms.
+# Largest n whose quadruple sums run over the literal quarter table; the
+# default ``perm_cap``, where it holds 20^2 * 19^2 / 4 = 3.61e4 terms.
 _LITERAL_MAX_N = 20
-# Elements (row pairs x n) per chunk of the row-pair route.
+# Elements (row pairs x n) per chunk of the row-pair route; a chunk holds at
+# least one row pair, so at most max(n, _PAIR_CHUNK) elements.
 _PAIR_CHUNK = 1 << 16
 
 
@@ -99,9 +102,6 @@ class CenteredStats:
 
     n: int
     a_tilde: np.ndarray
-    row_means: np.ndarray
-    col_means: np.ndarray
-    grand_mean: float
     mu: float
     sigma2: float
     delta: float
@@ -115,10 +115,10 @@ class GammaProfile:
     that ``4*sigma2_quad - gamma(x) >= 0`` holds termwise.  The quadruple sums
     take one of two routes, fixed by n alone:
 
-    * n <= 20 (``_LITERAL_MAX_N``, the default ``perm_cap``, 1.44e5 terms):
-      the literal route.  The flattened second differences over distinct
-      index pairs (``b_sq``, ``b_abs``) are built at construction and every
-      sum runs over them.
+    * n <= 20 (``_LITERAL_MAX_N``, the default ``perm_cap``, 3.61e4 terms):
+      the literal route.  b^2 and |b| over the quarter j < k, s < r
+      (``_second_differences``) are built at construction; every sum runs
+      over them and is multiplied by 4, which is exact.
     * n > 20: the row-pair route.  For each row pair j < k the quadruple terms
       are the pairwise differences of d = a[j] - a[k], so with e the sorted
       row difference, shifted by its median, every |b| is some e_r - e_s with
@@ -128,8 +128,8 @@ class GammaProfile:
       window sums of e, e^2, e^3.  The window sums are differences of prefix
       sums accumulated outward from the median, so a far outlier enters only
       the windows that reach it.  Row pairs run in chunks of ``_PAIR_CHUNK``
-      elements; the chunk totals are combined by ``math.fsum``.  The literal
-      tables are built only on first use of ``b_sq``/``b_abs`` (by
+      elements (at least one row pair); the chunk totals are combined by
+      ``math.fsum``.  The quarter table is built only on first use (by
       ``gamma_split_many``).
 
     Rounding allowance of the row-pair route, to first order in u = 2^-53:
@@ -166,10 +166,7 @@ class GammaProfile:
             matrix = ScoreMatrix(matrix)
         a = matrix.a
         n = matrix.n
-        row_means = a.mean(axis=1)
-        col_means = a.mean(axis=0)
-        grand = float(a.mean())
-        at = a - col_means[None, :] - row_means[:, None] + grand
+        at = _double_center(a)
 
         scale = max(1.0, float(np.abs(a).max()))
         worst = max(
@@ -187,47 +184,29 @@ class GammaProfile:
         self._literal = None
         self._split = None
         if n <= _LITERAL_MAX_N:
-            self.sigma2_quad = float(self.b_sq.sum() / (4.0 * self._quad_norm))
-            delta = float((self.b_sq * self.b_abs).sum() / self._quad_norm)
+            b_sq, b_abs = self._literal_tables()
+            self.sigma2_quad = float(b_sq.sum() / self._quad_norm)
+            delta = float(4.0 * (b_sq * b_abs).sum() / self._quad_norm)
         else:
             cubes, squares = _row_pair_sums(a, np.array([0.0, np.inf]))
             self.sigma2_quad = float(squares[0] / self._quad_norm)
             delta = float(4.0 * cubes[1] / self._quad_norm)
 
         sigma2 = float(self.at_sq.sum() / (n - 1))
-        at = at.copy()
         at.setflags(write=False)
         self.stats = CenteredStats(
             n=n,
             a_tilde=at,
-            row_means=row_means,
-            col_means=col_means,
-            grand_mean=grand,
-            mu=float(n * grand),
+            mu=float(n * a.mean()),
             sigma2=sigma2,
             delta=delta,
         )
 
-    @property
-    def b_sq(self) -> np.ndarray:
-        """Squared second differences over distinct index pairs (literal table)."""
-        return self._literal_tables()[0]
-
-    @property
-    def b_abs(self) -> np.ndarray:
-        """|second differences| over distinct index pairs (literal table)."""
-        return self._literal_tables()[1]
-
     def _literal_tables(self):
+        """(b^2, |b|) over the quarter j < k, s < r, built on first use."""
         if self._literal is None:
-            # Grouped differences keep the j == k and r == s slices exactly zero
-            # and make the (j,k) / (r,s) antisymmetries exact in floating point.
-            a = self.matrix.a
-            row_diff = a[:, None, :] - a[None, :, :]
-            b = row_diff[:, :, :, None] - row_diff[:, :, None, :]
-            rows, cols = np.nonzero(~np.eye(self.n, dtype=bool))
-            b_distinct = b[rows, cols][:, rows, cols].ravel()
-            self._literal = (b_distinct * b_distinct, np.abs(b_distinct))
+            b = _second_differences(self.matrix.a)
+            self._literal = (b * b, np.abs(b))
         return self._literal
 
     def gamma(self, x: float) -> float:
@@ -242,12 +221,13 @@ class GammaProfile:
     def gamma_many(self, xs) -> np.ndarray:
         """Clipped moment sum b^2 min(1, |x b|) / (n^2 (n-1)) at each argument.
 
-        For n <= 20 the literal quadruple sum.  Each argument's row of terms is
-        reduced by numpy's pairwise ``sum(axis=1)``, not by a BLAS product: its
-        rounding is then fixed by the row alone, whatever the batch, its
-        chunking or the BLAS build, so ``gamma(x)`` is a batch of one bit for
-        bit.  Above n = 20 the row-pair windows (see the class docstring),
-        whose per-argument totals are likewise independent of the batch.
+        For n <= 20 the literal quadruple sum, 4 times its quarter j < k,
+        s < r.  Each argument's row of terms is reduced by numpy's pairwise
+        ``sum(axis=1)``, not by a BLAS product: its rounding is then fixed by
+        the row alone, whatever the batch, its chunking or the BLAS build, so
+        ``gamma(x)`` is a batch of one bit for bit.  Above n = 20 the row-pair
+        windows (see the class docstring), whose per-argument totals are
+        likewise independent of the batch.
         """
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         if self.n > _LITERAL_MAX_N:
@@ -265,10 +245,10 @@ class GammaProfile:
             np.minimum(block, 1.0, out=block)
             block *= b_sq
             out[start : start + step] = block.sum(axis=1)
-        return out / self._quad_norm
+        return 4.0 * out / self._quad_norm
 
     def gamma_split_many(self, xs) -> np.ndarray:
-        """gamma via the clip-threshold split of the same literal sum.
+        """gamma via the clip-threshold split of the same literal quarter sum.
 
         Sorting the |b| values once and splitting each evaluation at the
         threshold 1/|x| regroups sum b^2 min(1, |x b|) into a linear prefix
@@ -286,7 +266,7 @@ class GammaProfile:
             thresh = np.where(ax > 0.0, 1.0 / ax, np.inf)
         idx = np.searchsorted(order, thresh, side="right")
         total_sq = prefix_sq[-1]
-        return (ax * prefix_cube[idx] + (total_sq - prefix_sq[idx])) / self._quad_norm
+        return 4.0 * (ax * prefix_cube[idx] + (total_sq - prefix_sq[idx])) / self._quad_norm
 
     def _split_tables(self):
         if self._split is None:
@@ -304,6 +284,25 @@ class GammaProfile:
         return self._split
 
 
+def _double_center(y: np.ndarray) -> np.ndarray:
+    """y[j, r] - colmean[r] - rowmean[j] + grandmean, for real or complex y."""
+    return y - y.mean(axis=0)[None, :] - y.mean(axis=1)[:, None] + y.mean()
+
+
+def _second_differences(y: np.ndarray) -> np.ndarray:
+    """(y[j, r] - y[k, r]) - (y[j, s] - y[k, s]) over row pairs j < k and column pairs s < r.
+
+    Flat, row pair major, both pair lists in ``triu_indices`` order: the
+    n^2 (n-1)^2 / 4 values that stand for all distinct index pairs.  Grouped
+    this way b flips sign exactly under j <-> k and under r <-> s, so every
+    sum of b^2 or |b| over distinct pairs is exactly 4 times its sum here.
+    """
+    idx = np.arange(y.shape[0])
+    lo, hi = np.nonzero(idx[:, None] < idx)  # triu_indices(n, 1), without its set-up cost
+    d = y[lo] - y[hi]
+    return (d[:, hi] - d[:, lo]).ravel()
+
+
 def _outward_sums(v: np.ndarray, mid: int) -> np.ndarray:
     """q[:, i] = sum_{s<i} v[:, s] - sum_{s<mid} v[:, s], accumulated from column mid."""
     q = np.zeros((v.shape[0], v.shape[1] + 1))
@@ -319,7 +318,10 @@ def _row_pair_sums(a: np.ndarray, cutoffs: np.ndarray) -> tuple[np.ndarray, np.n
     over |b| > T, each over the row pairs j < k and the column pairs s < r
     (a quarter of the full quadruple sum).  T = inf closes every square and
     T = 0 every cube window.  ``a`` may be any rows x cols array: the row
-    pairs come from its rows and the windows run along its columns.  See
+    pairs come from its rows and the windows run along its columns.  A chunk
+    holds max(1, _PAIR_CHUNK // cols) row pairs, so at most
+    max(cols, _PAIR_CHUNK) elements, and its temporaries add up to about 21
+    float64 arrays of that size (169 MB for one row pair of 10^6 columns).  See
     ``GammaProfile`` for the method and its rounding allowance.
     """
     n = a.shape[1]

@@ -37,7 +37,7 @@ from .permanents import (
     gauss_cf,
     restricted_sum_grid,
 )
-from .scores import GammaProfile, ScoreMatrix, center, from_sampling
+from .scores import GammaProfile, ScoreMatrix, from_sampling
 
 SUITE_NAMES = ("identity", "bounds", "constants", "cf", "all")
 
@@ -205,12 +205,13 @@ def check_cf_specialization(matrices, tol: float, quad_tol: float = 1e-10) -> Ch
     """alpha, beta and the identity's left side at Y = i t A against mu, sigma2 and phi - gauss."""
     worst = _Worst(-1.0)
     for i, m in enumerate(matrices):
-        stats = center(m)
+        profile = GammaProfile(m)
+        stats = profile.stats
         for t in (0.3, 0.8):
             y = ComplexScoreMatrix(1j * t * m.a)
             terms = identity_terms(y)
             lhs = identity_check(y, tol=quad_tol).lhs
-            expected = charfn_grid(m, [t])[0] - gauss_cf(m, t)
+            expected = charfn_grid(m, [t])[0] - gauss_cf(profile, t)
             gaps = (abs(terms.alpha - 1j * t * stats.mu), abs(terms.beta + stats.sigma2 * t * t), abs(lhs - expected))
             worst.add(max(gaps), _at(i, m, t=t))
     return _result("cf_specialization", {"max_residual": (worst, tol)})
@@ -327,10 +328,11 @@ def check_smoothing(matrices, tol: float) -> CheckResult:
     """Exact Delta under the smoothing bound (w = 0.89, quadrature tol 1e-8) at T in {2, 10}/sigma."""
     worst = _Worst()
     for i, m in enumerate(matrices):
-        sigma = math.sqrt(center(m).sigma2)
-        delta = kolmogorov_distance(enumerate_distribution(m)).delta
+        profile = GammaProfile(m)
+        sigma = math.sqrt(profile.stats.sigma2)
+        delta = kolmogorov_distance(enumerate_distribution(profile)).delta
         for cutoff in (2.0 / sigma, 10.0 / sigma):
-            worst.add(delta - smoothing_bound(m, 0.89, cutoff, tol=1e-8), _at(i, m, T=cutoff))
+            worst.add(delta - smoothing_bound(profile, 0.89, cutoff, tol=1e-8), _at(i, m, T=cutoff))
     return _result("smoothing_inequality", {"max_violation": (worst, tol)})
 
 
@@ -339,9 +341,10 @@ def check_sampling(designs, tol: float) -> CheckResult:
     worst = _Worst(-1.0)
     for values, m_draw in designs:
         design = from_sampling(values, m_draw)
-        stats = center(design.matrix)
+        profile = GammaProfile(design.matrix)
+        stats = profile.stats
         special = sampling_bound_specialized(values, m_draw, design.sigma2)
-        bound = berry_esseen_bound(design.matrix, attach_delta=False).bound
+        bound = berry_esseen_bound(profile, attach_delta=False).bound
         gaps = (
             abs(stats.sigma2 - design.sigma2) / max(1.0, design.sigma2),
             abs(stats.mu - design.mu) / max(1.0, abs(design.mu)),
@@ -358,8 +361,9 @@ def check_monte_carlo(instances, tol: float) -> CheckResult:
     """
     worst, detail = _Worst(), {}
     for i, (m, samples, seed) in enumerate(instances):
-        exact = kolmogorov_distance(enumerate_distribution(m)).delta
-        mc = monte_carlo_delta(m, samples, seed=seed)
+        profile = GammaProfile(m)
+        exact = kolmogorov_distance(enumerate_distribution(profile)).delta
+        mc = monte_carlo_delta(profile, samples, seed=seed)
         gap = abs(mc.delta - exact)
         if worst.add(gap / mc.std_error, _at(i, m, seed=seed)):
             detail = {"exact": exact, "monte_carlo": mc.delta, "gap": gap, "std_error": mc.std_error}

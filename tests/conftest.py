@@ -55,6 +55,19 @@ def row_pair_corpus(rng: np.random.Generator, n: int) -> dict[str, np.ndarray]:
     }
 
 
+def second_difference_tensor(a: np.ndarray) -> np.ndarray:
+    """The full n x n x n x n table b[j, k, r, s] = (a[j, r] - a[k, r]) - (a[j, s] - a[k, s])."""
+    row_diff = a[:, None, :] - a[None, :, :]
+    return row_diff[:, :, :, None] - row_diff[:, :, None, :]
+
+
+def literal_tables(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(b^2, |b|) over all n^2 (n-1)^2 quadruples with j != k and r != s: the literal oracle."""
+    off_rows, off_cols = np.nonzero(~np.eye(a.shape[0], dtype=bool))
+    b = second_difference_tensor(np.asarray(a))[off_rows, off_cols][:, off_rows, off_cols].ravel()
+    return b * b, np.abs(b)
+
+
 @lru_cache(maxsize=None)
 def itertools_perms(n: int) -> np.ndarray:
     """All n! permutations of range(n) from ``itertools``, as read-only int8 rows."""

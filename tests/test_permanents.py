@@ -37,7 +37,7 @@ from cclt.permanents import (
     restricted_sum_grid,
 )
 from cclt.permtables import perm_rows
-from conftest import rand_complex_entries, rand_matrix, row_pair_corpus
+from conftest import literal_tables, rand_complex_entries, rand_matrix, row_pair_corpus
 
 
 def mp_permanent(entries) -> mpmath.mpc:
@@ -203,7 +203,8 @@ class TestModulusBound:
             profile = GammaProfile(entries)
             sigma = math.sqrt(profile.stats.sigma2)
             ts = np.linspace(-10.0 / sigma, 10.0 / sigma, 41)
-            mean = np.array([(np.cos(0.5 * t * profile.b_abs) ** 2).sum() for t in ts.tolist()])
+            _, b_abs = literal_tables(entries)
+            mean = np.array([(np.cos(0.5 * t * b_abs) ** 2).sum() for t in ts.tolist()])
             literal = (mean / (n * n * (n - 1.0) * (n - 1.0))) ** ((n // 2) / 2.0)
             assert np.abs(charfn_bound_grid(profile, ts) - literal).max() <= 1e-14, name
 
@@ -399,7 +400,8 @@ class TestCfDifferenceBounds:
         # Split at the kinks: the clips |x b| = 1 of both gamma arguments,
         # and the h_2 kink where damp reaches 0, i.e. where gamma(2 kappa t u)
         # reaches 4 sigma^2 at its last clip.
-        b = np.unique(profile.b_abs[profile.b_abs > 0])
+        _, b_abs = literal_tables(two_by_two.a)
+        b = np.unique(b_abs[b_abs > 0])
         h2_kink = 1.0 / (2.0 * kap * t * b.max())
         kinks = np.concatenate((1.0 / (2.0 * kap * t * b), 4.0 / (t * b), [h2_kink]))
         points = [0.0, *sorted(set(kinks[(kinks > 0.0) & (kinks < 1.0)].tolist())), 1.0]

@@ -22,7 +22,8 @@ from cclt import (
     quad_diff,
     variance_quadruple,
 )
-from conftest import rand_matrix, row_pair_corpus
+from cclt.scores import _second_differences
+from conftest import literal_tables, rand_matrix, row_pair_corpus, second_difference_tensor
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -189,15 +190,18 @@ class TestGamma:
 
     @pytest.mark.parametrize("n", [2, 9, 20])
     def test_reduction_order_is_the_pairwise_row_sum(self, rng, n):
-        # The literal sum, reduced by numpy's pairwise sum: any batch (and the
-        # scalar gamma, a batch of one) must give this value bit for bit.
-        profile = GammaProfile(rand_matrix(rng, n))
+        # 4 times the literal quarter sum (j < k, s < r, taken from the full
+        # tensor), reduced by numpy's pairwise sum: any batch (and the scalar
+        # gamma, a batch of one) must give this value bit for bit.
+        m = rand_matrix(rng, n)
+        profile = GammaProfile(m)
         sigma = math.sqrt(profile.stats.sigma2)
         xs = np.concatenate(([0.0, -0.0], np.linspace(-4.0, 4.0, 11) / sigma, [1e-9, 1e9]))
+        lo, hi = np.triu_indices(n, 1)
+        quarter = second_difference_tensor(m.a)[lo, hi][:, hi, lo].ravel()
+        q_sq, q_abs = quarter * quarter, np.abs(quarter)
         norm = n * n * (n - 1)
-        expected = [
-            float((profile.b_sq * np.minimum(1.0, abs(x) * profile.b_abs)).sum()) / norm for x in xs.tolist()
-        ]
+        expected = [4.0 * float((q_sq * np.minimum(1.0, abs(x) * q_abs)).sum()) / norm for x in xs.tolist()]
         assert profile.gamma_many(xs).tolist() == expected
         assert [profile.gamma(x) for x in xs.tolist()] == expected
 
@@ -224,6 +228,33 @@ def row_pair_allowance(a: np.ndarray, x: float) -> float:
     return 4.0 * n**3 * U * total / (n * n * (n - 1))
 
 
+def mp_quadruple_sums(entries: np.ndarray, xs) -> tuple[float, float, list[float]]:
+    """sigma2_quad, delta and gamma at each x from 50-digit sums.
+
+    The sums run over the unordered pairs j < k, s < r, each counted four times.
+    """
+    n = entries.shape[0]
+    with mpmath.workdps(50):
+        a = [[mpmath.mpf(float(v)) for v in row] for row in entries]
+        mp_xs = [abs(mpmath.mpf(x)) for x in xs]
+        sq = mpmath.mpf(0)
+        cube = mpmath.mpf(0)
+        clipped = [mpmath.mpf(0) for _ in xs]
+        for j in range(n):
+            for k in range(j):
+                d = [a[j][r] - a[k][r] for r in range(n)]
+                for r in range(n):
+                    for s in range(r):
+                        b = abs(d[r] - d[s])
+                        b2 = b * b
+                        sq += b2
+                        cube += b2 * b
+                        for i, x in enumerate(mp_xs):
+                            clipped[i] += b2 * min(mpmath.mpf(1), x * b)
+        norm = n * n * (n - 1)
+        return float(sq / norm), float(4 * cube / norm), [float(4 * c / norm) for c in clipped]
+
+
 class TestRowPairRoute:
     """Above n = 20 gamma, sigma2_quad and delta come from row-pair windows."""
 
@@ -232,8 +263,8 @@ class TestRowPairRoute:
         rng = np.random.default_rng(1000 + n)
         for name, entries in row_pair_corpus(rng, n).items():
             profile = GammaProfile(entries)
-            # The literal tables, built on demand above n = 20, are the oracle.
-            b_sq, b_abs = profile.b_sq, profile.b_abs
+            # The full literal tables are the oracle.
+            b_sq, b_abs = literal_tables(entries)
             norm = n * n * (n - 1)
             literal = np.array(
                 [float((b_sq * np.minimum(1.0, abs(x) * b_abs)).sum()) / norm for x in ROW_PAIR_XS.tolist()]
@@ -250,32 +281,12 @@ class TestRowPairRoute:
             assert abs(profile.stats.delta - delta) <= 1e-12 * delta, name
 
     def test_high_precision_oracle(self):
-        # 50-digit sums over the unordered pairs j < k, s < r (each counted
-        # four times) on the hardest corpus entry: one 1e6 among 1e-3 noise.
+        # The hardest corpus entry: one 1e6 among 1e-3 noise.
         n = 21
         entries = row_pair_corpus(np.random.default_rng(7), n)["spike"]
         profile = GammaProfile(entries)
         xs = (1e-2, 1.0, 0.65 / math.sqrt(profile.stats.sigma2))
-        with mpmath.workdps(50):
-            a = [[mpmath.mpf(float(v)) for v in row] for row in entries]
-            sq = mpmath.mpf(0)
-            cube = mpmath.mpf(0)
-            clipped = [mpmath.mpf(0) for _ in xs]
-            for j in range(n):
-                for k in range(j):
-                    d = [a[j][r] - a[k][r] for r in range(n)]
-                    for r in range(n):
-                        for s in range(r):
-                            b = abs(d[r] - d[s])
-                            b2 = b * b
-                            sq += b2
-                            cube += b2 * b
-                            for i, x in enumerate(xs):
-                                clipped[i] += b2 * min(mpmath.mpf(1), abs(mpmath.mpf(x)) * b)
-            norm = n * n * (n - 1)
-            exact_sigma2 = float(sq / norm)
-            exact_delta = float(4 * cube / norm)
-            exact_gamma = [float(4 * c / norm) for c in clipped]
+        exact_sigma2, exact_delta, exact_gamma = mp_quadruple_sums(entries, xs)
         assert abs(profile.sigma2_quad - exact_sigma2) <= 1e-14 * exact_sigma2
         assert abs(profile.stats.delta - exact_delta) <= 1e-14 * exact_delta
         for x, exact in zip(xs, exact_gamma):
@@ -316,6 +327,49 @@ class TestRowPairRoute:
         finally:
             tracemalloc.stop()
         assert peak < 20e6
+
+
+class TestQuarterTable:
+    """Up to n = 20 every quadruple sum runs over b with j < k, s < r, times 4."""
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 12])
+    def test_entries_are_the_full_tensor_bit_for_bit(self, rng, n):
+        lo, hi = np.triu_indices(n, 1)
+        for y in (rng.standard_normal((n, n)), 1e6 + rng.uniform(-1e-3, 1e-3, (n, n)),
+                  rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))):
+            expected = second_difference_tensor(y)[lo, hi][:, hi, lo].ravel()
+            got = _second_differences(y)
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 9, 20, 22])
+    def test_tables_hold_a_quarter_of_the_quadruples(self, rng, n):
+        b_sq, b_abs = GammaProfile(rand_matrix(rng, n))._literal_tables()
+        assert b_sq.size == b_abs.size == n * n * (n - 1) * (n - 1) // 4
+
+    def test_split_tables_peak_memory(self):
+        # The full n^4 tables peaked at 47 MB here; the quarter at about 17 MB.
+        profile = GammaProfile(np.random.default_rng(30).standard_normal((30, 30)))
+        xs = np.linspace(-5.0, 5.0, 41)
+        tracemalloc.start()
+        try:
+            profile.gamma_split_many(xs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 25e6
+
+    def test_high_precision_oracle(self):
+        # Every corpus entry at n = 9 (the literal route) against 50-digit sums.
+        n = 9
+        for name, entries in row_pair_corpus(np.random.default_rng(9), n).items():
+            profile = GammaProfile(entries)
+            xs = (1e-2, 1.0, 0.65 / math.sqrt(profile.stats.sigma2))
+            exact_sigma2, exact_delta, exact_gamma = mp_quadruple_sums(entries, xs)
+            assert abs(profile.sigma2_quad - exact_sigma2) <= 1e-15 * exact_sigma2, name
+            assert abs(profile.stats.delta - exact_delta) <= 1e-15 * exact_delta, name
+            for x, exact in zip(xs, exact_gamma):
+                assert abs(profile.gamma(x) - exact) <= 1e-15 * exact, (name, x)
 
 
 class TestSandwichChains:

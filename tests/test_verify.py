@@ -86,7 +86,7 @@ def test_smoothing_check_catches_a_low_bound(monkeypatch):
     corpus = gaussians(3, 3)
     res = planted(
         lambda c: verify.check_smoothing(c, 0.0), corpus, monkeypatch, "smoothing_bound",
-        lambda bound, m, *_: 0.0 if m is corpus[1] else bound,
+        lambda bound, profile, *_: 0.0 if profile.matrix is corpus[1] else bound,
     )
     assert res.worst["max_violation"].startswith("instance 1 (n = 3), T = ")
 
