@@ -59,6 +59,10 @@ from .scores import _double_center, _second_differences
 
 # Pair differences per chunk of ``_blocks`` (4 MB); a whole n <= 7 block fits.
 _CHUNK_ELEMS = 1 << 18
+# numpy evaluates ``a * temporary`` in place as ``temporary * a`` once the
+# temporary holds this many bytes (temporary elision), and its complex
+# product is not bitwise commutative.
+_ELIDE_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -137,30 +141,74 @@ def _pair_diff_tensor(y: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, np.
     return c, z1
 
 
-def _f_parts(u: float, n: int, c: np.ndarray, z1: np.ndarray) -> tuple[complex, complex, complex]:
-    """f1, f2, f3 contributions of one permutation block (vectorised sums)."""
-    weight = np.exp(u * c)
-    expnz = np.exp(-u * z1)  # expnz[p, j, k] = exp(u z[j,k,r(k),r(j)])
+def _chunks(y: np.ndarray):
+    """c, z1 and five work arrays for each chunk of ``_blocks``.
 
-    f1 = ((z1 * (1.0 - u * z1 - expnz)).sum(axis=(1, 2)) * weight).sum()
+    The work arrays take z1's memory layout, as the temporaries of z1's
+    expressions do: numpy sums over axes in memory order, so the layout
+    fixes the rounding of every sum in ``_f_parts``.
+    """
+    for block in _blocks(y.shape[0]):
+        c, z1 = _pair_diff_tensor(y, block)
+        yield c, z1, [np.empty_like(z1) for _ in range(5)]
+
+
+def _times(a: np.ndarray, temp: np.ndarray) -> np.ndarray:
+    """a * temp written into temp, in the operand order numpy gives the
+    expression ``a * temp`` when temp is a temporary."""
+    if temp.nbytes >= _ELIDE_BYTES:
+        return np.multiply(temp, a, out=temp)
+    return np.multiply(a, temp, out=temp)
+
+
+def _f_parts(
+    u: float, n: int, c: np.ndarray, z1: np.ndarray, work: list[np.ndarray]
+) -> tuple[complex, complex, complex]:
+    """f1, f2, f3 contributions of one permutation block (vectorised sums).
+
+    Every block-sized temporary is written into ``work`` (from ``_chunks``),
+    by the same operations in the same order as the plain expressions
+
+        f1 = sum z1 (1 - u z1 - expnz) weight,
+        f2 = u sum (row_a row_b - collide) weight,
+        f3 = u sum z1^2 ((n-2)(n-3) - (s_j s_k - t_jk)) weight,
+
+    so the parts are bit for bit those of freshly allocated temporaries:
+    each product keeps the operand order numpy gives those expressions
+    (``_times``).
+    """
+    expnz, z1_sq, t1, t2, t3 = work
+    weight = np.exp(u * c)
+    np.multiply(-u, z1, out=expnz)
+    np.exp(expnz, out=expnz)  # expnz[p, j, k] = exp(u z[j,k,r(k),r(j)])
+
+    np.multiply(u, z1, out=t1)
+    np.subtract(1.0, t1, out=t1)
+    t1 -= expnz
+    _times(z1, t1)
+    f1 = (t1.sum(axis=(1, 2)) * weight).sum()
     f2 = 0.0 + 0.0j
     f3 = 0.0 + 0.0j
     if n >= 3:
-        z1_sq = z1 * z1
-        one_minus = 1.0 - expnz
+        np.multiply(z1, z1, out=z1_sq)
+        one_minus = np.subtract(1.0, expnz, out=t2)
         row_a = z1_sq.sum(axis=2)
         row_b = one_minus.sum(axis=2)
-        collide = (z1_sq * one_minus).sum(axis=2)
+        collide = np.multiply(z1_sq, one_minus, out=t1).sum(axis=2)
         f2 = u * (((row_a * row_b - collide).sum(axis=1)) * weight).sum()
     if n >= 4:
         row_q = expnz.sum(axis=2)
-        qq = np.einsum("pjl,pkl->pjk", expnz, expnz)
-        s_j = row_q[:, :, None] - 1.0 - expnz
-        s_k = row_q[:, None, :] - 1.0 - np.swapaxes(expnz, 1, 2)
-        t_jk = qq - np.swapaxes(expnz, 1, 2) - expnz
-        pair_sum = s_j * s_k - t_jk
+        expnz_t = np.swapaxes(expnz, 1, 2)
+        t_jk = np.einsum("pjl,pkl->pjk", expnz, expnz, out=t1)
+        t_jk -= expnz_t
+        t_jk -= expnz
+        s_j = np.subtract(row_q[:, :, None] - 1.0, expnz, out=t2)
+        s_k = np.subtract(row_q[:, None, :] - 1.0, expnz_t, out=t3)
+        pair_sum = np.multiply(s_j, s_k, out=t2)
+        pair_sum -= t_jk
         count = (n - 2.0) * (n - 3.0)
-        f3 = u * (((z1_sq * (count - pair_sum)).sum(axis=(1, 2))) * weight).sum()
+        terms = _times(z1_sq, np.subtract(count, pair_sum, out=t2))
+        f3 = u * (terms.sum(axis=(1, 2)) * weight).sum()
     return complex(f1), complex(f2), complex(f3)
 
 
@@ -173,10 +221,9 @@ def _f_sums(y: np.ndarray, us) -> list[list[complex]]:
     a walk at that u alone (each u's parts are added in block order)."""
     n = y.shape[0]
     sums = [[0.0 + 0.0j] * 3 for _ in us]
-    for block in _blocks(n):
-        c, z1 = _pair_diff_tensor(y, block)
+    for c, z1, work in _chunks(y):
         for acc, u in zip(sums, us):
-            for i, part in enumerate(_f_parts(u, n, c, z1)):
+            for i, part in enumerate(_f_parts(u, n, c, z1, work)):
                 acc[i] += part
     return sums
 
@@ -250,10 +297,9 @@ def f_residual(Y: ComplexScoreMatrix, u: float, enum_cap: int = 10) -> float:
     terms = identity_terms(Y)
     direct = 0.0 + 0.0j
     f_val = 0.0 + 0.0j
-    for block in _blocks(n):
-        c, z1 = _pair_diff_tensor(Y.y, block)
+    for c, z1, work in _chunks(Y.y):
         direct += ((c - terms.alpha - u * terms.beta) * np.exp(u * c)).sum()
-        f_val += _combine_f(n, *_f_parts(u, n, c, z1))
+        f_val += _combine_f(n, *_f_parts(u, n, c, z1, work))
     return abs(complex(direct) - complex(f_val))
 
 

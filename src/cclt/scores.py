@@ -130,7 +130,7 @@ class GammaProfile:
       the windows that reach it.  Row pairs run in chunks of ``_PAIR_CHUNK``
       elements (at least one row pair); the chunk totals are combined by
       ``math.fsum``.  The quarter table is built only on first use (by
-      ``gamma_split_many``).
+      ``gamma_split_many``) and dropped once the split tables are built.
 
     Rounding allowance of the row-pair route, to first order in u = 2^-53:
     with M_jk = M_kj the largest |e| of the row pair j < k and chi_jk(x) = 1 when
@@ -203,11 +203,18 @@ class GammaProfile:
         )
 
     def _literal_tables(self):
-        """(b^2, |b|) over the quarter j < k, s < r, built on first use."""
-        if self._literal is None:
-            b = _second_differences(self.matrix.a)
-            self._literal = (b * b, np.abs(b))
-        return self._literal
+        """(b^2, |b|) over the quarter j < k, s < r, built on first use.
+
+        Kept only at n <= 20, where every literal sum reads them; above, the
+        one reader is ``_split_tables``, which runs once.
+        """
+        if self._literal is not None:
+            return self._literal
+        b = _second_differences(self.matrix.a)
+        tables = (b * b, np.abs(b))
+        if self.n <= _LITERAL_MAX_N:
+            self._literal = tables
+        return tables
 
     def gamma(self, x: float) -> float:
         """Quadruple-sum clipped moment at one argument (see ``gamma_many``)."""

@@ -107,14 +107,27 @@ def enumerate_oracle(m: ScoreMatrix) -> tuple[np.ndarray, np.ndarray]:
     return values, counts
 
 
-def kolmogorov_oracle(values: np.ndarray, counts: np.ndarray) -> tuple[float, float]:
-    cum = np.cumsum(counts)
-    f_right = cum / float(cum[-1])
-    f_left = np.concatenate(([0.0], f_right[:-1]))
-    phi = ndtr(values)
+def ks_full_scan(x: np.ndarray, cum: np.ndarray | None = None) -> tuple[float, int]:
+    """Phi at every point: the largest deviation and the first index attaining it.
+
+    With ``cum``, F = cum/cum[-1] and F(x-) the previous F (0 first); without,
+    the empirical CDF (i+1)/N and (i+1)/N - 1/N.
+    """
+    if cum is None:
+        f_right = np.arange(1, x.size + 1) / x.size
+        f_left = f_right - 1.0 / x.size
+    else:
+        f_right = cum / float(cum[-1])
+        f_left = np.concatenate(([0.0], f_right[:-1]))
+    phi = ndtr(x)
     dev = np.maximum(np.abs(f_right - phi), np.abs(f_left - phi))
     i = int(np.argmax(dev))
-    return float(dev[i]), float(values[i])
+    return float(dev[i]), i
+
+
+def kolmogorov_oracle(values: np.ndarray, counts: np.ndarray) -> tuple[float, float]:
+    delta, i = ks_full_scan(values, np.cumsum(counts))
+    return delta, float(values[i])
 
 
 def lattice_matrices(n: int) -> dict[str, np.ndarray]:
@@ -216,6 +229,78 @@ class TestKolmogorov:
         assert big <= small + 0.05
 
 
+@st.composite
+def sorted_points(draw):
+    """Sorted points of one shape: Gaussian, lattice with ties, saturated
+    tails, two saturated halves (tied deviations), near-duplicates or
+    heavy-tailed; N from 1 to 20,000."""
+    size = draw(st.one_of(st.integers(1, 300), st.integers(1, 20_000)))
+    kind = draw(st.sampled_from(["gauss", "lattice", "saturated", "halves", "near", "heavy"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "gauss":
+        x = rng.normal(draw(st.floats(-0.5, 0.5)), draw(st.floats(0.5, 2.0)), size)
+    elif kind == "lattice":
+        x = rng.integers(-6, 7, size) * draw(st.sampled_from([0.1, 1 / 3, 0.5, 1.0]))
+    elif kind == "saturated":
+        x = rng.normal(0.0, 1.0, size)
+        tail = rng.random(size) < draw(st.floats(0.0, 1.0))
+        x[tail] = np.copysign(rng.uniform(9.0, 40.0, tail.sum()), x[tail])
+    elif kind == "halves":
+        x = rng.uniform(9.0, 40.0, size)
+        x[: size // 2] *= -1.0
+    elif kind == "near":
+        base = rng.normal(0.0, 1.0, max(1, size // 8))[rng.integers(0, max(1, size // 8), size)]
+        x = base + rng.integers(-2, 3, size) * np.spacing(base)
+    else:
+        x = rng.standard_cauchy(size)
+    x.sort()
+    return x
+
+
+class TestKsScan:
+    """``_ks_sup`` evaluates Phi at a few points and returns a full scan's result."""
+
+    @given(x=sorted_points(), unit=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_full_scan(self, x, unit, seed):
+        delta, i = exact._ks_sup(x)
+        want_delta, want_i = ks_full_scan(x)
+        assert (np.float64(delta).tobytes(), i) == (np.float64(want_delta).tobytes(), want_i)
+        rng = np.random.default_rng(seed)
+        counts = np.ones(x.size, dtype=np.int64) if unit else rng.integers(1, 50, x.size)
+        cum = np.cumsum(counts)
+        delta, i = exact._ks_sup(x, cum)
+        want_delta, want_i = ks_full_scan(x, cum)
+        assert (np.float64(delta).tobytes(), i) == (np.float64(want_delta).tobytes(), want_i)
+
+    @pytest.mark.parametrize("unit", [True, False])
+    def test_tie_goes_to_the_first_index(self, unit):
+        # Phi is 0 on the lower half and 1 on the upper one, so the last
+        # lower point (inside a gap) and the first upper point (evaluated)
+        # both deviate by exactly 1/2.
+        x = np.concatenate((np.linspace(-30.0, -20.0, 128), np.linspace(20.0, 30.0, 128)))
+        cum = None if unit else np.arange(1, 257)
+        assert exact._ks_sup(x, cum) == ks_full_scan(x, cum) == (0.5, 127)
+
+    @staticmethod
+    def spy_on_phi(monkeypatch) -> list[int]:
+        evaluated = []
+        monkeypatch.setattr(exact, "ndtr", lambda x: evaluated.append(x.size) or ndtr(x))
+        return evaluated
+
+    def test_phi_at_few_atoms_of_exact_law(self, monkeypatch):
+        dist = enumerate_distribution(rand_matrix(np.random.default_rng(10), 10))
+        evaluated = self.spy_on_phi(monkeypatch)
+        rep = kolmogorov_distance(dist)
+        assert sum(evaluated) <= 0.02 * dist.values.size
+        assert (rep.delta, rep.arg_x) == kolmogorov_oracle(dist.values, dist.counts)
+
+    def test_phi_at_few_monte_carlo_samples(self, monkeypatch):
+        evaluated = self.spy_on_phi(monkeypatch)
+        monte_carlo_delta(rand_matrix(np.random.default_rng(30), 30), 10**6, seed=0)
+        assert sum(evaluated) <= 0.02 * 10**6
+
+
 class TestAtomValidation:
     def test_rejects_unsorted_values(self):
         with pytest.raises(InvalidMatrixError):
@@ -266,9 +351,10 @@ class TestMonteCarlo:
         phi = ndtr(s)
         dev = np.maximum(np.abs(grid - phi), np.abs(grid - 1.0 / samples - phi))
         i = int(np.argmax(dev))
-        # The sorted standardized sample, as handed to the normal CDF.
+        # The sorted standardized sample, as handed to the Kolmogorov scan.
         seen = []
-        monkeypatch.setattr(exact, "ndtr", lambda x: seen.append(x.copy()) or ndtr(x))
+        scan = exact._ks_sup
+        monkeypatch.setattr(exact, "_ks_sup", lambda x, *cum: seen.append(x.copy()) or scan(x, *cum))
         for chunk in (64, exact._MC_CHUNK, exact._MC_BATCH * 9):
             monkeypatch.setattr(exact, "_MC_CHUNK", chunk)
             report = monte_carlo_delta(m, samples, seed=5, threads=threads)
@@ -279,7 +365,7 @@ class TestMonteCarlo:
     def test_matches_gather_oracle(self, monkeypatch, n, kind):
         # The offset shuffle and flat ``take`` against a fancy-index gather
         # of permuted C-contiguous tiles, bit for bit: the sorted
-        # standardized sample handed to the normal CDF, delta and arg_x.
+        # standardized sample handed to the Kolmogorov scan, delta and arg_x.
         m = ScoreMatrix(lattice_matrices(n)[kind])
         samples = exact._MC_BATCH + 4_321
         sizes = exact._mc_batch_layout(samples)
@@ -295,7 +381,8 @@ class TestMonteCarlo:
         dev = np.maximum(np.abs(grid - phi), np.abs(grid - 1.0 / samples - phi))
         i = int(np.argmax(dev))
         seen = []
-        monkeypatch.setattr(exact, "ndtr", lambda x: seen.append(x.copy()) or ndtr(x))
+        scan = exact._ks_sup
+        monkeypatch.setattr(exact, "_ks_sup", lambda x, *cum: seen.append(x.copy()) or scan(x, *cum))
         report = monte_carlo_delta(m, samples, seed=11, threads=2)
         assert seen.pop().tobytes() == s.tobytes()
         assert (report.delta, report.arg_x) == (float(dev[i]), float(s[i]))
@@ -309,8 +396,8 @@ class TestMonteCarlo:
         assert abs(mc.delta - exact) <= 3.0 * mc.std_error
 
     def test_peak_memory_at_1e6_samples(self, rng):
-        # The sorted sample, its normal CDF and the two deviations are four
-        # 8 MB arrays; the batch sums are freed before the tail starts.
+        # The 8 MB sample and one batch's 8 MB of buffers; the Kolmogorov
+        # scan adds no sample-sized array.
         m = rand_matrix(rng, 30)
         tracemalloc.start()
         try:

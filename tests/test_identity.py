@@ -32,6 +32,27 @@ def rand_complex(rng, n):
     return ComplexScoreMatrix(rand_complex_entries(rng, n))
 
 
+def plain_f_parts(u, n, c, z1):
+    """f1, f2, f3 of one chunk with a fresh array for every temporary."""
+    weight = np.exp(u * c)
+    expnz = np.exp(-u * z1)
+    f1 = ((z1 * (1.0 - u * z1 - expnz)).sum(axis=(1, 2)) * weight).sum()
+    z1_sq = z1 * z1
+    one_minus = 1.0 - expnz
+    collide = (z1_sq * one_minus).sum(axis=2)
+    f2 = u * (((z1_sq.sum(axis=2) * one_minus.sum(axis=2) - collide).sum(axis=1)) * weight).sum()
+    f3 = 0.0 + 0.0j
+    if n >= 4:
+        row_q = expnz.sum(axis=2)
+        qq = np.einsum("pjl,pkl->pjk", expnz, expnz)
+        s_j = row_q[:, :, None] - 1.0 - expnz
+        s_k = row_q[:, None, :] - 1.0 - np.swapaxes(expnz, 1, 2)
+        t_jk = qq - np.swapaxes(expnz, 1, 2) - expnz
+        pair_sum = s_j * s_k - t_jk
+        f3 = u * (((z1_sq * ((n - 2.0) * (n - 3.0) - pair_sum)).sum(axis=(1, 2))) * weight).sum()
+    return complex(f1), complex(f2), complex(f3)
+
+
 class TestComplexScoreMatrix:
     def test_rejects_nonsquare(self):
         with pytest.raises(InvalidMatrixError):
@@ -142,10 +163,19 @@ class TestFTerms:
             ref = getattr(whole, name)
             assert abs(getattr(chunked, name) - ref) <= 1e-12 * abs(ref), name
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_work_arrays_match_plain_expressions(self, rng, n):
+        # Fresh temporaries, bit for bit: n <= 5 chunks stay below the size
+        # from which numpy evaluates ``a * temporary`` in place, n = 6, 7
+        # reach it.
+        y = rand_complex(rng, n).y
+        [(c, z1, work)] = identity._chunks(y)
+        for u in (0.0, 0.3, 1.0):
+            assert identity._f_parts(u, n, c, z1, work) == plain_f_parts(u, n, c, z1)
+
     def test_n8_peak_memory(self, rng):
-        # One 8! block's pair differences are 41 MB of complex values, and
-        # the f parts keep about ten such temporaries; chunks of the block
-        # bound them.
+        # One 8! block's pair differences are 41 MB of complex values; chunks
+        # of the block bound them and the five work arrays of the f parts.
         y = rand_complex(rng, 8)
         tracemalloc.start()
         try:
