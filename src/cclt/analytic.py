@@ -103,7 +103,8 @@ def v_of_w(w: float, v_tol: float = 1e-9) -> float:
     The integrand is bounded by 1 with a removable singularity at 0 and total
     mass pi/2, so the left side sweeps (0, 1): a solution exists and is
     unique for w in (0, 1).  Solved by bracketing (doubling from 8) and
-    bisection on the closed form Si(2v) - sin^2(v)/v of the integral.
+    bisection on the closed form Si(2v) - sin^2(v)/v of the integral.  v grows
+    like 2/(pi (1 - w)); past 1e9 (1 - w below about 6e-10) ``ParameterError``.
     """
     if not 0.0 < w < 1.0:
         raise ParameterError(f"w must lie in (0, 1), got {w}")
@@ -114,7 +115,7 @@ def v_of_w(w: float, v_tol: float = 1e-9) -> float:
     while _sinc_sq_integral(hi) < target:
         hi *= 2.0
         if hi > 1e9:
-            raise RuntimeError("failed to bracket the smoothing threshold")
+            raise ParameterError(f"w = {w} puts the smoothing threshold v(w) above 1e9")
     while hi - lo > v_tol:
         mid = 0.5 * (lo + hi)
         if _sinc_sq_integral(mid) < target:

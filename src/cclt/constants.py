@@ -49,9 +49,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import kappa, v_of_w
-from .errors import CapExceededError, ParameterError
+from .errors import ParameterError
 from .exact import DeltaReport, enumerate_distribution, kolmogorov_distance
-from .permanents import charfn_grid
+from .permanents import _cf_gap
 from .quadrature import adaptive_simpson_vec
 from .scores import GammaProfile, ScoreMatrix, _as_profile, _row_pair_sums, _sampling_values, require_nondegenerate
 
@@ -118,6 +118,11 @@ class ConstantsReport:
         }
 
 
+def _kernel_tail(w: float, v_w: float) -> float:
+    """The smoothing kernel's tail term (1 + w) v(w) / (sqrt(2 pi) w), given v_w = v(w)."""
+    return (1.0 + w) * v_w / (math.sqrt(2.0 * math.pi) * w)
+
+
 def theorem_constants(
     w: float = 0.89,
     m: int = 1367,
@@ -169,7 +174,7 @@ def theorem_constants(
         / th3.theta_tilde**2
     )
     a4 = math.e**4 * (-math.log(2.0 * th4.theta)) / (2.0 * pi_w * th4.theta_tilde**2)
-    a_tail = (1.0 + w) * v_w / (math.sqrt(2.0 * math.pi) * w)
+    a_tail = _kernel_tail(w, v_w)
 
     c7 = a2 + a3 + a4 + a_tail * c5
     c8 = (
@@ -301,26 +306,18 @@ def smoothing_bound(
     since the difference is O(t^2)) and adds the kernel remainder
     (1 + w) v(w) / (sqrt(2 pi) w sigma T).  Dominates the exact distance for
     every w in (0, 1) and finite T > 0.  Raises ``ConvergenceError`` when the
-    quadrature does not converge.
+    quadrature does not converge, ``CapExceededError`` when n > ``perm_cap``.
     """
-    if not 0.0 < w < 1.0:
-        raise ParameterError(f"w must lie in (0, 1), got {w}")
     if not 0.0 < T < math.inf:
         raise ParameterError(f"T must be positive and finite, got {T}")
     if not tol > 0.0:
         raise ParameterError(f"tol must be positive, got {tol}")
     profile = _as_profile(m)
-    stats = profile.stats
-    sigma2 = require_nondegenerate(stats)
-    n = stats.n
-    if n > perm_cap:
-        raise CapExceededError(f"n = {n} exceeds the permanent cap {perm_cap}")
+    sigma2 = require_nondegenerate(profile.stats)
+    remainder = _kernel_tail(w, v_of_w(w)) / (math.sqrt(sigma2) * T)  # v_of_w checks w
 
     def integrand(ts: np.ndarray) -> np.ndarray:
-        gauss = np.exp(1j * ts * stats.mu - sigma2 * ts * ts / 2.0)
-        diff = np.abs(charfn_grid(profile.matrix, ts, perm_cap=perm_cap) - gauss)
-        return np.divide(diff, ts, out=np.zeros(ts.shape), where=ts != 0.0)
+        return np.divide(_cf_gap(profile, ts, perm_cap), ts, out=np.zeros(ts.shape), where=ts != 0.0)
 
     integral = adaptive_simpson_vec(integrand, 0.0, T, tol=tol)
-    remainder = (1.0 + w) * v_of_w(w) / (math.sqrt(2.0 * math.pi) * w * math.sqrt(sigma2) * T)
     return float(integral / (math.pi * w) + remainder)

@@ -59,10 +59,6 @@ from .scores import _double_center, _second_differences
 
 # Pair differences per chunk of ``_blocks`` (4 MB); a whole n <= 7 block fits.
 _CHUNK_ELEMS = 1 << 18
-# numpy evaluates ``a * temporary`` in place as ``temporary * a`` once the
-# temporary holds this many bytes (temporary elision), and its complex
-# product is not bitwise commutative.
-_ELIDE_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -153,14 +149,6 @@ def _chunks(y: np.ndarray):
         yield c, z1, [np.empty_like(z1) for _ in range(5)]
 
 
-def _times(a: np.ndarray, temp: np.ndarray) -> np.ndarray:
-    """a * temp written into temp, in the operand order numpy gives the
-    expression ``a * temp`` when temp is a temporary."""
-    if temp.nbytes >= _ELIDE_BYTES:
-        return np.multiply(temp, a, out=temp)
-    return np.multiply(a, temp, out=temp)
-
-
 def _f_parts(
     u: float, n: int, c: np.ndarray, z1: np.ndarray, work: list[np.ndarray]
 ) -> tuple[complex, complex, complex]:
@@ -173,9 +161,10 @@ def _f_parts(
         f2 = u sum (row_a row_b - collide) weight,
         f3 = u sum z1^2 ((n-2)(n-3) - (s_j s_k - t_jk)) weight,
 
-    so the parts are bit for bit those of freshly allocated temporaries:
-    each product keeps the operand order numpy gives those expressions
-    (``_times``).
+    with z1 and z1^2 the first operand of their products.  numpy's complex
+    product is not bitwise commutative, and its temporary elision would swap
+    the operands of ``z1 * temporary`` for large blocks; one fixed order keeps
+    the sums independent of the numpy build.
     """
     expnz, z1_sq, t1, t2, t3 = work
     weight = np.exp(u * c)
@@ -185,7 +174,7 @@ def _f_parts(
     np.multiply(u, z1, out=t1)
     np.subtract(1.0, t1, out=t1)
     t1 -= expnz
-    _times(z1, t1)
+    np.multiply(z1, t1, out=t1)
     f1 = (t1.sum(axis=(1, 2)) * weight).sum()
     f2 = 0.0 + 0.0j
     f3 = 0.0 + 0.0j
@@ -207,7 +196,7 @@ def _f_parts(
         pair_sum = np.multiply(s_j, s_k, out=t2)
         pair_sum -= t_jk
         count = (n - 2.0) * (n - 3.0)
-        terms = _times(z1_sq, np.subtract(count, pair_sum, out=t2))
+        terms = np.multiply(z1_sq, np.subtract(count, pair_sum, out=t2), out=t2)
         f3 = u * (terms.sum(axis=(1, 2)) * weight).sum()
     return complex(f1), complex(f2), complex(f3)
 

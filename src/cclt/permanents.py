@@ -36,7 +36,6 @@ bits for a larger batch, so a permanent's last bits may depend on its batch.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -46,7 +45,7 @@ from .analytic import kappa
 from .errors import CapExceededError, ParameterError
 from .permtables import perm_rows
 from .quadrature import adaptive_simpson_lanes
-from .scores import GammaProfile, ScoreMatrix, _as_profile, require_nondegenerate
+from .scores import CenteredStats, GammaProfile, ScoreMatrix, _as_profile, require_nondegenerate
 
 
 # Element budget of the kernel's sign-sum table: 2^16 complex values, 1 MB.
@@ -112,6 +111,12 @@ def permanent_reference(matrix) -> complex:
     return complex(sum(rows.prod(axis=1).sum() for rows in perm_rows(m)))
 
 
+def _exp_perms(a: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """perm(exp(i t a)) at each t of ``ts``, one Glynn batch; ``a`` is taken
+    C-contiguous, as the kernel's rounding follows its input's memory layout."""
+    return _perm_batch(np.exp(1j * ts[:, None, None] * np.ascontiguousarray(a)))
+
+
 def charfn(m: ScoreMatrix, t: float, perm_cap: int = 20) -> complex:
     """Characteristic function E exp(i t S) = perm(exp(i t a)) / n!."""
     return complex(charfn_grid(m, [t], perm_cap=perm_cap)[0])
@@ -122,13 +127,22 @@ def charfn_grid(m: ScoreMatrix, ts, perm_cap: int = 20) -> np.ndarray:
     ts = _t_values(ts)
     if m.n > perm_cap:
         raise CapExceededError(f"n = {m.n} exceeds the permanent cap {perm_cap}")
-    return _perm_batch(np.exp(1j * ts[:, None, None] * m.a)) / math.factorial(m.n)
+    return _exp_perms(m.a, ts) / math.factorial(m.n)
+
+
+def _gauss_cf_grid(stats: CenteredStats, ts: np.ndarray) -> np.ndarray:
+    """exp(i t mu - sigma2 t^2 / 2) at each t of ``ts``."""
+    return np.exp(1j * ts * stats.mu - stats.sigma2 * ts * ts / 2.0)
 
 
 def gauss_cf(m: ScoreMatrix | GammaProfile, t: float) -> complex:
     """Characteristic function exp(i t mu - sigma2 t^2 / 2) of the matching normal."""
-    stats = _as_profile(m).stats
-    return cmath.exp(1j * t * stats.mu - stats.sigma2 * t * t / 2.0)
+    return complex(_gauss_cf_grid(_as_profile(m).stats, np.array([t], dtype=float))[0])
+
+
+def _cf_gap(profile: GammaProfile, ts, perm_cap: int = 20) -> np.ndarray:
+    """|phi(t) - exp(i t mu - sigma2 t^2 / 2)| at each t of the array ``ts``."""
+    return np.abs(charfn_grid(profile.matrix, ts, perm_cap=perm_cap) - _gauss_cf_grid(profile.stats, ts))
 
 
 def charfn_bound_grid(m: ScoreMatrix | GammaProfile, ts) -> np.ndarray:
@@ -179,14 +193,29 @@ def _damping_many(profile: GammaProfile, ts: np.ndarray, ell: float, gamma_2kt: 
     return np.minimum(1.0, np.exp(np.minimum(exponent, 0.0)))
 
 
+def _damping(profile: GammaProfile, ts: np.ndarray, ell: float) -> np.ndarray:
+    """h_ell at each t, with gamma(2 kappa t) evaluated here."""
+    kap, _ = kappa()
+    return _damping_many(profile, ts, ell, profile.gamma_many(2.0 * kap * ts))
+
+
+def _weighted_terms(profile: GammaProfile, ts: np.ndarray, g_a, g_b, g_2k) -> np.ndarray:
+    """h_2 g_a / 2 + 2(n-2)/(n(n-1)) h_3 g_b + (n-2)(n-3)/(n(n-1)) h_4 g_b at each t,
+    h_ell from g_2k = gamma(2 kappa t); the h_3 term vanishes for n = 2, h_4 for n <= 3."""
+    n = profile.n
+    total = 0.5 * _damping_many(profile, ts, 2, g_2k) * g_a
+    if n >= 3:
+        total += 2.0 * (n - 2.0) / (n * (n - 1.0)) * _damping_many(profile, ts, 3, g_2k) * g_b
+    if n >= 4:
+        total += (n - 2.0) * (n - 3.0) / (n * (n - 1.0)) * _damping_many(profile, ts, 4, g_2k) * g_b
+    return total
+
+
 def h_ell(m: ScoreMatrix | GammaProfile, t: float, ell: float) -> DampingBound:
     """Damping bound for permutation sums with ell rows and columns fixed."""
     if ell < 0:
         raise ParameterError(f"ell must be nonnegative, got {ell}")
-    profile = _as_profile(m)
-    kap, _ = kappa()
-    ts = _t_values(t)
-    value = _damping_many(profile, ts, ell, profile.gamma_many(2.0 * kap * ts))[0]
+    value = _damping(_as_profile(m), _t_values(t), ell)[0]
     return DampingBound(ell=ell, t=t, value=float(value))
 
 
@@ -220,9 +249,8 @@ def restricted_sum_grid(
     ts = _t_values(ts)
     kept_rows = np.delete(profile.matrix.a, np.array(rows, dtype=int) - 1, axis=0)
     sub = np.delete(kept_rows, np.array(cols, dtype=int) - 1, axis=1)
-    lhs = np.abs(_perm_batch(np.exp(1j * ts[:, None, None] * sub))) / math.factorial(k)
-    kap, _ = kappa()
-    return lhs, _damping_many(profile, ts, ell, profile.gamma_many(2.0 * kap * ts))
+    lhs = np.abs(_exp_perms(sub, ts)) / math.factorial(k)
+    return lhs, _damping(profile, ts, ell)
 
 
 def restricted_sum_check(
@@ -263,22 +291,14 @@ def cf_diff_bound_integral_grid(
     profile = _as_profile(m)
     require_nondegenerate(profile.stats)
     ts = _t_values(ts)
-    n = profile.n
     sigma2 = profile.sigma2_quad
     kap, _ = kappa()
-    c3 = 2.0 * (n - 2.0) / (n * (n - 1.0))
-    c4 = (n - 2.0) * (n - 3.0) / (n * (n - 1.0))
 
     def integrand(us: np.ndarray, lanes: np.ndarray) -> np.ndarray:
         t = ts[lanes]
         tu = t * us
         stacked = profile.gamma_split_many(np.concatenate((tu / 4.0, tu / 2.0, 2.0 * kap * tu)))
-        g14, g12, g2k = np.split(stacked, 3)
-        inner = 0.5 * _damping_many(profile, tu, 2, g2k) * g14
-        if n >= 3:
-            inner += c3 * _damping_many(profile, tu, 3, g2k) * g12
-        if n >= 4:
-            inner += c4 * _damping_many(profile, tu, 4, g2k) * g12
+        inner = _weighted_terms(profile, tu, *np.split(stacked, 3))
         return t * t * us * inner * np.exp(-(1.0 - us * us) * sigma2 * t * t / 2.0)
 
     # A lane over the empty interval [0, 0] is 0 and never calls the integrand.
@@ -321,20 +341,13 @@ def cf_diff_bound_closed_grid(
     profile = _as_profile(m)
     require_nondegenerate(profile.stats)
     ts = _t_values(ts)
-    n = profile.n
     kap, _ = kappa()
     stacked = profile.gamma_many(np.concatenate((ts / 6.0, ts / 3.0, 2.0 * kap * ts)))
     g16, g13, g2k = np.split(stacked, 3)
     t2 = ts * ts
-    general = t2 / 4.0 * g16 * _damping_many(profile, ts, 2, g2k)
-    if n >= 3:
-        general = general + (n - 2.0) * t2 / (n * (n - 1.0)) * g13 * _damping_many(profile, ts, 3, g2k)
-    if n >= 4:
-        general = general + (
-            (n - 2.0) * (n - 3.0) * t2 / (2.0 * n * (n - 1.0)) * g13 * _damping_many(profile, ts, 4, g2k)
-        )
+    general = t2 / 2.0 * _weighted_terms(profile, ts, g16, g13, g2k)
     simplified = None
-    if n >= 6:
+    if profile.n >= 6:
         simplified = 32.0 * t2 * g13 * np.exp(-t2 / 20.0 * (profile.sigma2_quad - g2k / 4.0))
     return general, simplified
 
@@ -382,6 +395,7 @@ def evaluate_cf_grid(
     profile = _as_profile(m)
     ts = _t_values(ts)
     phis = charfn_grid(profile.matrix, ts, perm_cap=perm_cap)
+    gauss = _gauss_cf_grid(profile.stats, ts)
     modulus = charfn_bound_grid(profile, ts)
     integral = cf_diff_bound_integral_grid(profile, ts, tol=tol)
     closed, simplified = cf_diff_bound_closed_grid(profile, ts)
@@ -389,7 +403,7 @@ def evaluate_cf_grid(
         CfEvaluation(
             t=float(t),
             phi=complex(phis[i]),
-            gauss=gauss_cf(profile, float(t)),
+            gauss=complex(gauss[i]),
             modulus_bound=float(modulus[i]),
             diff_bound_integral=float(integral[i]),
             diff_bound_closed=float(closed[i]),

@@ -24,6 +24,7 @@ Integrands are assumed finite on the closed interval.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -64,6 +65,15 @@ def adaptive_simpson_vec(
     return complex(total) if np.iscomplexobj(total) else float(total)
 
 
+@lru_cache(maxsize=len(_GL_ORDERS))
+def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights of one order, built once."""
+    rule = np.polynomial.legendre.leggauss(order)
+    for array in rule:
+        array.setflags(write=False)
+    return rule
+
+
 def gauss_legendre(
     f: "Callable[[np.ndarray], np.ndarray]",
     a: float,
@@ -85,7 +95,7 @@ def gauss_legendre(
     half, mid = 0.5 * (b - a), 0.5 * (a + b)
     previous = gap = None
     for order in _GL_ORDERS:
-        nodes, weights = np.polynomial.legendre.leggauss(order)
+        nodes, weights = _gl_rule(order)
         value = half * (weights @ np.asarray(f(mid + half * nodes)))
         if previous is not None:
             gap = abs(value - previous)

@@ -30,6 +30,7 @@ from .identity import (
     swap_identity_check,
 )
 from .permanents import (
+    _cf_gap,
     cf_diff_bound_closed_grid,
     cf_diff_bound_integral_grid,
     charfn_bound_grid,
@@ -244,9 +245,7 @@ def check_cf_difference_bounds(instances, tol: float, quad_tol: float = 1e-10) -
     """
     parts = {key: _Worst() for key in ("integral", "chain", "closed", "simplified")}
     for i, (profile, ts) in enumerate(instances):
-        stats = profile.stats
-        gauss = np.exp(1j * ts * stats.mu - stats.sigma2 * ts * ts / 2.0)
-        diffs = np.abs(charfn_grid(profile.matrix, ts) - gauss)
+        diffs = _cf_gap(profile, ts)
         integral = cf_diff_bound_integral_grid(profile, ts, tol=quad_tol)
         closed, simplified = cf_diff_bound_closed_grid(profile, ts)
         at = _at(i, profile)

@@ -340,6 +340,12 @@ class TestConstantsCommand:
         assert code == 2
         assert "C5*C6" in err
 
+    def test_unbracketed_threshold_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "constants", "--w", "0.99999999999")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: w = 0.99999999999")
+
 
 class TestVerifyCommand:
     def test_constants_suite_passes(self, capsys):

@@ -15,6 +15,7 @@ from scipy.stats import hypergeom
 from cclt import analytic, quadrature
 from cclt.constants import THEOREM_C1, THEOREM_C2
 from cclt import (
+    CapExceededError,
     ConvergenceError,
     DegenerateMatrixError,
     InvalidMatrixError,
@@ -107,6 +108,11 @@ class TestSmoothingThreshold:
     def test_domain(self, w):
         with pytest.raises(ParameterError):
             v_of_w(w)
+
+    def test_threshold_beyond_bracket_names_w(self):
+        # v(w) grows like 2 / (pi (1 - w)): about 6e10 here, past the 1e9 bracket.
+        with pytest.raises(ParameterError, match="w = 0.99999999999"):
+            v_of_w(0.99999999999)
 
 
 class TestKernelMoments:
@@ -374,6 +380,10 @@ class TestSmoothingBound:
         delta = kolmogorov_distance(enumerate_distribution(two_by_two)).delta
         bound = smoothing_bound(two_by_two, 0.89, 5.0, tol=1e-8)
         assert delta <= bound
+
+    def test_permanent_cap(self, rng):
+        with pytest.raises(CapExceededError, match="n = 5 exceeds the permanent cap 4"):
+            smoothing_bound(rand_matrix(rng, 5), 0.89, 1.0, perm_cap=4)
 
     def test_reassembles_from_parts(self, two_by_two):
         # integral of |cos(2t) - exp(-2 t^2)|/t over [0, T], assembled here

@@ -60,6 +60,11 @@ class TestNormalCdf:
         with pytest.raises(ParameterError):
             normal_cdf(math.nan)
 
+    def test_is_the_scan_phi(self):
+        grid = np.concatenate((np.linspace(-40.0, 40.0, 801), [0.0, -0.0, 8.0, -8.0, 38.0, -38.0, 1e-300]))
+        scan_phi = exact.ndtr(grid)
+        assert [normal_cdf(x) for x in grid.tolist()] == scan_phi.tolist()
+
 
 class TestEnumerate:
     def test_two_by_two_atoms(self, two_by_two):

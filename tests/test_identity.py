@@ -36,7 +36,7 @@ def plain_f_parts(u, n, c, z1):
     """f1, f2, f3 of one chunk with a fresh array for every temporary."""
     weight = np.exp(u * c)
     expnz = np.exp(-u * z1)
-    f1 = ((z1 * (1.0 - u * z1 - expnz)).sum(axis=(1, 2)) * weight).sum()
+    f1 = (np.multiply(z1, 1.0 - u * z1 - expnz).sum(axis=(1, 2)) * weight).sum()
     z1_sq = z1 * z1
     one_minus = 1.0 - expnz
     collide = (z1_sq * one_minus).sum(axis=2)
@@ -49,7 +49,7 @@ def plain_f_parts(u, n, c, z1):
         s_k = row_q[:, None, :] - 1.0 - np.swapaxes(expnz, 1, 2)
         t_jk = qq - np.swapaxes(expnz, 1, 2) - expnz
         pair_sum = s_j * s_k - t_jk
-        f3 = u * (((z1_sq * ((n - 2.0) * (n - 3.0) - pair_sum)).sum(axis=(1, 2))) * weight).sum()
+        f3 = u * ((np.multiply(z1_sq, (n - 2.0) * (n - 3.0) - pair_sum).sum(axis=(1, 2))) * weight).sum()
     return complex(f1), complex(f2), complex(f3)
 
 
@@ -166,8 +166,9 @@ class TestFTerms:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_work_arrays_match_plain_expressions(self, rng, n):
         # Fresh temporaries, bit for bit: n <= 5 chunks stay below the size
-        # from which numpy evaluates ``a * temporary`` in place, n = 6, 7
-        # reach it.
+        # from which numpy may evaluate ``a * temporary`` in place as
+        # ``temporary * a``, n = 6, 7 reach it; both sides write those
+        # products as ``np.multiply(a, temporary)``.
         y = rand_complex(rng, n).y
         [(c, z1, work)] = identity._chunks(y)
         for u in (0.0, 0.3, 1.0):

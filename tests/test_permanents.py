@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import cmath
 import math
 import tracemalloc
 
@@ -265,9 +266,13 @@ class TestRestrictedSums:
         assert lhs == pytest.approx(1.0) and rhs == 1.0
 
     def test_empty_exclusion_is_cf_modulus(self, rng):
-        m = rand_matrix(rng, 5)
-        lhs, rhs = restricted_sum_check(m, [], [], 0.9)
-        assert lhs == pytest.approx(abs(charfn(m, 0.9)), abs=1e-12)
+        # The same permanents: |perm| / n! against |perm / n!|, two roundings apart.
+        ts = np.linspace(-4.0, 4.0, 17)
+        for n in (2, 5, 9):
+            m = rand_matrix(rng, n)
+            lhs, _ = restricted_sum_grid(m, [], [], ts)
+            modulus = np.abs(charfn_grid(m, ts))
+            assert np.all(np.abs(lhs - modulus) <= 2.0 * np.spacing(modulus)), n
 
     def test_bound_holds_on_random_sets(self, rng):
         m = rand_matrix(rng, 6)
@@ -512,6 +517,16 @@ class TestScalarIsBatchOfOne:
         lanes_seen.clear()
         assert cf_diff_bound_integral(m, 0.0) == 0.0
         assert lanes_seen == []
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_gauss_cf_is_its_grid_and_the_scalar_formula(self, rng, n):
+        profile = GammaProfile(rand_matrix(rng, n))
+        mu, sigma2 = profile.stats.mu, profile.stats.sigma2
+        ts = np.concatenate((np.linspace(-9.0, 9.0, 37), [0.0, -0.0, 1e-300, 40.0]))
+        grid = permanents._gauss_cf_grid(profile.stats, ts)
+        for i, t in enumerate(ts.tolist()):
+            assert gauss_cf(profile, t) == grid[i]
+            assert gauss_cf(profile, t) == cmath.exp(1j * t * mu - sigma2 * t * t / 2.0)
 
     def test_evaluations_match_single_t(self, rng):
         m = rand_matrix(rng, 6)

@@ -46,6 +46,18 @@ def test_invalid_tolerance():
         gauss_legendre(np.sin, 0.0, 1.0, tol=0.0)
 
 
+def test_gauss_legendre_rules_are_built_once(monkeypatch):
+    built = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda order: built.append(order) or leggauss(order))
+    for _ in range(2):  # sqrt keeps the orders apart, so every order is tried
+        with pytest.raises(ConvergenceError):
+            gauss_legendre(np.sqrt, 0.0, 1.0, tol=1e-12)
+    assert sorted(built) == sorted(set(built))
+    nodes, weights = quadrature._gl_rule(quadrature._GL_ORDERS[-1])
+    assert not nodes.flags.writeable and not weights.flags.writeable
+
+
 def test_nan_tolerance_rejected_before_any_call():
     calls = []
 
