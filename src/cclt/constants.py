@@ -310,8 +310,6 @@ def smoothing_bound(
     """
     if not 0.0 < T < math.inf:
         raise ParameterError(f"T must be positive and finite, got {T}")
-    if not tol > 0.0:
-        raise ParameterError(f"tol must be positive, got {tol}")
     profile = _as_profile(m)
     sigma2 = require_nondegenerate(profile.stats)
     remainder = _kernel_tail(w, v_of_w(w)) / (math.sqrt(sigma2) * T)  # v_of_w checks w

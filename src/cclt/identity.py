@@ -68,7 +68,7 @@ class ComplexScoreMatrix:
     y: np.ndarray
 
     def __post_init__(self):
-        y = np.array(self.y, dtype=complex)
+        y = np.array(self.y, dtype=complex, order="C")
         if y.ndim != 2 or y.shape[0] != y.shape[1]:
             raise InvalidMatrixError(f"matrix must be square, got shape {y.shape}")
         if y.shape[0] < 2:
@@ -316,8 +316,6 @@ def identity_check(Y: ComplexScoreMatrix, tol: float = 1e-10, enum_cap: int = 10
     precision to resolve the integral), rather than return an unconverged
     rhs.
     """
-    if not tol > 0:
-        raise ParameterError(f"tol must be positive, got {tol}")
     n = Y.n
     if n > enum_cap:
         raise CapExceededError(f"identity check needs {n}! permutation terms, above cap {enum_cap}")

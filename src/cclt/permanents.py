@@ -66,7 +66,10 @@ def _perm_batch(mats: np.ndarray) -> np.ndarray:
     Signed column sums of rows 1..k are tabulated for all 2^k sign codes, k as
     large as ``_BLOCK_ELEMS`` allows; the loop walks the other rows' signs in
     Gray-code order.  Blocks are reduced by pairwise sums, as terms cancel.
+    The stack is taken C-contiguous, as the sums' rounding follows the memory
+    layout.
     """
+    mats = np.ascontiguousarray(mats)
     size, n, _ = mats.shape
     if n == 0 or size == 0:
         return np.ones(size, dtype=complex)
@@ -112,9 +115,8 @@ def permanent_reference(matrix) -> complex:
 
 
 def _exp_perms(a: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """perm(exp(i t a)) at each t of ``ts``, one Glynn batch; ``a`` is taken
-    C-contiguous, as the kernel's rounding follows its input's memory layout."""
-    return _perm_batch(np.exp(1j * ts[:, None, None] * np.ascontiguousarray(a)))
+    """perm(exp(i t a)) at each t of ``ts``, one Glynn batch."""
+    return _perm_batch(np.exp(1j * ts[:, None, None] * a))
 
 
 def charfn(m: ScoreMatrix, t: float, perm_cap: int = 20) -> complex:
@@ -286,8 +288,6 @@ def cf_diff_bound_integral_grid(
     the value at tol 1e-10 is up to 8.6e-9 above its value at tol 1e-14, and
     at two points up to 2.1e-10 below it.
     """
-    if not tol > 0:
-        raise ParameterError(f"tol must be positive, got {tol}")
     profile = _as_profile(m)
     require_nondegenerate(profile.stats)
     ts = _t_values(ts)

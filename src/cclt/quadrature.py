@@ -11,8 +11,9 @@ Two rules with distinct jobs:
   ``ConvergenceError`` when an interval still fails the test at depth
   ``_MAX_DEPTH``, or when its splits exceed ``_MAX_SUBDIVISIONS`` per lane,
   summed over the call.  ``adaptive_simpson_lanes`` is the kernel: it
-  integrates many integrals ("lanes") breadth-first, one refinement level of
-  every lane it holds per array call ``f(points, lanes)``;
+  integrates many integrals ("lanes") breadth-first, every lane entering the
+  queue as its whole interval, and refines one level of the lanes at the
+  front of the queue per array call ``f(points, lanes)``;
   ``adaptive_simpson_vec`` is its batch of one.
 * Gauss-Legendre, for entire integrands (sums of exponentials times
   polynomials: the permanent identity's, the kernel moments' s-factor), on
@@ -35,14 +36,13 @@ from .errors import ConvergenceError, ParameterError
 _MAX_DEPTH = 60
 # Splits a call may make per lane, summed over its lanes.
 _MAX_SUBDIVISIONS = 1 << 16
-# Most intervals one step of the lane kernel refines: a step takes the whole
-# lanes at the front of the queue that fit (a lane that alone holds more is
-# refined on its own), and new lanes are admitted only while the queue holds
-# fewer.  This bounds a step's temporaries however many lanes a call carries.
-# The queue itself grows by one interval per split, so it never holds more
-# than lanes x (1 + _MAX_SUBDIVISIONS) intervals.
+# Most intervals one step of the lane kernel refines after the first, which
+# refines every lane once: a step takes the whole lanes at the front of the
+# queue that fit (a lane that alone holds more is refined on its own).  This
+# bounds a later step's temporaries however many lanes a call carries.  The
+# queue grows by one interval per split, so it never holds more than
+# lanes x (1 + _MAX_SUBDIVISIONS) intervals.
 _QUEUE_INTERVALS = 1 << 12
-_ONE_LANE = np.zeros(1, dtype=int)
 # Gauss-Legendre orders tried in turn; order k is exact up to degree 2k - 1.
 _GL_ORDERS = (8, 16, 32, 64)
 
@@ -128,10 +128,12 @@ def adaptive_simpson_lanes(
 
     ``a``, ``b`` and ``tol`` broadcast to one lane count; ``f(points, lanes)``
     returns the integrand at ``points``, where ``lanes[k]`` is the lane of
-    ``points[k]``.  Each step refines one level of the lanes it holds, with
-    one call of ``f`` that also evaluates the ends and the middle of the lanes
-    admitted in that step.  Returns the array of lane integrals: 0 where
-    ``a == b`` (``f`` is never called for such a lane) and the negated
+    ``points[k]``.  Every lane is queued as its whole interval.  The first
+    step refines every lane, with one call of ``f`` that also evaluates each
+    lane's ends and middle; each later step refines one level of the whole
+    lanes at the front of the queue, at most ``_QUEUE_INTERVALS`` intervals
+    unless one lane alone holds more.  Returns the array of lane integrals: 0
+    where ``a == b`` (``f`` is never called for such a lane) and the negated
     integral for reversed bounds.  Every value is converged: the call raises
     ``ConvergenceError`` instead when an interval fails its test at depth
     ``_MAX_DEPTH``, or when the call's splits exceed ``_MAX_SUBDIVISIONS``
@@ -145,47 +147,35 @@ def adaptive_simpson_lanes(
     bad = ~(tol > 0)
     if bad.any():
         raise ParameterError(f"quadrature tolerance must be positive, got {tol[bad][0]}")
-    lo0, hi0 = np.minimum(a, b), np.maximum(a, b)
-    todo = np.flatnonzero(a != b)
     total = np.zeros(a.size)
     splits, budget = 0, _MAX_SUBDIVISIONS * a.size
-    # The queue: one column per live interval, grouped by lane in lane order.
-    # X holds lo, hi, 15 x tol and depth; F holds f(lo), f(mid), f(hi) and the
-    # one-panel Simpson estimate.
-    lanes, X, F = np.empty(0, dtype=int), np.empty((4, 0)), np.empty((4, 0))
-    admitted = 0
-    while True:
+    # The queue: one column per live interval, grouped by lane in lane order,
+    # at first each lane's whole interval.  X holds lo, hi, 15 x tol and
+    # depth; F holds f(lo), f(mid), f(hi) and the one-panel Simpson estimate,
+    # and is None until the first step evaluates them.
+    lanes = np.flatnonzero(a != b)
+    X = np.array((np.minimum(a, b)[lanes], np.maximum(a, b)[lanes], 15.0 * tol[lanes], np.zeros(lanes.size)))
+    F = None
+    while lanes.size:
         size = lanes.size
-        new = todo[admitted : admitted + max(_QUEUE_INTERVALS - size, 0)]
-        admitted += new.size
-        if size + new.size == 0:
-            break
         n, ln, front, fvals = size, lanes, X, F
-        if size > _QUEUE_INTERVALS:  # refine only the whole lanes at the front that fit, at least one
+        if F is not None and size > _QUEUE_INTERVALS:  # only the whole lanes at the front that fit, at least one
             ends = (lanes[1:] != lanes[:-1]).nonzero()[0] + 1
             n = ends[max(ends.searchsorted(_QUEUE_INTERVALS, side="right"), 1) - 1] if ends.size else n
             ln, front, fvals = lanes[:n], X[:, :n], F[:, :n]
-        (lo, hi, cut, dp), (flo, fmid, fhi, whole) = front, fvals
-        extra = ()
-        if new.size:
-            # A new lane enters as its whole interval; f at its ends and its
-            # middle comes with this step's call.
-            start, stop = lo0[new], hi0[new]
-            ln = np.concatenate((ln, new))
-            roots = np.array((start, stop, 15.0 * tol[new], np.zeros(new.size)))
-            lo, hi, cut, dp = np.concatenate((front, roots), axis=1)
-            extra = (start, 0.5 * (start + stop), stop)
-
+        lo, hi, cut, dp = front
         m = ln.size
         mid = 0.5 * (lo + hi)
-        points = (0.5 * (lo + mid), 0.5 * (mid + hi)) + extra
-        fnew = np.asarray(f(np.concatenate(points), np.concatenate((ln, ln) + (new,) * len(extra))))
+        # The first step's call also evaluates every lane's ends and middle.
+        points = (0.5 * (lo + mid), 0.5 * (mid + hi)) + ((lo, mid, hi) if fvals is None else ())
+        fnew = np.asarray(f(np.concatenate(points), np.concatenate((ln,) * len(points))))
         flm, frm = fnew[:m], fnew[m : 2 * m]
-        if new.size:
-            fresh = fnew[2 * m :].reshape(3, -1)
-            flo, fmid, fhi = (np.concatenate(pair) for pair in zip((flo, fmid, fhi), fresh))
-            whole = np.concatenate((whole, (stop - start) / 6.0 * (fresh[0] + 4.0 * fresh[1] + fresh[2])))
+        if fvals is None:
+            flo, fmid, fhi = fnew[2 * m :].reshape(3, -1)
+            whole = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
             total = total.astype(np.result_type(total, fnew), copy=False)
+        else:
+            flo, fmid, fhi, whole = fvals
         left = (mid - lo) / 6.0 * (flo + 4.0 * flm + fmid)
         right = (hi - mid) / 6.0 * (fmid + 4.0 * frm + fhi)
         refined = left + right
@@ -199,10 +189,8 @@ def adaptive_simpson_lanes(
         if splits > budget:
             raise ConvergenceError(f"adaptive Simpson: more than {budget} splits for {a.size} lane(s)")
 
-        # Per-lane sums over the segments of the step's lanes (a single lane
-        # is one segment at 0).
-        several = ln[0] != ln[-1]
-        starts = np.concatenate(([0], (ln[1:] != ln[:-1]).nonzero()[0] + 1)) if several else _ONE_LANE
+        # Per-lane sums over the segments of the step's lanes.
+        starts = np.concatenate(([0], (ln[1:] != ln[:-1]).nonzero()[0] + 1))
         estimate = refined + defect / 15.0
         estimate[split] = 0.0
         total[ln[starts]] += np.add.reduceat(estimate, starts)
@@ -214,7 +202,7 @@ def adaptive_simpson_lanes(
         cut, dp = 0.5 * cut, dp + 1.0
         Xh = _halves((lo, mid, mid, hi, cut, cut, dp, dp), k)
         Fh = _halves((flo, fmid, flm, frm, fmid, fhi, left, right), k)
-        if several:  # regroup by lane, keeping each lane's left halves first
+        if starts.size > 1:  # regroup by lane, keeping each lane's left halves first
             order = halves.argsort(kind="stable")
             halves, Xh, Fh = halves.take(order), Xh.take(order, axis=1), Fh.take(order, axis=1)
         if n < size:  # the lanes left for later follow

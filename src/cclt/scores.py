@@ -37,8 +37,8 @@ The table grows as n^4 / 4 (3.1e6 terms, 25 MB per float64 array, at
 n = 60), so above n = 20 gamma, delta and the quadruple variance come from
 sorted row-pair windows instead (see ``GammaProfile``): O(n^3 log n) time per
 argument and O(n^2) memory plus one chunk of row pairs.  The quarter table is
-then built only on demand, for the many-point paths that are capped at
-n <= 20 by default.  All public operations are pure, all value types are
+then built only on demand, by the integral-form CF bound, which is not
+capped in n.  All public operations are pure, all value types are
 immutable, and indices appearing in the public API are 1-based.
 """
 
@@ -68,7 +68,7 @@ class ScoreMatrix:
     a: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.a, dtype=float)
+        a = np.array(self.a, dtype=float, order="C")
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InvalidMatrixError(f"score matrix must be square, got shape {a.shape}")
         if a.shape[0] < 2:

@@ -223,6 +223,12 @@ class TestBerryEsseenBound:
         assert a.bound == pytest.approx(b.bound, rel=1e-10)
         assert a.lyapunov_bound == pytest.approx(b.lyapunov_bound, rel=1e-10)
 
+    def test_independent_of_memory_layout(self, rng):
+        for _ in range(4):
+            a = rng.standard_normal((8, 8))
+            c_order = berry_esseen_bound(ScoreMatrix(a)).as_dict()
+            assert berry_esseen_bound(ScoreMatrix(np.asfortranarray(a))).as_dict() == c_order
+
 
 class TestSamplingBound:
     def test_matches_generic_bound(self, rng):

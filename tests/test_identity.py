@@ -280,6 +280,11 @@ class TestIdentityCheck:
         with pytest.raises(CapExceededError):
             identity_check(rand_complex(rng, 5), enum_cap=4)
 
+    def test_independent_of_memory_layout(self, rng):
+        y = rand_complex_entries(rng, 6)
+        c_order = identity_check(ComplexScoreMatrix(y))
+        assert identity_check(ComplexScoreMatrix(np.asfortranarray(y))) == c_order
+
 
 class TestSwapIdentity:
     def test_zero_matrix(self):

@@ -108,6 +108,11 @@ class TestPermanent:
         with pytest.raises(ParameterError):
             permanent(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("n", [6, 9, 12])
+    def test_independent_of_memory_layout(self, rng, n):
+        x = np.exp(2j * math.pi * rng.uniform(size=(n, n)))
+        assert permanent(np.asfortranarray(x)) == permanent(x)
+
 
 class TestCharfn:
     def test_at_zero(self, rng):
@@ -468,6 +473,13 @@ class TestCfEvaluation:
         d = ev.as_dict()
         assert d["phi"]["re"] == ev.phi.real
         assert d["diff_bound_closed_simplified"] is None
+
+    def test_independent_of_memory_layout(self, rng):
+        ts = np.linspace(0.0, 3.0, 7)
+        for _ in range(4):
+            a = rng.standard_normal((8, 8))
+            c_order = [ev.as_dict() for ev in evaluate_cf_grid(ScoreMatrix(a), ts)]
+            assert [ev.as_dict() for ev in evaluate_cf_grid(ScoreMatrix(np.asfortranarray(a)), ts)] == c_order
 
 
 class TestScalarIsBatchOfOne:

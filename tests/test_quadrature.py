@@ -227,3 +227,35 @@ def test_lanes_reject_nonpositive_tolerance():
         adaptive_simpson_lanes(_lane_integrand(_W, False), _A, _B, np.array([1e-10] * 6 + [0.0]))
     with pytest.raises(ParameterError):
         adaptive_simpson_lanes(_lane_integrand(_W, False), 0.0, 1.0, -1e-10)
+
+
+@pytest.mark.parametrize("count", [1, 5000])
+def test_lanes_call_pattern(count):
+    # At the production queue cap: the first call carries every lane's two
+    # quarter points, ends and middle; each later call carries the two
+    # quarter points of every interval it refines, and refines at most
+    # _QUEUE_INTERVALS intervals of many short lanes.
+    w = np.linspace(1.0, 10.0, count)
+    b = np.where(np.arange(count) % 100 == 99, 0.0, 1.0)  # every 100th lane is empty
+    calls = []
+
+    def f(x, lanes):
+        calls.append((x.copy(), lanes.copy()))
+        return np.sin(w[lanes] * x)
+
+    got = adaptive_simpson_lanes(f, 0.0, b, 1e-10)
+    np.testing.assert_allclose(got, b * (1.0 - np.cos(w)) / w, rtol=0, atol=1e-9)
+    live = np.flatnonzero(b)
+    mid = 0.5 * b[live]
+    x, lanes = calls[0]
+    np.testing.assert_array_equal(x, np.concatenate((0.5 * mid, 0.5 * (mid + b[live]), 0.0 * mid, mid, b[live])))
+    np.testing.assert_array_equal(lanes, np.tile(live, 5))
+    assert len(calls) > 1
+    for x, lanes in calls[1:]:
+        k = x.size // 2
+        assert x.size == 2 * k and 0 < k <= quadrature._QUEUE_INTERVALS
+        np.testing.assert_array_equal(lanes[:k], lanes[k:])
+        # x[i] and x[k + i] are the quarter points of one dyadic interval of
+        # width at most 1/2.
+        quarter = x[k:] - x[:k]
+        assert (quarter <= 0.25).all() and (np.exp2(np.round(np.log2(quarter))) == quarter).all()
