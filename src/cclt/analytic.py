@@ -30,6 +30,10 @@ from .errors import ParameterError
 from .quadrature import adaptive_simpson_vec, gauss_legendre
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Bisection for v(w) stops once its bracket is this narrow.
+_V_TOL = 1e-9
+# Absolute tolerance of each quadrature cross-check of the kernel moments.
+_MOMENT_TOL = 1e-8
 
 
 def _kappa_objective(x: float) -> float:
@@ -97,7 +101,7 @@ def _sinc_sq_integral(v: float) -> float:
     return float(sici(2.0 * v)[0]) - s * s / v
 
 
-def v_of_w(w: float, v_tol: float = 1e-9) -> float:
+def v_of_w(w: float) -> float:
     """Threshold v solving (1+w)/2 = (2/pi) * integral_0^v sin^2(x)/x^2 dx.
 
     The integrand is bounded by 1 with a removable singularity at 0 and total
@@ -116,7 +120,7 @@ def v_of_w(w: float, v_tol: float = 1e-9) -> float:
         hi *= 2.0
         if hi > 1e9:
             raise ParameterError(f"w = {w} puts the smoothing threshold v(w) above 1e9")
-    while hi - lo > v_tol:
+    while hi - lo > _V_TOL:
         mid = 0.5 * (lo + hi)
         if _sinc_sq_integral(mid) < target:
             lo = mid
@@ -149,7 +153,7 @@ def _kernel_moment(c: float, power: int, tol: float) -> float:
     return adaptive_simpson_vec(u_factor, 0.0, 1.0, tol=tol / (50.0 * j)) * j
 
 
-def damped_moment_integrals(c: float, numeric_tol: float = 1e-8) -> MomentIntegrals:
+def damped_moment_integrals(c: float) -> MomentIntegrals:
     """First and second tu-moments of exp(-c t^2 u^2 - (1-u^2) t^2 / 2).
 
     For c in (0, 1/2) and ct = sqrt(1 - 2c):
@@ -171,8 +175,8 @@ def damped_moment_integrals(c: float, numeric_tol: float = 1e-8) -> MomentIntegr
     i2 = math.sqrt(math.pi) / (2.0 * ct_sq * math.sqrt(c)) * (
         1.0 - math.sqrt(2.0 * c) / ct * math.asin(ct)
     )
-    i1_num = _kernel_moment(c, 1, numeric_tol)
-    i2_num = _kernel_moment(c, 2, numeric_tol)
+    i1_num = _kernel_moment(c, 1, _MOMENT_TOL)
+    i2_num = _kernel_moment(c, 2, _MOMENT_TOL)
     return MomentIntegrals(
         i1=i1,
         i2=i2,

@@ -31,6 +31,7 @@ is assembled from a fixed batch layout of spawned substreams).
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -62,7 +63,7 @@ _PDF_AT_ZERO = 1.0 / math.sqrt(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class AtomDistribution:
-    """Exact law of the (standardized) statistic as sorted weighted atoms.
+    """Exact law of the standardized statistic as sorted weighted atoms.
 
     ``values`` are strictly increasing; ``counts`` are the integer
     multiplicities out of n! permutations, so every probability is exactly
@@ -72,7 +73,6 @@ class AtomDistribution:
     values: np.ndarray
     counts: np.ndarray
     n: int
-    standardized: bool = True
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -186,7 +186,7 @@ def enumerate_distribution(m: ScoreMatrix | GammaProfile, enum_cap: int = 10) ->
     values /= counts
     values -= stats.mu
     values /= math.sqrt(stats.sigma2)
-    return AtomDistribution(values=values, counts=counts, n=n, standardized=True)
+    return AtomDistribution(values=values, counts=counts, n=n)
 
 
 def _ks_sup(x: np.ndarray, cum: np.ndarray | None = None) -> tuple[float, int]:
@@ -326,6 +326,10 @@ def monte_carlo_delta(
     ``_ks_sup``: Phi is evaluated at about 1% of the samples, and the value
     and ``arg_x`` are those of a scan of every sample, bit for bit.
     """
+    try:
+        samples = operator.index(samples)
+    except TypeError:
+        raise ParameterError(f"samples must be an integer, got {samples!r}") from None
     if samples < 10_000:
         raise ParameterError(f"samples must be at least 10000, got {samples}")
     if threads < 1:

@@ -72,11 +72,21 @@ def infer_format(path: str | Path) -> str:
     return "json" if str(path).lower().endswith(".json") else "csv"
 
 
+def _read_text(path: Path) -> str:
+    """The text of ``path``; a file that cannot be read or decoded is a ``MatrixParseError``."""
+    try:
+        return path.read_text()
+    except OSError as exc:
+        raise MatrixParseError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise MatrixParseError(f"{path}: not text: {exc}") from None
+
+
 def load_score_matrix(path: str | Path, fmt: str | None = None) -> ScoreMatrix:
     """Read a real score matrix from a CSV or JSON file."""
     path = Path(path)
     fmt = fmt or infer_format(path)
-    text = path.read_text()
+    text = _read_text(path)
     source = str(path)
     if fmt == "csv":
         rows = _rows_from_csv(text, source)
@@ -99,7 +109,7 @@ def load_complex_matrix(path: str | Path) -> ComplexScoreMatrix:
     path = Path(path)
     source = str(path)
     try:
-        obj = json.loads(path.read_text())
+        obj = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise MatrixParseError(f"{source}: invalid JSON: {exc}") from None
     re = np.array(_real_grid(obj, "re", source), dtype=float)

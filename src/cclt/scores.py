@@ -45,6 +45,7 @@ immutable, and indices appearing in the public API are 1-based.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -477,13 +478,18 @@ def _sampling_values(values, m_draw: int) -> np.ndarray:
     """``values`` as a float vector of a valid design with ``m_draw`` draws.
 
     Raises ``InvalidMatrixError`` unless the values form a finite 1-D vector of
-    at least 2 entries, and ``ParameterError`` unless 1 <= m_draw <= n.
+    at least 2 entries, and ``ParameterError`` unless m_draw is an integer in
+    1..n.
     """
     c = np.asarray(values, dtype=float)
     if c.ndim != 1 or c.size < 2:
         raise InvalidMatrixError(f"need a 1-D vector of at least 2 values, got shape {c.shape}")
     if not np.all(np.isfinite(c)):
         raise InvalidMatrixError("values must be finite")
+    try:
+        operator.index(m_draw)
+    except TypeError:
+        raise ParameterError(f"m_draw must be an integer, got {m_draw!r}") from None
     if not 1 <= m_draw <= c.size:
         raise ParameterError(f"m_draw={m_draw} out of range 1..{c.size}")
     return c

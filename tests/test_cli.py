@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import argparse
+import importlib.util
 import json
 import math
 import os
@@ -15,12 +17,11 @@ from cclt import quadrature
 from cclt import (
     GammaProfile,
     MatrixParseError,
-    ParameterError,
     evaluate_cf,
     load_complex_matrix,
     load_score_matrix,
 )
-from cclt.cli import RunConfig, main
+from cclt.cli import _build_parser, main
 
 TWO_BY_TWO_CSV = "1,-1\n-1,1\n"
 
@@ -30,6 +31,19 @@ def fixture_csv(tmp_path):
     path = tmp_path / "fix2.csv"
     path.write_text(TWO_BY_TWO_CSV)
     return str(path)
+
+
+UNREADABLE = ["missing", "directory", "not-utf8"]
+
+
+def unreadable_file(tmp_path, case):
+    """A path that cannot be read as text: absent, a directory, or bytes that are not UTF-8."""
+    path = tmp_path / case
+    if case == "directory":
+        path.mkdir()
+    elif case == "not-utf8":
+        path.write_bytes(b"\xff\xfe1,-1\n-1,1\n")
+    return path
 
 
 def run_cli(capsys, *argv):
@@ -90,6 +104,14 @@ class TestMatrixIo:
         path.write_text(json.dumps({"re": [[0, 1], [1, 0]], "im": [[1, 0]]}))
         with pytest.raises(MatrixParseError):
             load_complex_matrix(path)
+
+    @pytest.mark.parametrize("case", UNREADABLE)
+    @pytest.mark.parametrize("load", [load_score_matrix, load_complex_matrix])
+    def test_unreadable_file(self, tmp_path, case, load):
+        path = unreadable_file(tmp_path, case)
+        with pytest.raises(MatrixParseError) as err:
+            load(path)
+        assert str(err.value).startswith(f"{path}: ")
 
 
 class TestBoundCommand:
@@ -201,6 +223,21 @@ class TestBoundCommand:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["bound"] == pytest.approx(63.36)
+
+    @pytest.mark.parametrize("case", UNREADABLE)
+    def test_unreadable_input_exits_2(self, capsys, tmp_path, case):
+        path = unreadable_file(tmp_path, case)
+        code, out, err = run_cli(capsys, "bound", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path}: ")
+
+    def test_unwritable_output_exits_2(self, capsys, tmp_path, fixture_csv):
+        target = tmp_path / "no" / "such" / "out.json"
+        code, out, err = run_cli(capsys, "bound", "--input", fixture_csv, "--output", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: --output {target}: ")
 
 
 class TestExactCommand:
@@ -427,16 +464,100 @@ class TestThreadsConfig:
         assert "threads" in err
 
 
-class TestRunConfig:
+# The options each command takes, its own and the shared ones it reads.
+COMMAND_OPTIONS = {
+    "bound": {"--input", "--format", "--enum-cap", "--mc-samples", "--seed", "--threads", "--output"},
+    "exact": {"--input", "--format", "--enum-cap", "--output"},
+    "charfn": {"--input", "--format", "--t-grid", "--perm-cap", "--quad-tol", "--threads", "--output"},
+    "sample": {"--values", "--m-draw", "--enum-cap", "--threads", "--output"},
+    "constants": {"--w", "--m", "--c4", "--c5", "--c6", "--output"},
+    "verify": {"--seed", "--quad-tol", "--threads", "--output"},
+}
+CAPS = "enumeration and permanent caps must be >= 2"
+
+
+def _subparsers():
+    (action,) = (a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+class TestOptionValues:
+    @pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+    def test_each_command_takes_only_the_options_it_reads(self, command):
+        parser = _subparsers()[command]
+        flags = {flag for action in parser._actions for flag in action.option_strings if flag.startswith("--")}
+        assert flags - {"--help"} == COMMAND_OPTIONS[command]
+
+    def test_every_command_is_pinned(self):
+        assert set(_subparsers()) == set(COMMAND_OPTIONS)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["exact", "--seed", "1"],
+            ["constants", "--enum-cap", "4"],
+            ["charfn", "--t-grid=0:1:2", "--mc-samples", "20000"],
+        ],
+    )
+    def test_unread_option_rejected(self, capsys, fixture_csv, argv):
+        if argv[0] in ("exact", "charfn"):
+            argv = argv[:1] + ["--input", fixture_csv] + argv[1:]
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["charfn", "--t-grid=0:1:2", "--perm-cap", "1"], CAPS),
+            (["sample", "--values", "1,2,3,4", "--m-draw", "2", "--enum-cap", "1"], CAPS),
+            (["verify", "identity", "--quad-tol", "0"], "quad tolerance must be positive, got 0.0"),
+            (["bound", "--mc-samples", "5"], "mc samples must be >= 10000, got 5"),
+        ],
+    )
+    def test_read_value_checked_up_front(self, capsys, fixture_csv, argv, message):
+        if argv[0] in ("bound", "charfn"):
+            argv = argv[:1] + ["--input", fixture_csv] + argv[1:]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_nan_quad_tol_rejected(self, capsys, fixture_csv):
-        with pytest.raises(ParameterError):
-            RunConfig(quad_tol=math.nan)
+        code, _, err = run_cli(capsys, "verify", "identity", "--quad-tol", "nan")
+        assert code == 2
+        assert "quad tolerance" in err
         code, _, err = run_cli(capsys, "charfn", "--input", fixture_csv, "--t-grid=0:1:2", "--quad-tol", "nan")
         assert code == 2
         assert "quad tolerance" in err
 
-    def test_seed_range(self):
-        assert RunConfig(seed=(1 << 64) - 1).seed == (1 << 64) - 1
+    def test_seed_range(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "constants", f"--seed={(1 << 64) - 1}")
+        assert code == 0
+        assert json.loads(out)["passed"] is True
         for seed in (-1, 1 << 64):
-            with pytest.raises(ParameterError, match="seed"):
-                RunConfig(seed=seed)
+            code, out, err = run_cli(capsys, "verify", "constants", f"--seed={seed}")
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: seed must be in [0, 2^64)")
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def test_benchmark_argv_parses(tmp_path):
+    """Every CLI job and warm-up of the benchmark parses, so dropping an option it passes fails here."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    parser = _build_parser()
+    parsed = 0
+    for name in workloads.WORKLOADS:
+        jobs = workloads.build_jobs(name, 0, tmp_path / name) + workloads.build_warmups(name, tmp_path / name)
+        for job in jobs:
+            if job["kind"] == "cli":
+                args = parser.parse_args(job["argv"])
+                assert args.output == job["output"]
+                parsed += 1
+    assert parsed == 22

@@ -243,6 +243,12 @@ class TestSamplingBound:
         with pytest.raises(DegenerateMatrixError):
             sampling_bound_specialized([1.0, 1.0, 1.0], 2, 0.0)
 
+    def test_m_draw_must_be_an_integer(self):
+        with pytest.raises(ParameterError, match="m_draw must be an integer"):
+            sampling_bound_specialized([1.0, 2.0, 3.0, 4.0], 2.5, 1.0)
+        values = [1.0, 2.0, 3.0, 4.0]
+        assert sampling_bound_specialized(values, np.int64(2), 1.0) == sampling_bound_specialized(values, 2, 1.0)
+
     @staticmethod
     def pair_matrix_oracle(values, m_draw, sigma2):
         """The specialised bound from the n x n matrix of value differences."""

@@ -70,7 +70,6 @@ class TestEnumerate:
     def test_two_by_two_atoms(self, two_by_two):
         dist = enumerate_distribution(two_by_two)
         assert dist.atoms == [(-1.0, 0.5), (1.0, 0.5)]
-        assert dist.standardized
 
     def test_probabilities_sum_to_one(self, rng):
         dist = enumerate_distribution(rand_matrix(rng, 6))
@@ -419,6 +418,11 @@ class TestMonteCarlo:
     def test_sample_floor(self, two_by_two):
         with pytest.raises(ParameterError):
             monte_carlo_delta(two_by_two, 9_999, seed=0)
+
+    def test_samples_must_be_an_integer(self, two_by_two):
+        with pytest.raises(ParameterError, match="samples must be an integer"):
+            monte_carlo_delta(two_by_two, 1e5, seed=0)
+        assert monte_carlo_delta(two_by_two, np.int64(10_000), seed=0) == monte_carlo_delta(two_by_two, 10_000, seed=0)
 
     def test_degenerate_matrix_rejected(self):
         with pytest.raises(DegenerateMatrixError):

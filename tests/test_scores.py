@@ -477,6 +477,13 @@ class TestSampling:
         with pytest.raises(ParameterError):
             from_sampling([1.0, 2.0], 0)
 
+    def test_m_draw_must_be_an_integer(self):
+        for m_draw in (2.5, 2.0):
+            with pytest.raises(ParameterError, match="m_draw must be an integer"):
+                from_sampling([1.0, 2.0, 3.0, 4.0], m_draw)
+        values = [1.0, 2.0, 3.0, 4.0]
+        assert from_sampling(values, np.int64(2)).sigma2 == from_sampling(values, 2).sigma2
+
     def test_random_designs_match_direct_statistics(self, rng):
         for _ in range(10):
             n = int(rng.integers(3, 9))
