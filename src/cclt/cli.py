@@ -16,13 +16,15 @@ and ``--enum-cap``, ``--perm-cap``, ``--quad-tol``, ``--mc-samples`` and
 ``--seed`` where the command uses them.  ``--threads`` (Monte Carlo workers)
 matters only to ``bound``; ``charfn``, ``sample`` and ``verify`` accept and
 ignore it because existing callers pass it.  Every value a command reads is
-range-checked before any work.  All reports are JSON with a ``schema: 1``
-version field; identical invocations produce byte-identical output.
+range-checked, and the ``--output`` directory checked for writing, before
+any work.  All reports are JSON with a ``schema: 1`` version field;
+identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -84,6 +86,10 @@ def _check_options(args: argparse.Namespace) -> None:
         raise ParameterError(f"threads must be >= 1, got {args.threads}")
     if not 0 <= opts.get("seed", 0) < 1 << 64:
         raise ParameterError(f"seed must be in [0, 2^64), got {args.seed}")
+    folder = os.path.dirname(args.output or "") or "."
+    if args.output and not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
+        reason = os.strerror(errno.EACCES if os.path.isdir(folder) else errno.ENOENT)
+        raise CcltError(f"--output {args.output}: cannot write: {reason}")
 
 
 def _emit(payload: dict, output: str | None) -> None:

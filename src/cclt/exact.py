@@ -2,8 +2,8 @@
 
 ``enumerate_distribution`` walks all n! permutations and returns the exact
 law of S* = (S - mu)/sigma as a list of atoms with rational weights k/n!.
-The values of S are the row sums of the ``perm_rows`` blocks, written into
-one n! array and sorted in place.
+The values of S, each rounded as numpy's row sum of a[j, pi(j)], with
+partial sums shared between permutations, fill one n! array, sorted in place.
 The Kolmogorov distance to the standard normal,
 
     Delta = sup_x | P(S* <= x) - Phi(x) |,
@@ -34,15 +34,19 @@ import math
 import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 from scipy.special import ndtr
 
 from .errors import CapExceededError, InvalidMatrixError, ParameterError
-from .permtables import perm_rows
+from .permtables import _table
 from .scores import GammaProfile, ScoreMatrix, _as_profile, require_nondegenerate
 
 _MERGE_RTOL = 1e-12
+# Byte budget for an enumeration's peak, three n!-long float64 arrays: n = 11
+# needs 0.96 GB, n = 12 11.5 GB.
+_ENUM_BYTES = 1 << 31
 _MC_BATCH = 1 << 18
 # Elements (rows x n) permuted and gathered at a time inside one batch: 4 MB
 # for the index buffer and 4 MB for the gathered values, so a batch's memory
@@ -65,9 +69,9 @@ _PDF_AT_ZERO = 1.0 / math.sqrt(2.0 * math.pi)
 class AtomDistribution:
     """Exact law of the standardized statistic as sorted weighted atoms.
 
-    ``values`` are strictly increasing; ``counts`` are the integer
-    multiplicities out of n! permutations, so every probability is exactly
-    counts[i]/n!.
+    ``values`` are strictly increasing, so no value repeats, not even an
+    infinity; ``counts`` are the integer multiplicities out of n!
+    permutations, so every probability is exactly counts[i]/n!.
     """
 
     values: np.ndarray
@@ -81,7 +85,7 @@ class AtomDistribution:
             raise InvalidMatrixError("values and counts must be matching 1-D arrays")
         if values.size == 0:
             raise InvalidMatrixError("empty atom list")
-        if np.any(np.diff(values) <= 0):
+        if np.any(values[1:] <= values[:-1]):
             raise InvalidMatrixError("atom values must be strictly increasing")
         if np.any(counts <= 0):
             raise InvalidMatrixError("atom counts must be positive")
@@ -138,13 +142,39 @@ def normal_cdf(x: float) -> float:
 
 
 def _statistic_values(m: ScoreMatrix) -> np.ndarray:
-    """The n! values of S in ``perm_rows`` order, each a contiguous row sum."""
-    values = np.empty(math.factorial(m.n))
-    start = 0
-    for rows in perm_rows(m.a):
-        rows.sum(axis=1, out=values[start : start + len(rows)])
-        start += len(rows)
-    return values
+    """The n! values of S in no set order, each rounded as numpy's row sum of
+    a[j, pi(j)] for n < 16: +0.0 plus a left fold from +0.0 below n = 8, and
+    from n = 8 on ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7)), then a8,
+    a9, ... one at a time.  Each quad of rows 0-3 and 4-7 is taken once per
+    ordered choice of four columns; each pair of disjoint column sets adds its
+    24 x 24 quads into the output once per order of the columns left, and the
+    rows from 8 on (below n = 8, all rows) are then added in place.
+    """
+    a, n = m.a, m.n
+    if n < 8:
+        k, left, right, rest = 0, np.zeros((1, 1)), np.zeros((1, 1)), np.arange(n)[None, :]
+    else:
+        k = 8
+        quads = np.array(list(combinations(range(n), 4)))
+        c0, c1, c2, c3 = quads[:, _table(4)].transpose(2, 0, 1)
+
+        def quad(r):
+            return (a[r, c0] + a[r + 1, c1]) + (a[r + 2, c2] + a[r + 3, c3])
+
+        # Column sets as bit masks: the pairs of disjoint 4-sets, and the
+        # columns each pair leaves to the tail rows, in increasing order.
+        masks = (1 << quads).sum(axis=1)
+        lo, hi = np.nonzero((masks[:, None] & masks) == 0)
+        left, right = quad(0)[lo], quad(4)[hi]
+        free = ((1 << n) - 1) ^ masks[lo] ^ masks[hi]
+        rest = np.nonzero((free[:, None] >> np.arange(n)) & 1)[1].reshape(lo.size, n - k)
+    tails = rest[:, _table(n - k)]
+    out = np.empty((len(rest), tails.shape[1], left.shape[1], right.shape[1]))
+    np.add(left[:, None, :, None], right[:, None, None, :], out=out)
+    for r in range(k, n):
+        out += a[r, tails[..., r - k]][:, :, None, None]
+    out += 0.0
+    return out.ravel()
 
 
 def enumerate_distribution(m: ScoreMatrix | GammaProfile, enum_cap: int = 10) -> AtomDistribution:
@@ -156,13 +186,17 @@ def enumerate_distribution(m: ScoreMatrix | GammaProfile, enum_cap: int = 10) ->
     exact.  The n! values are sorted in place by numpy's default (unstable)
     sort: equal floats are interchangeable and a run of signed zeros sums to
     the same value in any order, so the atoms do not depend on the order
-    the sort leaves ties in.
+    the sort leaves ties in.  An n whose peak of three n!-long float64 arrays
+    would pass ``_ENUM_BYTES`` raises ``CapExceededError`` before any work.
     """
     n = m.n
     if n > enum_cap:
         raise CapExceededError(
             f"n = {n} exceeds the enumeration cap {enum_cap}; use monte_carlo_delta instead"
         )
+    need = 3 * 8 * math.factorial(n)
+    if need > _ENUM_BYTES:
+        raise CapExceededError(f"n = {n}: enumeration needs {need} bytes, over its {_ENUM_BYTES}-byte budget")
     profile = _as_profile(m)
     stats = profile.stats
     require_nondegenerate(stats)

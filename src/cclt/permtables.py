@@ -1,11 +1,13 @@
 """The package's one permutation source.
 
-Every exhaustive sum over the symmetric group iterates ``perm_rows(a)``: for
-an n x n array ``a`` it walks the n! permutations of range(n) in the
-lexicographic order of ``itertools.permutations``, block by block, and yields
-the rows ``a[np.arange(n), block]`` of each block as a fresh C-contiguous
-array.  A caller that needs the column choices themselves passes the int8
-matrix whose row i is range(n).
+Every exhaustive sum over the symmetric group iterates ``perm_rows(a)``,
+except exact enumeration, which shares partial sums between permutations
+and takes only the small tables of ``_table``.  For an n x n array ``a``,
+``perm_rows`` walks the n! permutations of range(n) in the lexicographic
+order of ``itertools.permutations``, block by block, and yields the rows
+``a[np.arange(n), block]`` of each block as a fresh C-contiguous array.  A
+caller that needs the column choices themselves passes the int8 matrix
+whose row i is range(n).
 
 A block fixes its first n - k entries (a prefix), k = min(n, 8), and maps
 the one cached table of the k! permutations of range(k) onto the remaining

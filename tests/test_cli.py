@@ -239,6 +239,28 @@ class TestBoundCommand:
         assert out == ""
         assert err.startswith(f"error: --output {target}: ")
 
+    @pytest.mark.parametrize("command", ["bound", "exact"])
+    @pytest.mark.parametrize("folder", ["missing", "read-only"])
+    def test_output_checked_before_enumeration(self, capsys, monkeypatch, tmp_path, command, folder):
+        # The message a failed write gives, before the 10! enumeration starts.
+        path = tmp_path / "m10.csv"
+        np.savetxt(path, np.random.default_rng(0).standard_normal((10, 10)), delimiter=",")
+        if folder == "missing":
+            target, reason = tmp_path / "no" / "such" / "out.json", "No such file or directory"
+        else:
+            target, reason = tmp_path / "out.json", "Permission denied"
+            monkeypatch.setattr(os, "access", lambda where, mode: where != str(tmp_path))
+        enumerated = []
+
+        def spy(m, enum_cap=10):
+            enumerated.append(m)
+
+        monkeypatch.setattr(cclt.cli, "enumerate_distribution", spy)
+        monkeypatch.setattr(cclt.constants, "enumerate_distribution", spy)
+        code, out, err = run_cli(capsys, command, "--input", str(path), "--output", str(target))
+        assert (code, out, err) == (2, "", f"error: --output {target}: cannot write: {reason}\n")
+        assert enumerated == []
+
 
 class TestExactCommand:
     def test_report(self, capsys, fixture_csv):

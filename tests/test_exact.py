@@ -23,6 +23,7 @@ from cclt import (
     monte_carlo_delta,
     normal_cdf,
 )
+from cclt.permtables import perm_rows
 from conftest import itertools_perms, rand_matrix
 
 # Phi(1) frozen from the power series of erf at 1/sqrt(2) (see oracle below).
@@ -100,8 +101,15 @@ class TestEnumerate:
 
 
 def enumerate_oracle(m: ScoreMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Standardized atoms by one gather of all ``itertools`` permutations, a stable sort, the merge."""
-    s = m.a[np.arange(m.n), itertools_perms(m.n)].sum(axis=1)
+    """Standardized atoms by a gather of all ``itertools`` permutations, a stable sort, the merge.
+
+    The gather runs over blocks of 2^16 permutations, so n = 10 holds no
+    n! x n float or index array; each row sum is that of one contiguous
+    gathered row.
+    """
+    perms = itertools_perms(m.n)
+    rows = np.arange(m.n)
+    s = np.concatenate([m.a[rows, perms[i : i + (1 << 16)]].sum(axis=1) for i in range(0, len(perms), 1 << 16)])
     s = np.sort(s, kind="stable")
     scale = float(max(abs(s[0]), abs(s[-1]), 1e-300))
     starts = np.concatenate(([0], np.flatnonzero(np.diff(s) > exact._MERGE_RTOL * scale) + 1))
@@ -145,27 +153,102 @@ def lattice_matrices(n: int) -> dict[str, np.ndarray]:
     }
 
 
+def signed_zero_matrix(n: int) -> np.ndarray:
+    """-0.0 except a[0, 0] = 1 and a[0, 1] = -1: mu is +0.0, and S = 0 only on
+    permutations whose entries are all -0.0, so the zero atom keeps the sign
+    of their sum."""
+    a = np.full((n, n), -0.0)
+    a[0, :2] = 1.0, -1.0
+    return a
+
+
+def negative_zeros(x: np.ndarray) -> int:
+    return int(np.count_nonzero((x == 0) & np.signbit(x)))
+
+
 class TestEnumerateMatchesOracle:
     """Atoms equal, bit for bit, a stable sort of the block-gather values."""
 
-    @pytest.mark.parametrize("n", [8, 9])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9])
     @pytest.mark.parametrize("scale", [0.1, 1.0, 10.0])
     def test_gaussian(self, n, scale):
         self.check(rand_matrix(np.random.default_rng(100 + n), n, scale))
 
-    @pytest.mark.parametrize("n", [8, 9])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9])
     @pytest.mark.parametrize("kind", ["spearman", "footrule", "integers"])
     def test_lattice(self, n, kind):
         self.check(ScoreMatrix(lattice_matrices(n)[kind]))
+
+    @pytest.mark.parametrize("n", [2, 5, 7, 8, 9])
+    def test_signed_zeros(self, n):
+        self.check(ScoreMatrix(signed_zero_matrix(n)))
+
+    def test_gaussian_n10(self):
+        self.check(rand_matrix(np.random.default_rng(110), 10))
+
+    def test_lattice_n10(self):
+        self.check(ScoreMatrix(lattice_matrices(10)["footrule"]))
 
     @staticmethod
     def check(m: ScoreMatrix):
         values, counts = enumerate_oracle(m)
         dist = enumerate_distribution(m)
         assert dist.values.tobytes() == values.tobytes()
+        assert negative_zeros(dist.values) == negative_zeros(values)
         assert np.array_equal(dist.counts, counts)
         rep = kolmogorov_distance(dist)
         assert (rep.delta, rep.arg_x) == kolmogorov_oracle(values, counts)
+
+
+class TestStatisticValues:
+    """The kernel's n! values are numpy's row sums of the gathered rows."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    @pytest.mark.parametrize("kind", ["gaussian", "integers", "signed zeros"])
+    def test_equal_sorted_row_sums(self, n, kind):
+        if kind == "gaussian":
+            a = np.random.default_rng(200 + n).standard_normal((n, n))
+        elif kind == "integers":
+            a = lattice_matrices(n)["integers"]
+        else:
+            a = signed_zero_matrix(n)
+        m = ScoreMatrix(a)
+        want = np.sort(np.concatenate([rows.sum(axis=1) for rows in perm_rows(m.a)]))
+        got = np.sort(exact._statistic_values(m))
+        assert got.tobytes() == want.tobytes()
+        assert negative_zeros(got) == negative_zeros(want)
+
+    @staticmethod
+    def peak(fn, m) -> int:
+        tracemalloc.start()
+        try:
+            fn(m)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_enumeration_peak_memory(self):
+        # The merge peaks near 3.1 n!-long float64 arrays, and the kernel
+        # near 1.06 (its output and 24 values per column-set pair): one more
+        # temporary of a quarter of n! values beside the output shows.
+        m = rand_matrix(np.random.default_rng(3), 10)
+        values_bytes = 8 * math.factorial(10)
+        assert self.peak(enumerate_distribution, m) <= 3.5 * values_bytes
+        assert self.peak(exact._statistic_values, m) <= 1.25 * values_bytes
+
+    def test_budget_refuses_before_allocating(self, monkeypatch):
+        m = rand_matrix(np.random.default_rng(4), 9)
+        need = 3 * 8 * math.factorial(9)
+        monkeypatch.setattr(exact, "_ENUM_BYTES", need - 1)
+        called = []
+        kernel = exact._statistic_values
+        monkeypatch.setattr(exact, "_statistic_values", lambda m: called.append(m.n) or kernel(m))
+        with pytest.raises(CapExceededError, match=f"n = 9: enumeration needs {need} bytes"):
+            enumerate_distribution(m)
+        assert called == []
+        monkeypatch.setattr(exact, "_ENUM_BYTES", need)
+        assert int(enumerate_distribution(m).counts.sum()) == math.factorial(9)
+        assert called == [9]
 
 
 class TestKolmogorov:
@@ -317,6 +400,11 @@ class TestAtomValidation:
     def test_rejects_empty(self):
         with pytest.raises(InvalidMatrixError):
             AtomDistribution(values=np.array([]), counts=np.array([]), n=2)
+
+    @pytest.mark.parametrize("values", [[0.0, 0.0], [-0.0, 0.0], [math.inf, math.inf], [-math.inf, -math.inf]])
+    def test_rejects_repeated_values(self, values):
+        with pytest.raises(InvalidMatrixError, match="strictly increasing"):
+            AtomDistribution(values=np.array(values), counts=np.array([1, 1]), n=2)
 
 
 class TestMonteCarlo:
