@@ -168,7 +168,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     report = berry_esseen_bound(design.matrix, enum_cap=args.enum_cap, attach_delta=True)
     specialized = sampling_bound_specialized(values, args.m_draw, design.sigma2)
     if abs(specialized - report.bound) > 1e-10 * max(1.0, report.bound):
-        raise RuntimeError(
+        raise CcltError(
             f"specialized sampling bound {specialized} disagrees with generic bound {report.bound}"
         )
     payload = report.as_dict()

@@ -53,7 +53,7 @@ import numpy as np
 
 from .errors import CapExceededError, InvalidMatrixError, ParameterError
 from .permanents import permanent
-from .permtables import perm_rows
+from .permtables import perm_blocks
 from .quadrature import gauss_legendre
 from .scores import _double_center, _second_differences
 
@@ -116,13 +116,13 @@ def beta_quadruple(Y: ComplexScoreMatrix) -> complex:
 
 
 def _blocks(n: int):
-    """The column choices of all n! permutations, in ``perm_rows`` order.
+    """The n! permutations of ``perm_blocks(n)``, in its order and in int8 chunks.
 
-    int8 chunks of at most ``_CHUNK_ELEMS`` pair differences: each n <= 7
+    A chunk holds at most ``_CHUNK_ELEMS`` pair differences: each n <= 7
     block is one chunk; at n >= 8 the identity sums may move in last digits.
     """
     rows = max(1, _CHUNK_ELEMS // (n * n))
-    for block in perm_rows(np.tile(np.arange(n, dtype=np.int8), (n, 1))):
+    for block in perm_blocks(n):
         for start in range(0, len(block), rows):
             yield block[start : start + rows]
 

@@ -43,7 +43,7 @@ import numpy as np
 
 from .analytic import kappa
 from .errors import CapExceededError, ParameterError
-from .permtables import perm_rows
+from .permtables import perm_blocks
 from .quadrature import adaptive_simpson_lanes
 from .scores import CenteredStats, GammaProfile, ScoreMatrix, _as_profile, require_nondegenerate
 
@@ -111,7 +111,8 @@ def permanent(matrix, perm_cap: int = 20) -> complex:
 def permanent_reference(matrix) -> complex:
     """Naive permutation-sum permanent, the independent oracle."""
     m = np.asarray(matrix, dtype=complex)
-    return complex(sum(rows.prod(axis=1).sum() for rows in perm_rows(m)))
+    n = len(m)
+    return complex(sum(m[np.arange(n), block].prod(axis=1).sum() for block in perm_blocks(n)))
 
 
 def _exp_perms(a: np.ndarray, ts: np.ndarray) -> np.ndarray:

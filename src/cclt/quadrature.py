@@ -11,9 +11,10 @@ Two rules with distinct jobs:
   ``ConvergenceError`` when an interval still fails the test at depth
   ``_MAX_DEPTH``, or when its splits exceed ``_MAX_SUBDIVISIONS`` per lane,
   summed over the call.  ``adaptive_simpson_lanes`` is the kernel: it
-  integrates many integrals ("lanes") breadth-first, every lane entering the
-  queue as its whole interval, and refines one level of the lanes at the
-  front of the queue per array call ``f(points, lanes)``;
+  integrates many integrals ("lanes") breadth-first, queued
+  ``_QUEUE_INTERVALS`` lanes at a time, every lane entering its queue as its
+  whole interval, and refines one level of the lanes at the front of the
+  queue per array call ``f(points, lanes)``;
   ``adaptive_simpson_vec`` is its batch of one.
 * Gauss-Legendre, for entire integrands (sums of exponentials times
   polynomials: the permanent identity's, the kernel moments' s-factor), on
@@ -36,12 +37,12 @@ from .errors import ConvergenceError, ParameterError
 _MAX_DEPTH = 60
 # Splits a call may make per lane, summed over its lanes.
 _MAX_SUBDIVISIONS = 1 << 16
-# Most intervals one step of the lane kernel refines after the first, which
-# refines every lane once: a step takes the whole lanes at the front of the
-# queue that fit (a lane that alone holds more is refined on its own).  This
-# bounds a later step's temporaries however many lanes a call carries.  The
-# queue grows by one interval per split, so it never holds more than
-# lanes x (1 + _MAX_SUBDIVISIONS) intervals.
+# Lanes per queue of the lane kernel, and most intervals one step refines
+# after a queue's first, which refines each of its lanes once: a step takes
+# the whole lanes at the front of the queue that fit (a lane that alone holds
+# more is refined on its own).  This bounds every step's temporaries however
+# many lanes a call carries.  A queue grows by one interval per split, so it
+# never holds more than lanes x (1 + _MAX_SUBDIVISIONS) intervals.
 _QUEUE_INTERVALS = 1 << 12
 # Gauss-Legendre orders tried in turn; order k is exact up to degree 2k - 1.
 _GL_ORDERS = (8, 16, 32, 64)
@@ -128,13 +129,14 @@ def adaptive_simpson_lanes(
 
     ``a``, ``b`` and ``tol`` broadcast to one lane count; ``f(points, lanes)``
     returns the integrand at ``points``, where ``lanes[k]`` is the lane of
-    ``points[k]``.  Every lane is queued as its whole interval.  The first
-    step refines every lane, with one call of ``f`` that also evaluates each
-    lane's ends and middle; each later step refines one level of the whole
-    lanes at the front of the queue, at most ``_QUEUE_INTERVALS`` intervals
-    unless one lane alone holds more.  Returns the array of lane integrals: 0
-    where ``a == b`` (``f`` is never called for such a lane) and the negated
-    integral for reversed bounds.  Every value is converged: the call raises
+    ``points[k]``.  The lanes are queued ``_QUEUE_INTERVALS`` at a time, each
+    as its whole interval.  The first step of a queue refines all its lanes,
+    with one call of ``f`` that also evaluates each lane's ends and middle;
+    each later step refines one level of the whole lanes at the front of the
+    queue, at most ``_QUEUE_INTERVALS`` intervals unless one lane alone holds
+    more.  Returns the array of lane integrals: 0 where ``a == b`` (``f`` is
+    never called for such a lane) and the negated integral for reversed
+    bounds.  Every value is converged: the call raises
     ``ConvergenceError`` instead when an interval fails its test at depth
     ``_MAX_DEPTH``, or when the call's splits exceed ``_MAX_SUBDIVISIONS``
     times the number of lanes.
@@ -149,66 +151,71 @@ def adaptive_simpson_lanes(
         raise ParameterError(f"quadrature tolerance must be positive, got {tol[bad][0]}")
     total = np.zeros(a.size)
     splits, budget = 0, _MAX_SUBDIVISIONS * a.size
-    # The queue: one column per live interval, grouped by lane in lane order,
-    # at first each lane's whole interval.  X holds lo, hi, 15 x tol and
-    # depth; F holds f(lo), f(mid), f(hi) and the one-panel Simpson estimate,
-    # and is None until the first step evaluates them.
-    lanes = np.flatnonzero(a != b)
-    X = np.array((np.minimum(a, b)[lanes], np.maximum(a, b)[lanes], 15.0 * tol[lanes], np.zeros(lanes.size)))
-    F = None
-    while lanes.size:
-        size = lanes.size
-        n, ln, front, fvals = size, lanes, X, F
-        if F is not None and size > _QUEUE_INTERVALS:  # only the whole lanes at the front that fit, at least one
-            ends = (lanes[1:] != lanes[:-1]).nonzero()[0] + 1
-            n = ends[max(ends.searchsorted(_QUEUE_INTERVALS, side="right"), 1) - 1] if ends.size else n
-            ln, front, fvals = lanes[:n], X[:, :n], F[:, :n]
-        lo, hi, cut, dp = front
-        m = ln.size
-        mid = 0.5 * (lo + hi)
-        # The first step's call also evaluates every lane's ends and middle.
-        points = (0.5 * (lo + mid), 0.5 * (mid + hi)) + ((lo, mid, hi) if fvals is None else ())
-        fnew = np.asarray(f(np.concatenate(points), np.concatenate((ln,) * len(points))))
-        flm, frm = fnew[:m], fnew[m : 2 * m]
-        if fvals is None:
-            flo, fmid, fhi = fnew[2 * m :].reshape(3, -1)
-            whole = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-            total = total.astype(np.result_type(total, fnew), copy=False)
-        else:
-            flo, fmid, fhi, whole = fvals
-        left = (mid - lo) / 6.0 * (flo + 4.0 * flm + fmid)
-        right = (hi - mid) / 6.0 * (fmid + 4.0 * frm + fhi)
-        refined = left + right
-        defect = refined - whole
-        split = ~(np.abs(defect) <= cut)
-        stuck = split & (dp >= _MAX_DEPTH)
-        if stuck.any():
-            j = stuck.argmax()
-            raise ConvergenceError(f"adaptive Simpson: lane {ln[j]} fails at depth {_MAX_DEPTH} near x = {lo[j]:.6g}")
-        splits += np.count_nonzero(split)
-        if splits > budget:
-            raise ConvergenceError(f"adaptive Simpson: more than {budget} splits for {a.size} lane(s)")
+    for first in range(0, a.size, _QUEUE_INTERVALS):
+        # The queue: one column per live interval of the lanes from ``first``
+        # on, at most ``_QUEUE_INTERVALS`` of them, grouped by lane in lane
+        # order, at first each lane's whole interval.  X holds lo, hi, 15 x
+        # tol and depth; F holds f(lo), f(mid), f(hi) and the one-panel
+        # Simpson estimate, and is None until the first step evaluates them.
+        chunk = slice(first, first + _QUEUE_INTERVALS)
+        lanes = first + np.flatnonzero(a[chunk] != b[chunk])
+        X = np.array((np.minimum(a, b)[lanes], np.maximum(a, b)[lanes], 15.0 * tol[lanes], np.zeros(lanes.size)))
+        F = None
+        while lanes.size:
+            size = lanes.size
+            n, ln, front, fvals = size, lanes, X, F
+            if F is not None and size > _QUEUE_INTERVALS:  # only the whole lanes at the front that fit, at least one
+                ends = (lanes[1:] != lanes[:-1]).nonzero()[0] + 1
+                n = ends[max(ends.searchsorted(_QUEUE_INTERVALS, side="right"), 1) - 1] if ends.size else n
+                ln, front, fvals = lanes[:n], X[:, :n], F[:, :n]
+            lo, hi, cut, dp = front
+            m = ln.size
+            mid = 0.5 * (lo + hi)
+            # The first step's call also evaluates every lane's ends and middle.
+            points = (0.5 * (lo + mid), 0.5 * (mid + hi)) + ((lo, mid, hi) if fvals is None else ())
+            fnew = np.asarray(f(np.concatenate(points), np.concatenate((ln,) * len(points))))
+            flm, frm = fnew[:m], fnew[m : 2 * m]
+            if fvals is None:
+                flo, fmid, fhi = fnew[2 * m :].reshape(3, -1)
+                whole = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
+                total = total.astype(np.result_type(total, fnew), copy=False)
+            else:
+                flo, fmid, fhi, whole = fvals
+            left = (mid - lo) / 6.0 * (flo + 4.0 * flm + fmid)
+            right = (hi - mid) / 6.0 * (fmid + 4.0 * frm + fhi)
+            refined = left + right
+            defect = refined - whole
+            split = ~(np.abs(defect) <= cut)
+            stuck = split & (dp >= _MAX_DEPTH)
+            if stuck.any():
+                j = stuck.argmax()
+                raise ConvergenceError(
+                    f"adaptive Simpson: lane {ln[j]} fails at depth {_MAX_DEPTH} near x = {lo[j]:.6g}"
+                )
+            splits += np.count_nonzero(split)
+            if splits > budget:
+                raise ConvergenceError(f"adaptive Simpson: more than {budget} splits for {a.size} lane(s)")
 
-        # Per-lane sums over the segments of the step's lanes.
-        starts = np.concatenate(([0], (ln[1:] != ln[:-1]).nonzero()[0] + 1))
-        estimate = refined + defect / 15.0
-        estimate[split] = 0.0
-        total[ln[starts]] += np.add.reduceat(estimate, starts)
+            # Per-lane sums over the segments of the step's lanes.
+            starts = np.concatenate(([0], (ln[1:] != ln[:-1]).nonzero()[0] + 1))
+            estimate = refined + defect / 15.0
+            estimate[split] = 0.0
+            total[ln[starts]] += np.add.reduceat(estimate, starts)
 
-        # The halves of the split intervals, left halves first, replace them.
-        k = split.nonzero()[0]
-        halves = ln.take(k)
-        halves = np.concatenate((halves, halves))
-        cut, dp = 0.5 * cut, dp + 1.0
-        Xh = _halves((lo, mid, mid, hi, cut, cut, dp, dp), k)
-        Fh = _halves((flo, fmid, flm, frm, fmid, fhi, left, right), k)
-        if starts.size > 1:  # regroup by lane, keeping each lane's left halves first
-            order = halves.argsort(kind="stable")
-            halves, Xh, Fh = halves.take(order), Xh.take(order, axis=1), Fh.take(order, axis=1)
-        if n < size:  # the lanes left for later follow
-            halves = np.concatenate((halves, lanes[n:]))
-            Xh = np.concatenate((Xh, X[:, n:]), axis=1)
-            Fh = np.concatenate((Fh, F[:, n:]), axis=1)
-        lanes, X, F = halves, Xh, Fh
+            # The halves of the split intervals, left halves first, replace them.
+            k = split.nonzero()[0]
+            halves = ln.take(k)
+            halves = np.concatenate((halves, halves))
+            cut, dp = 0.5 * cut, dp + 1.0
+            Xh = _halves((lo, mid, mid, hi, cut, cut, dp, dp), k)
+            Fh = _halves((flo, fmid, flm, frm, fmid, fhi, left, right), k)
+            if starts.size > 1:  # regroup by lane, keeping each lane's left halves first
+                order = halves.argsort(kind="stable")
+                halves, Xh, Fh = halves.take(order), Xh.take(order, axis=1), Fh.take(order, axis=1)
+            if n < size:  # the lanes left for later follow
+                halves = np.concatenate((halves, lanes[n:]))
+                Xh = np.concatenate((Xh, X[:, n:]), axis=1)
+                Fh = np.concatenate((Fh, F[:, n:]), axis=1)
+            lanes, X, F = halves, Xh, Fh
     np.negative(total, out=total, where=a > b)
     return total

@@ -373,6 +373,14 @@ class TestSampleCommand:
         assert code == 2
         assert "m_draw" in err
 
+    def test_disagreeing_bounds_exit_2(self, capsys, monkeypatch):
+        specialized = cclt.cli.sampling_bound_specialized
+        monkeypatch.setattr(cclt.cli, "sampling_bound_specialized", lambda *args: 2.0 * specialized(*args))
+        code, out, err = run_cli(capsys, "sample", "--values", "1,2,3,4", "--m-draw", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: specialized sampling bound")
+
 
 class TestConstantsCommand:
     def test_reference_values(self, capsys):

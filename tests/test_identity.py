@@ -143,6 +143,10 @@ class TestFTerms:
         with pytest.raises(CapExceededError):
             f_terms(rand_complex(rng, 5), 0.5, enum_cap=4)
 
+    def test_residual_cap(self, rng):
+        with pytest.raises(CapExceededError):
+            f_residual(rand_complex(rng, 5), 0.5, enum_cap=4)
+
     def test_batch_of_one_is_bit_identical(self, rng):
         # f_terms is _f_sums at one u; the batch walk adds each u's parts in
         # the same block order, so every node of an order matches exactly.
@@ -248,9 +252,9 @@ class TestIdentityCheck:
         orders = []
         gauss_legendre = identity.gauss_legendre
 
-        def counted_rows(a):
-            walks.append(len(a))
-            return permtables.perm_rows(a)
+        def counted_blocks(n):
+            walks.append(n)
+            return permtables.perm_blocks(n)
 
         def counted_gauss_legendre(f, a, b, tol):
             def integrand(us):
@@ -259,7 +263,7 @@ class TestIdentityCheck:
 
             return gauss_legendre(integrand, a, b, tol)
 
-        monkeypatch.setattr(identity, "perm_rows", counted_rows)
+        monkeypatch.setattr(identity, "perm_blocks", counted_blocks)
         monkeypatch.setattr(identity, "gauss_legendre", counted_gauss_legendre)
         chk = identity_check(rand_complex(rng, 5))
         assert chk.residual <= 1e-9
@@ -279,6 +283,10 @@ class TestIdentityCheck:
     def test_cap(self, rng):
         with pytest.raises(CapExceededError):
             identity_check(rand_complex(rng, 5), enum_cap=4)
+
+    def test_swap_cap(self, rng):
+        with pytest.raises(CapExceededError):
+            swap_identity_check(rand_complex(rng, 5), 1, 3, enum_cap=4)
 
     def test_independent_of_memory_layout(self, rng):
         y = rand_complex_entries(rng, 6)

@@ -5,15 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from cclt.permtables import perm_rows
+from cclt.permtables import _table, perm_blocks
 from conftest import itertools_perms
 
 MAX_BLOCK_ROWS = math.factorial(8)
-
-
-def column_choices(n: int) -> np.ndarray:
-    """The int8 matrix whose row i is range(n): ``perm_rows`` of it yields the blocks."""
-    return np.tile(np.arange(n, dtype=np.int8), (n, 1))
 
 
 def lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -25,7 +20,7 @@ def lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @pytest.mark.parametrize("n", range(10))
 def test_blocks_are_itertools_order(n):
-    blocks = list(perm_rows(column_choices(n)))
+    blocks = list(perm_blocks(n))
     assert all(block.dtype == np.int8 and len(block) <= MAX_BLOCK_ROWS for block in blocks)
     assert np.array_equal(np.concatenate(blocks), itertools_perms(n))
 
@@ -33,7 +28,7 @@ def test_blocks_are_itertools_order(n):
 def test_n10_rows_are_distinct_and_increasing():
     rows = 0
     last = None
-    for block in perm_rows(column_choices(10)):
+    for block in perm_blocks(10):
         assert len(block) <= MAX_BLOCK_ROWS
         assert (np.sort(block, axis=1) == np.arange(10)).all()
         assert lex_less(block[:-1], block[1:]).all()
@@ -58,24 +53,35 @@ def random_square(n: int, dtype) -> np.ndarray:
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.int8])
 @pytest.mark.parametrize("n", range(1, 11))
 def test_rows_are_the_block_gather_bit_for_bit(n, dtype):
+    # The gather every caller takes through a block, a[arange(n), block],
+    # gives the rows of the itertools permutations bit for bit.
     a = random_square(n, dtype)
     perms = itertools_perms(n)
     start = 0
-    for rows in perm_rows(a):
-        assert len(rows) <= MAX_BLOCK_ROWS
-        gathered = a[np.arange(n), perms[start : start + len(rows)]]
+    for block in perm_blocks(n):
+        rows = a[np.arange(n), block]
+        gathered = a[np.arange(n), perms[start : start + len(block)]]
         assert rows.dtype == a.dtype and rows.flags.c_contiguous
         assert rows.shape == gathered.shape
         assert rows.tobytes() == gathered.tobytes()
-        start += len(rows)
+        start += len(block)
     assert start == len(perms)
 
 
 def test_yielded_rows_do_not_alias():
-    a = random_square(9, np.float64)
-    held = list(perm_rows(a))
+    # Blocks are fresh, writable, C-contiguous int8, sharing no memory with
+    # each other or with the cached table.
+    held = list(perm_blocks(9))
     assert len(held) == 9
-    for i, rows in enumerate(held):
-        assert rows.base is None
-        assert not any(np.shares_memory(rows, other) for other in held[i + 1 :])
-    assert not any(np.shares_memory(rows, a) for rows in held)
+    for i, block in enumerate(held):
+        assert block.dtype == np.int8 and block.flags.c_contiguous and block.flags.writeable
+        assert block.base is None
+        assert not any(np.shares_memory(block, other) for other in held[i + 1 :])
+        assert not np.shares_memory(block, _table(8))
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_table_is_itertools_order(k):
+    table = _table(k)
+    assert table.dtype == np.int8 and not table.flags.writeable
+    assert np.array_equal(table, itertools_perms(k))

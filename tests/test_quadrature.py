@@ -231,10 +231,12 @@ def test_lanes_reject_nonpositive_tolerance():
 
 @pytest.mark.parametrize("count", [1, 5000])
 def test_lanes_call_pattern(count):
-    # At the production queue cap: the first call carries every lane's two
-    # quarter points, ends and middle; each later call carries the two
-    # quarter points of every interval it refines, and refines at most
-    # _QUEUE_INTERVALS intervals of many short lanes.
+    # At the production queue cap: the lanes are queued _QUEUE_INTERVALS at a
+    # time, and a queue's first call carries each of its lanes' two quarter
+    # points, ends and middle; each later call carries the two quarter points
+    # of every interval it refines, and refines at most _QUEUE_INTERVALS
+    # intervals of many short lanes.
+    cap = quadrature._QUEUE_INTERVALS
     w = np.linspace(1.0, 10.0, count)
     b = np.where(np.arange(count) % 100 == 99, 0.0, 1.0)  # every 100th lane is empty
     calls = []
@@ -245,17 +247,42 @@ def test_lanes_call_pattern(count):
 
     got = adaptive_simpson_lanes(f, 0.0, b, 1e-10)
     np.testing.assert_allclose(got, b * (1.0 - np.cos(w)) / w, rtol=0, atol=1e-9)
-    live = np.flatnonzero(b)
-    mid = 0.5 * b[live]
-    x, lanes = calls[0]
-    np.testing.assert_array_equal(x, np.concatenate((0.5 * mid, 0.5 * (mid + b[live]), 0.0 * mid, mid, b[live])))
-    np.testing.assert_array_equal(lanes, np.tile(live, 5))
-    assert len(calls) > 1
-    for x, lanes in calls[1:]:
+    queues = [lanes[0] // cap for _, lanes in calls]
+    assert all((lanes // cap == q).all() for (_, lanes), q in zip(calls, queues))
+    firsts = [i for i, q in enumerate(queues) if i == 0 or q != queues[i - 1]]
+    assert [queues[i] for i in firsts] == list(range(-(-count // cap)))
+    for q, i in enumerate(firsts):
+        live = q * cap + np.flatnonzero(b[q * cap : (q + 1) * cap])
+        mid = 0.5 * b[live]
+        x, lanes = calls[i]
+        np.testing.assert_array_equal(x, np.concatenate((0.5 * mid, 0.5 * (mid + b[live]), 0.0 * mid, mid, b[live])))
+        np.testing.assert_array_equal(lanes, np.tile(live, 5))
+    assert len(calls) > len(firsts)
+    for x, lanes in (call for i, call in enumerate(calls) if i not in firsts):
         k = x.size // 2
-        assert x.size == 2 * k and 0 < k <= quadrature._QUEUE_INTERVALS
+        assert x.size == 2 * k and 0 < k <= cap
         np.testing.assert_array_equal(lanes[:k], lanes[k:])
         # x[i] and x[k + i] are the quarter points of one dyadic interval of
         # width at most 1/2.
         quarter = x[k:] - x[:k]
         assert (quarter <= 0.25).all() and (np.exp2(np.round(np.log2(quarter))) == quarter).all()
+
+
+def test_lanes_first_steps_are_capped():
+    # More lanes than one queue holds: no call of f carries more than five
+    # points per queued lane, and a lane's value is its value alone.
+    cap = quadrature._QUEUE_INTERVALS
+    w = np.linspace(1.0, 10.0, 3 * cap + 1)
+    sizes = []
+
+    def f(x, lanes):
+        sizes.append(x.size)
+        return np.sin(w[lanes] * x)
+
+    got = adaptive_simpson_lanes(f, 0.0, np.ones(w.size), 1e-8)
+    assert got.size == w.size and max(sizes) <= 5 * cap
+    np.testing.assert_allclose(got, (1.0 - np.cos(w)) / w, rtol=0, atol=1e-8)
+    # Every 61st lane, and the lanes on each side of a queue border.
+    borders = np.arange(cap, w.size, cap)
+    for i in np.union1d(np.arange(0, w.size, 61), np.concatenate((borders - 1, borders))):
+        assert got[i] == adaptive_simpson_vec(lambda x: np.sin(w[i] * x), 0.0, 1.0, tol=1e-8)
