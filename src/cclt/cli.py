@@ -16,14 +16,16 @@ and ``--enum-cap``, ``--perm-cap``, ``--quad-tol``, ``--mc-samples`` and
 ``--seed`` where the command uses them.  ``--threads`` (Monte Carlo workers)
 matters only to ``bound``; ``charfn``, ``sample`` and ``verify`` accept and
 ignore it because existing callers pass it.  Every value a command reads is
-range-checked, and the ``--output`` directory checked for writing, before
-any work.  All reports are JSON with a ``schema: 1`` version field;
+range-checked, and ``--output`` checked for writing (a writable folder, not
+itself a folder), before any work.  Each report is the ``as_dict`` of its
+dataclass in JSON, plus a ``schema: 1`` version field added on output;
 identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import errno
 import json
 import math
@@ -86,14 +88,20 @@ def _check_options(args: argparse.Namespace) -> None:
         raise ParameterError(f"threads must be >= 1, got {args.threads}")
     if not 0 <= opts.get("seed", 0) < 1 << 64:
         raise ParameterError(f"seed must be in [0, 2^64), got {args.seed}")
-    folder = os.path.dirname(args.output or "") or "."
-    if args.output and not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
-        reason = os.strerror(errno.EACCES if os.path.isdir(folder) else errno.ENOENT)
-        raise CcltError(f"--output {args.output}: cannot write: {reason}")
+    if not args.output:
+        return
+    folder = os.path.dirname(args.output) or "."
+    if os.path.isdir(args.output):
+        reason = errno.EISDIR
+    elif not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
+        reason = errno.EACCES if os.path.isdir(folder) else errno.ENOENT
+    else:
+        return
+    raise CcltError(f"--output {args.output}: cannot write: {os.strerror(reason)}")
 
 
 def _emit(payload: dict, output: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = json.dumps({**payload, "schema": _SCHEMA}, sort_keys=True, indent=2) + "\n"
     if not output:
         sys.stdout.write(text)
         return
@@ -123,13 +131,10 @@ def _parse_t_grid(spec: str) -> np.ndarray:
 def _bound_payload(matrix, args: argparse.Namespace) -> dict:
     profile = GammaProfile(matrix)
     report = berry_esseen_bound(profile, enum_cap=args.enum_cap, attach_delta=True)
-    payload = report.as_dict()
     if report.delta_report is None:
         mc = monte_carlo_delta(profile, args.mc_samples, args.seed, threads=args.threads)
-        payload["delta"] = mc.as_dict()
-        payload["slack"] = report.bound - mc.delta
-    payload["schema"] = _SCHEMA
-    return payload
+        report = dataclasses.replace(report, delta_report=mc, slack=report.bound - mc.delta)
+    return report.as_dict()
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
@@ -141,9 +146,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 def _cmd_exact(args: argparse.Namespace) -> int:
     matrix = load_score_matrix(args.input, fmt=args.format)
     dist = enumerate_distribution(matrix, enum_cap=args.enum_cap)
-    payload = kolmogorov_distance(dist).as_dict()
-    payload["schema"] = _SCHEMA
-    _emit(payload, args.output)
+    _emit(kolmogorov_distance(dist).as_dict(), args.output)
     return 0
 
 
@@ -151,7 +154,7 @@ def _cmd_charfn(args: argparse.Namespace) -> int:
     matrix = load_score_matrix(args.input, fmt=args.format)
     ts = _parse_t_grid(args.t_grid)
     points = [ev.as_dict() for ev in evaluate_cf_grid(matrix, ts, tol=args.quad_tol, perm_cap=args.perm_cap)]
-    _emit({"schema": _SCHEMA, "n": matrix.n, "points": points}, args.output)
+    _emit({"n": matrix.n, "points": points}, args.output)
     return 0
 
 
@@ -171,27 +174,15 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         raise CcltError(
             f"specialized sampling bound {specialized} disagrees with generic bound {report.bound}"
         )
-    payload = report.as_dict()
-    payload.update(
-        {
-            "schema": _SCHEMA,
-            "m_draw": args.m_draw,
-            "values": values,
-            "bound_specialized": specialized,
-        }
-    )
+    payload = {**report.as_dict(), "m_draw": args.m_draw, "values": values, "bound_specialized": specialized}
     _emit(payload, args.output)
     return 0
 
 
 def _cmd_constants(args: argparse.Namespace) -> int:
     report = theorem_constants(w=args.w, m=args.m, c4=args.c4, c5=args.c5, c6=args.c6)
-    payload = report.as_dict()
-    payload["schema"] = _SCHEMA
-    payload["notes"] = {
-        "truncated_lyapunov_constant": "max(1709, 50*C0 + 6); not computable, C0 is not explicitly published"
-    }
-    _emit(payload, args.output)
+    notes = {"truncated_lyapunov_constant": "max(1709, 50*C0 + 6); not computable, C0 is not explicitly published"}
+    _emit({**report.as_dict(), "notes": notes}, args.output)
     return 0
 
 

@@ -44,7 +44,7 @@ hence the extra sigma).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -89,33 +89,14 @@ class ConstantsReport:
     thetas: tuple[ThetaEntry, ...]
     c1: float
     c2: float
+    c1_published: float = THEOREM_C1
+    c2_published: float = THEOREM_C2
 
     def as_dict(self) -> dict:
-        return {
-            "kappa": self.kappa,
-            "x0": self.x0,
-            "w": self.w,
-            "v_w": self.v_w,
-            "m": self.m,
-            "c3": self.c3,
-            "c4": self.c4,
-            "c5": self.c5,
-            "c6": self.c6,
-            "c7": self.c7,
-            "c8": self.c8,
-            "theta": {
-                str(t.ell): {
-                    "theta": t.theta,
-                    "theta_tilde": t.theta_tilde,
-                    "d_factor": t.d_factor,
-                }
-                for t in self.thetas
-            },
-            "c1": self.c1,
-            "c2": self.c2,
-            "c1_published": THEOREM_C1,
-            "c2_published": THEOREM_C2,
-        }
+        """The fields, with ``thetas`` as the ``theta`` mapping keyed by str(ell)."""
+        report = asdict(self)
+        report["theta"] = {str(entry.pop("ell")): entry for entry in report.pop("thetas")}
+        return report
 
 
 def _kernel_tail(w: float, v_w: float) -> float:
@@ -217,16 +198,10 @@ class BoundReport:
     slack: float | None
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "mu": self.mu,
-            "sigma2": self.sigma2,
-            "gamma_at": self.gamma_at,
-            "bound": self.bound,
-            "lyapunov_bound": self.lyapunov_bound,
-            "delta": None if self.delta_report is None else self.delta_report.as_dict(),
-            "slack": self.slack,
-        }
+        """The fields, with ``delta_report`` under the ``delta`` key."""
+        report = asdict(self)
+        report["delta"] = report.pop("delta_report")
+        return report
 
 
 def berry_esseen_bound(

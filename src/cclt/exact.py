@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import operator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 
 import numpy as np
@@ -124,14 +124,7 @@ class DeltaReport:
     atoms_count: int | None
 
     def as_dict(self) -> dict:
-        return {
-            "delta": float(self.delta),
-            "arg_x": float(self.arg_x),
-            "method": self.method,
-            "std_error": None if self.std_error is None else float(self.std_error),
-            "n": self.n,
-            "atoms_count": self.atoms_count,
-        }
+        return asdict(self)
 
 
 def normal_cdf(x: float) -> float:

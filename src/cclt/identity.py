@@ -31,8 +31,8 @@ characteristic-function difference phi(t) - exp(i t mu - sigma2 t^2 / 2)
 with alpha = i t mu and beta = -sigma2 t^2.
 
 The permutation sums are evaluated in vectorised form (one pair-difference
-tensor per chunk of permutations); a literal nested-loop reference is kept
-for small n as the independent oracle, and this whole module is itself a
+tensor per chunk of permutations), checked in the tests against a literal
+nested-loop evaluation at small n; this whole module is itself a
 verification oracle rather than a production path.
 
 ``identity_check`` integrates the right-hand side by Gauss-Legendre at orders
@@ -47,7 +47,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import permutations as iter_permutations
 
 import numpy as np
 
@@ -234,44 +233,6 @@ def f_terms(Y: ComplexScoreMatrix, u: float, enum_cap: int = 10) -> FTerms:
         raise CapExceededError(f"f-terms need {n}! permutation terms, above cap {enum_cap}")
     [(f1, f2, f3)] = _f_sums(Y.y, [u])
     return FTerms(f1=f1, f2=f2, f3=f3, f=_combine_f(n, f1, f2, f3))
-
-
-def f_terms_reference(Y: ComplexScoreMatrix, u: float) -> FTerms:
-    """Literal nested-loop evaluation of the f sums (small n oracle).
-
-    O(n^4 * n!); intended for n <= 4 cross-checks of the vectorised path.
-    """
-    y = Y.y
-    n = Y.n
-
-    def z(j, k, r, s):
-        return y[j, r] - y[k, r] - y[j, s] + y[k, s]
-
-    f1 = 0.0 + 0.0j
-    f2 = 0.0 + 0.0j
-    f3 = 0.0 + 0.0j
-    idx = range(n)
-    for perm in iter_permutations(idx):
-        c_r = sum(y[j, perm[j]] for j in idx)
-        w = cmath.exp(u * c_r)
-        for j in idx:
-            for k in idx:
-                if k == j:
-                    continue
-                z1 = z(j, k, perm[j], perm[k])
-                f1 += z1 * (1.0 - u * z1 - cmath.exp(-u * z1)) * w
-                for l in idx:
-                    if l in (j, k):
-                        continue
-                    z2 = z(j, l, perm[l], perm[j])
-                    f2 += u * z1 * z1 * (1.0 - cmath.exp(u * z2)) * w
-                    for mm in idx:
-                        if mm in (j, k, l):
-                            continue
-                        z3 = z(k, mm, perm[mm], perm[k])
-                        f3 += u * z1 * z1 * (1.0 - cmath.exp(u * z2 + u * z3)) * w
-    f = f1 / (4.0 * n) + f2 / (n * n * (n - 1)) + f3 / (4.0 * n * n * (n - 1))
-    return FTerms(f1=f1, f2=f2, f3=f3, f=f)
 
 
 def f_residual(Y: ComplexScoreMatrix, u: float, enum_cap: int = 10) -> float:

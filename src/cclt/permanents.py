@@ -11,8 +11,8 @@ Permanents are evaluated exactly by Glynn's formula
 
 in Gray-code order, O(2^(n-1) * n), by one kernel batched over matrices.  Its
 terms add up to 2^(n-1) perm(M), where Ryser's add up to perm(M), so far less
-cancels: phi(0) is within 1e-13 of 1 at n = 18, against 6e-9 with Ryser.  A
-naive permutation-sum evaluation is the independent oracle for small n.
+cancels: phi(0) is within 1e-13 of 1 at n = 18, against 6e-9 with Ryser.
+The tests check it against a naive permutation sum at small n.
 
 Three explicit inequalities for phi are implemented:
 
@@ -37,13 +37,12 @@ bits for a larger batch, so a permanent's last bits may depend on its batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .analytic import kappa
 from .errors import CapExceededError, ParameterError
-from .permtables import perm_blocks
 from .quadrature import adaptive_simpson_lanes
 from .scores import CenteredStats, GammaProfile, ScoreMatrix, _as_profile, require_nondegenerate
 
@@ -106,13 +105,6 @@ def permanent(matrix, perm_cap: int = 20) -> complex:
     if n > perm_cap:
         raise CapExceededError(f"n = {n} exceeds the permanent cap {perm_cap}")
     return complex(_perm_batch(m[None])[0])
-
-
-def permanent_reference(matrix) -> complex:
-    """Naive permutation-sum permanent, the independent oracle."""
-    m = np.asarray(matrix, dtype=complex)
-    n = len(m)
-    return complex(sum(m[np.arange(n), block].prod(axis=1).sum() for block in perm_blocks(n)))
 
 
 def _exp_perms(a: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -375,15 +367,11 @@ class CfEvaluation:
     diff_bound_closed_simplified: float | None
 
     def as_dict(self) -> dict:
-        return {
-            "t": float(self.t),
-            "phi": {"re": self.phi.real, "im": self.phi.imag},
-            "gauss": {"re": self.gauss.real, "im": self.gauss.imag},
-            "modulus_bound": float(self.modulus_bound),
-            "diff_bound_integral": float(self.diff_bound_integral),
-            "diff_bound_closed": float(self.diff_bound_closed),
-            "diff_bound_closed_simplified": self.diff_bound_closed_simplified,
-        }
+        """The fields, with ``phi`` and ``gauss`` as {"re", "im"}."""
+        report = asdict(self)
+        for key in ("phi", "gauss"):
+            report[key] = {"re": report[key].real, "im": report[key].imag}
+        return report
 
 
 def evaluate_cf_grid(

@@ -415,22 +415,6 @@ def variance_quadruple(m: ScoreMatrix | GammaProfile) -> float:
     return _as_profile(m).sigma2_quad
 
 
-def quad_diff(m: ScoreMatrix, j: int, k: int, r: int, s: int) -> float:
-    """Second difference a[j,r] - a[k,r] - a[j,s] + a[k,s] (1-based indices).
-
-    Vanishes for j == k or r == s, flips sign under swapping j with k (or r
-    with s), and is unchanged when computed from the centered matrix.
-    """
-    n = m.n
-    for name, idx in (("j", j), ("k", k), ("r", r), ("s", s)):
-        if not 1 <= idx <= n:
-            raise IndexError(f"index {name}={idx} out of range 1..{n}")
-    a = m.a
-    # Grouped so that j == k and r == s give exact zeros and index swaps flip
-    # the sign exactly.
-    return float((a[j - 1, r - 1] - a[k - 1, r - 1]) - (a[j - 1, s - 1] - a[k - 1, s - 1]))
-
-
 def gamma(m: ScoreMatrix | GammaProfile, x: float) -> float:
     """Clipped quadruple moment sum b^2 min(1, |x b|) / (n^2 (n-1)).
 
@@ -447,16 +431,6 @@ def gamma_tilde(m: ScoreMatrix | GammaProfile, x: float) -> float:
     if not np.isfinite(x):
         raise ParameterError(f"x must be finite, got {x}")
     return _as_profile(m).gamma_tilde(float(x))
-
-
-def g_clip(x: float, y: float) -> float:
-    """Clipped square g(x, y) = x^2 * min(1, |y|).
-
-    Satisfies g(x, y+z) <= g(x, y) + g(x, z), the exchange inequality
-    g(x, c*y) + g(y, c*x) <= g(x, c*x) + g(y, c*y), and for c != 0 the lower
-    bound x^2 - 4/(27 c^2) <= g(x, c*x).
-    """
-    return x * x * min(1.0, abs(y))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import importlib.util
 import json
 import math
@@ -103,6 +104,55 @@ class TestMatrixIo:
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"re": [[0, 1], [1, 0]], "im": [[1, 0]]}))
         with pytest.raises(MatrixParseError):
+            load_complex_matrix(path)
+
+    def test_blank_csv_lines_skipped(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("\n1,2\n  \n3,4\n\n")
+        assert np.array_equal(load_score_matrix(path).a, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_empty_csv(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("\n \n")
+        with pytest.raises(MatrixParseError, match="no rows found"):
+            load_score_matrix(path)
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"b": [[1, 2], [3, 4]]}, "expected a JSON object with an 'a' field"),
+            ([[1, 2], [3, 4]], "expected a JSON object with an 'a' field"),
+            ({"a": []}, "field 'a' must be a nonempty list of rows"),
+            ({"a": "1,2"}, "field 'a' must be a nonempty list of rows"),
+            ({"a": [[1, 2], 3]}, "'a' row 2 is not a list"),
+            ({"a": [[1, "x"], [3, 4]]}, "'a' row 1, column 2: not a number: 'x'"),
+            ({"a": [[1, 2], [True, 4]]}, "'a' row 2, column 1: not a number: True"),
+        ],
+    )
+    def test_malformed_json_grid(self, tmp_path, obj, message):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(MatrixParseError) as err:
+            load_score_matrix(path)
+        assert str(err.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("load", [load_score_matrix, load_complex_matrix])
+    def test_invalid_json(self, tmp_path, load):
+        path = tmp_path / "m.json"
+        path.write_text('{"a": [[1, 2], [3, 4]')
+        with pytest.raises(MatrixParseError, match="invalid JSON"):
+            load(path)
+
+    def test_unknown_format(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(TWO_BY_TWO_CSV)
+        with pytest.raises(MatrixParseError, match="unknown matrix format 'xml'"):
+            load_score_matrix(path, fmt="xml")
+
+    def test_complex_grid_rejected_by_matrix(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"re": [[1.0]], "im": [[0.0]]}))
+        with pytest.raises(MatrixParseError, match="n >= 2"):
             load_complex_matrix(path)
 
     @pytest.mark.parametrize("case", UNREADABLE)
@@ -261,6 +311,36 @@ class TestBoundCommand:
         assert (code, out, err) == (2, "", f"error: --output {target}: cannot write: {reason}\n")
         assert enumerated == []
 
+    @pytest.mark.parametrize("command", ["bound", "exact", "verify"])
+    def test_output_directory_refused_before_work(self, capsys, monkeypatch, tmp_path, command):
+        from cclt import verify
+
+        path = tmp_path / "m10.csv"
+        np.savetxt(path, np.random.default_rng(0).standard_normal((10, 10)), delimiter=",")
+        ran = []
+
+        def spy(*args, **kwargs):
+            ran.append(args)
+
+        monkeypatch.setattr(cclt.cli, "enumerate_distribution", spy)
+        monkeypatch.setattr(cclt.constants, "enumerate_distribution", spy)
+        monkeypatch.setattr(verify, "run_suite", spy)
+        argv = ["verify", "all"] if command == "verify" else [command, "--input", str(path)]
+        code, out, err = run_cli(capsys, *argv, "--output", str(tmp_path))
+        assert (code, out, err) == (2, "", f"error: --output {tmp_path}: cannot write: Is a directory\n")
+        assert ran == []
+
+    def test_failed_write_exits_2(self, capsys, monkeypatch, tmp_path, fixture_csv):
+        target = tmp_path / "out.json"
+
+        def full_disk(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cclt.cli, "open", full_disk, raising=False)
+        code, out, err = run_cli(capsys, "exact", "--input", fixture_csv, "--output", str(target))
+        assert (code, out, err) == (2, "", f"error: --output {target}: cannot write: No space left on device\n")
+        assert not target.exists()
+
 
 class TestExactCommand:
     def test_report(self, capsys, fixture_csv):
@@ -339,6 +419,19 @@ class TestCharfnCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: adaptive Simpson: more than 40 splits")
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("a:1:2", "t-grid must be start:stop:count with numeric fields, got 'a:1:2'"),
+            ("0:1:2.5", "t-grid must be start:stop:count with numeric fields, got '0:1:2.5'"),
+            ("0:1:0", "t-grid count must be >= 1, got 0"),
+            ("0:1:-3", "t-grid count must be >= 1, got -3"),
+        ],
+    )
+    def test_malformed_grid_fields(self, capsys, fixture_csv, spec, message):
+        code, out, err = run_cli(capsys, "charfn", "--input", fixture_csv, f"--t-grid={spec}")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("spec, field", [("nan:1:2", "start"), ("0:inf:2", "stop")])
     def test_nonfinite_grid_rejected(self, capsys, fixture_csv, spec, field):
         code, out, err = run_cli(capsys, "charfn", "--input", fixture_csv, f"--t-grid={spec}")
@@ -362,6 +455,19 @@ class TestSampleCommand:
         payload = json.loads(out)
         assert payload["delta"]["method"] == "exact"
         assert payload["delta"]["delta"] == pytest.approx(0.3413447460685429, abs=1e-12)
+
+    def test_negative_first_value_with_equals(self, capsys):
+        code, out, _ = run_cli(capsys, "sample", "--values=-1.5,2,3,4", "--m-draw", "2")
+        assert code == 0
+        assert json.loads(out)["values"] == [-1.5, 2.0, 3.0, 4.0]
+        # Without "=", argparse takes "-1.5,2,3,4" for an option: exit 2.
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--values", "-1.5,2,3,4", "--m-draw", "2"])
+        assert exc.value.code == 2
+
+    def test_non_decimal_value(self, capsys):
+        code, out, err = run_cli(capsys, "sample", "--values", "1,x,3", "--m-draw", "1")
+        assert (code, out, err) == (2, "", "error: --values must be comma-separated decimals, got '1,x,3'\n")
 
     def test_full_draw_is_degenerate(self, capsys):
         code, _, err = run_cli(capsys, "sample", "--values", "1,2,3", "--m-draw", "3")

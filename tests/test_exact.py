@@ -401,6 +401,16 @@ class TestAtomValidation:
         with pytest.raises(InvalidMatrixError):
             AtomDistribution(values=np.array([]), counts=np.array([]), n=2)
 
+    @pytest.mark.parametrize("values, counts", [([0.0, 1.0], [2]), ([[0.0, 1.0]], [[1, 1]])])
+    def test_rejects_mismatched_shapes(self, values, counts):
+        with pytest.raises(InvalidMatrixError, match="matching 1-D arrays"):
+            AtomDistribution(values=np.array(values), counts=np.array(counts), n=2)
+
+    @pytest.mark.parametrize("counts", [[2, 0], [3, -1]])
+    def test_rejects_nonpositive_counts(self, counts):
+        with pytest.raises(InvalidMatrixError, match="positive"):
+            AtomDistribution(values=np.array([0.0, 1.0]), counts=np.array(counts), n=2)
+
     @pytest.mark.parametrize("values", [[0.0, 0.0], [-0.0, 0.0], [math.inf, math.inf], [-math.inf, -math.inf]])
     def test_rejects_repeated_values(self, values):
         with pytest.raises(InvalidMatrixError, match="strictly increasing"):
@@ -413,6 +423,11 @@ class TestMonteCarlo:
         first = monte_carlo_delta(m, 20_000, seed=42)
         second = monte_carlo_delta(m, 20_000, seed=42)
         assert first == second
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_rejects_thread_count_below_one(self, rng, threads):
+        with pytest.raises(ParameterError, match="threads must be >= 1"):
+            monte_carlo_delta(rand_matrix(rng, 4), 10_000, seed=0, threads=threads)
 
     def test_thread_count_does_not_change_result(self, rng):
         m = rand_matrix(rng, 5)

@@ -18,7 +18,6 @@ from cclt import (
     charfn,
     f_residual,
     f_terms,
-    f_terms_reference,
     gauss_cf,
     identity_check,
     identity_terms,
@@ -26,6 +25,7 @@ from cclt import (
 )
 from cclt import identity, permtables
 from conftest import rand_complex_entries, rand_matrix
+from oracles import f_terms_reference
 
 
 def rand_complex(rng, n):

@@ -25,7 +25,6 @@ from cclt import (
     h_ell,
     kappa,
     permanent,
-    permanent_reference,
     restricted_sum_check,
 )
 from cclt import permanents, quadrature
@@ -39,6 +38,7 @@ from cclt.permanents import (
 )
 from cclt.permtables import perm_blocks
 from conftest import literal_tables, rand_complex_entries, rand_matrix, row_pair_corpus
+from oracles import permanent_reference
 
 
 def mp_permanent(entries) -> mpmath.mpc:

@@ -16,14 +16,13 @@ from cclt import (
     ScoreMatrix,
     center,
     from_sampling,
-    g_clip,
     gamma,
     gamma_tilde,
-    quad_diff,
     variance_quadruple,
 )
 from cclt.scores import _second_differences
 from conftest import literal_tables, rand_matrix, row_pair_corpus, second_difference_tensor
+from oracles import g_clip, quad_diff
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -187,6 +186,11 @@ class TestGamma:
     def test_rejects_nonfinite_argument(self, two_by_two):
         with pytest.raises(ParameterError):
             gamma(two_by_two, math.inf)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_gamma_tilde_rejects_nonfinite_argument(self, two_by_two, x):
+        with pytest.raises(ParameterError, match="x must be finite"):
+            gamma_tilde(two_by_two, x)
 
     @pytest.mark.parametrize("n", [2, 9, 20])
     def test_reduction_order_is_the_pairwise_row_sum(self, rng, n):
