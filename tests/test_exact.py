@@ -189,6 +189,20 @@ class TestEnumerateMatchesOracle:
     def test_lattice_n10(self):
         self.check(ScoreMatrix(lattice_matrices(10)["footrule"]))
 
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    @pytest.mark.parametrize("kind", ["gaussian", "spearman", "footrule", "integers", "signed zeros"])
+    def test_chunk_seams(self, monkeypatch, chunk, kind):
+        # The lattice laws have runs across many chunks; the seam rule
+        # must leave every atom's sum, count and check as in one chunk.
+        if kind == "gaussian":
+            a = rand_matrix(np.random.default_rng(109), 9).a
+        elif kind == "signed zeros":
+            a = signed_zero_matrix(8)
+        else:
+            a = lattice_matrices(9)[kind]
+        monkeypatch.setattr(exact, "_ATOM_CHUNK", chunk)
+        self.check(ScoreMatrix(a))
+
     @staticmethod
     def check(m: ScoreMatrix):
         values, counts = enumerate_oracle(m)
@@ -228,17 +242,25 @@ class TestStatisticValues:
             tracemalloc.stop()
 
     def test_enumeration_peak_memory(self):
-        # The merge peaks near 3.1 n!-long float64 arrays, and the kernel
-        # near 1.06 (its output and 24 values per column-set pair): one more
-        # temporary of a quarter of n! values beside the output shows.
+        # The in-place merge peaks near 1.6 n!-long float64 arrays (the
+        # values, uint32 cumulative counts and chunk temporaries), and the
+        # kernel near 1.06 (its output and 24 values per column-set pair):
+        # one more temporary of a quarter of n! values beside the output shows.
         m = rand_matrix(np.random.default_rng(3), 10)
         values_bytes = 8 * math.factorial(10)
-        assert self.peak(enumerate_distribution, m) <= 3.5 * values_bytes
+        assert self.peak(enumerate_distribution, m) <= 2.0 * values_bytes
         assert self.peak(exact._statistic_values, m) <= 1.25 * values_bytes
+
+    def test_kolmogorov_peak_memory(self):
+        # The scan reads the stored cumulative counts: arrays of n!/128 and
+        # of _KS_CHUNK values, none as long as the law (3,628,755 atoms).
+        dist = enumerate_distribution(rand_matrix(np.random.default_rng(3), 10))
+        assert self.peak(kolmogorov_distance, dist) < 0.1 * 8 * math.factorial(10)
 
     def test_budget_refuses_before_allocating(self, monkeypatch):
         m = rand_matrix(np.random.default_rng(4), 9)
-        need = 3 * 8 * math.factorial(9)
+        # The n! float64 values and their uint32 cumulative counts.
+        need = (8 + 4) * math.factorial(9)
         monkeypatch.setattr(exact, "_ENUM_BYTES", need - 1)
         called = []
         kernel = exact._statistic_values
@@ -415,6 +437,18 @@ class TestAtomValidation:
     def test_rejects_repeated_values(self, values):
         with pytest.raises(InvalidMatrixError, match="strictly increasing"):
             AtomDistribution(values=np.array(values), counts=np.array([1, 1]), n=2)
+
+    @pytest.mark.parametrize("chunk", [1, 2])
+    def test_checks_cross_chunk_seams(self, monkeypatch, chunk):
+        # The faults sit in the pair that spans the seam at atom 2.
+        monkeypatch.setattr(exact, "_ATOM_CHUNK", chunk)
+        with pytest.raises(InvalidMatrixError, match="strictly increasing"):
+            AtomDistribution(values=np.array([0.0, 1.0, 1.0]), counts=np.array([2, 2, 2]), n=3)
+        with pytest.raises(InvalidMatrixError, match="positive"):
+            AtomDistribution(values=np.array([0.0, 1.0, 2.0]), counts=np.array([3, 3, 0]), n=3)
+        dist = AtomDistribution(values=np.array([0.0, 1.0, 2.0]), counts=np.array([3, 2, 1]), n=3)
+        assert dist.cum_counts.tolist() == [3, 5, 6]
+        assert dist.counts.tolist() == [3, 2, 1]
 
 
 class TestMonteCarlo:
