@@ -54,7 +54,7 @@ _OPTIONS = {
     "--quad-tol": dict(type=float, default=1e-10, help="quadrature absolute tolerance (default 1e-10)"),
     "--mc-samples": dict(type=int, default=10**6, help="Monte Carlo sample count (default 1e6)"),
     "--seed": dict(type=int, default=0, help="64-bit seed for randomized paths (default 0)"),
-    "--threads": dict(type=int, default=None, help="Monte Carlo worker threads (default CCLT_THREADS or 1)"),
+    "--threads": dict(type=int, default=1, help="Monte Carlo worker threads (default 1)"),
     "--output": dict(default=None, help="write the JSON report here instead of stdout"),
 }
 
@@ -70,14 +70,8 @@ def _add_input(parser: argparse.ArgumentParser) -> None:
 
 
 def _check_options(args: argparse.Namespace) -> None:
-    """Fill ``--threads`` from ``CCLT_THREADS`` where unset; reject each out-of-range value the command reads."""
+    """Reject each out-of-range value the command reads."""
     opts = vars(args)
-    if opts.get("threads", 1) is None:
-        env = os.environ.get("CCLT_THREADS", "1")
-        try:
-            args.threads = int(env)
-        except ValueError:
-            raise ParameterError(f"CCLT_THREADS must be an integer, got {env!r}") from None
     if opts.get("enum_cap", 2) < 2 or opts.get("perm_cap", 2) < 2:
         raise ParameterError("enumeration and permanent caps must be >= 2")
     if not opts.get("quad_tol", 1.0) > 0:
@@ -169,7 +163,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             "degenerate sampling design (sigma2 = 0): constant values or a full draw"
         )
     report = berry_esseen_bound(design.matrix, enum_cap=args.enum_cap, attach_delta=True)
-    specialized = sampling_bound_specialized(values, args.m_draw, design.sigma2)
+    specialized = sampling_bound_specialized(values, args.m_draw)
     if abs(specialized - report.bound) > 1e-10 * max(1.0, report.bound):
         raise CcltError(
             f"specialized sampling bound {specialized} disagrees with generic bound {report.bound}"

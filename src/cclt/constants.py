@@ -53,7 +53,7 @@ from .errors import ParameterError
 from .exact import DeltaReport, enumerate_distribution, kolmogorov_distance
 from .permanents import _cf_gap
 from .quadrature import adaptive_simpson_vec
-from .scores import GammaProfile, ScoreMatrix, _as_profile, _row_pair_sums, _sampling_values, require_nondegenerate
+from .scores import GammaProfile, ScoreMatrix, _as_profile, _row_pair_sums, _sampling_design, require_nondegenerate
 
 # Published constants of the certified inequality and of its Lyapunov form.
 THEOREM_C1 = 15.84
@@ -216,22 +216,21 @@ def berry_esseen_bound(
     bounds dominate the exact distance for every matrix.
     """
     profile = _as_profile(m)
-    stats = profile.stats
-    sigma2 = require_nondegenerate(stats)
+    sigma2 = require_nondegenerate(profile.sigma2)
     sigma = math.sqrt(sigma2)
     gamma_at = profile.gamma(THEOREM_C2 / sigma)
     bound = THEOREM_C1 / sigma2 * gamma_at
-    lyapunov = LYAPUNOV_COEFFICIENT / ((stats.n - 1) * sigma**3) * float(
-        (np.abs(stats.a_tilde) ** 3).sum()
+    lyapunov = LYAPUNOV_COEFFICIENT / ((profile.n - 1) * sigma**3) * float(
+        (np.abs(profile.a_tilde) ** 3).sum()
     )
     delta_report = None
     slack = None
-    if attach_delta and stats.n <= enum_cap:
+    if attach_delta and profile.n <= enum_cap:
         delta_report = kolmogorov_distance(enumerate_distribution(profile, enum_cap=enum_cap))
         slack = bound - delta_report.delta
     return BoundReport(
-        n=stats.n,
-        mu=stats.mu,
+        n=profile.n,
+        mu=profile.mu,
         sigma2=sigma2,
         gamma_at=gamma_at,
         bound=bound,
@@ -241,7 +240,7 @@ def berry_esseen_bound(
     )
 
 
-def sampling_bound_specialized(values, m_draw: int, sigma2: float) -> float:
+def sampling_bound_specialized(values, m_draw: int) -> float:
     """Without-replacement specialisation of the theorem bound.
 
     For the sampling design with value vector c and draw size m,
@@ -252,13 +251,14 @@ def sampling_bound_specialized(values, m_draw: int, sigma2: float) -> float:
                 (c_r - c_s)^2 min(1, C2/sigma |c_r - c_s|),
 
     because exactly 2 m (n - m) of the row pairs contribute each column-pair
-    difference.  The pair sum is the row-pair window sum of the 2 x n matrix
-    with rows c and 0 at the cutoff sigma/C2, in O(n log n) time.  Its one
-    row pair is one chunk of ``_row_pair_sums``: about 21 length-n
-    temporaries (169 MB at n = 10^6).  Must agree with the generic bound on
-    the induced matrix.
+    difference; sigma2 is the design's closed form (``from_sampling``), and a
+    degenerate design raises ``DegenerateMatrixError``.  The pair sum is the
+    row-pair window sum of the 2 x n matrix with rows c and 0 at the cutoff
+    sigma/C2, in O(n log n) time.  Its one row pair is one chunk of
+    ``_row_pair_sums``: about 21 length-n temporaries (169 MB at n = 10^6).
+    Must agree with the generic bound on the induced matrix.
     """
-    c = _sampling_values(values, m_draw)
+    c, _, sigma2 = _sampling_design(values, m_draw)
     n = c.size
     sigma2 = require_nondegenerate(sigma2)
     sigma = math.sqrt(sigma2)
@@ -286,7 +286,7 @@ def smoothing_bound(
     if not 0.0 < T < math.inf:
         raise ParameterError(f"T must be positive and finite, got {T}")
     profile = _as_profile(m)
-    sigma2 = require_nondegenerate(profile.stats)
+    sigma2 = require_nondegenerate(profile.sigma2)
     remainder = _kernel_tail(w, v_of_w(w)) / (math.sqrt(sigma2) * T)  # v_of_w checks w
 
     def integrand(ts: np.ndarray) -> np.ndarray:

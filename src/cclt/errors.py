@@ -8,6 +8,8 @@ stay friendly to generic callers.
 
 from __future__ import annotations
 
+import operator
+
 
 class CcltError(Exception):
     """Base class for all errors raised by this package."""
@@ -40,3 +42,11 @@ class MatrixParseError(CcltError, ValueError):
         super().__init__(message)
         self.row = row
         self.col = col
+
+
+def _integer(value, name: str) -> int:
+    """``operator.index(value)``; a float, string or other non-integer raises ``ParameterError``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None

@@ -38,7 +38,6 @@ is assembled from a fixed batch layout of spawned substreams).
 from __future__ import annotations
 
 import math
-import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import combinations
@@ -46,13 +45,14 @@ from itertools import combinations
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import CapExceededError, InvalidMatrixError, ParameterError
+from .errors import CapExceededError, InvalidMatrixError, ParameterError, _integer
 from .permtables import _table
 from .scores import GammaProfile, ScoreMatrix, _as_profile, require_nondegenerate
 
 _MERGE_RTOL = 1e-12
 # Byte budget for an enumeration's peak, the n! float64 values and their
 # cumulative counts (uint32 from n = 9): n = 11 needs 0.48 GB, n = 12 5.7 GB.
+# Monte Carlo's float64 sample array is held to it as well (2.7e8 samples).
 _ENUM_BYTES = 1 << 31
 # Sorted values merged, and atoms checked, per chunk of the exact law.
 _ATOM_CHUNK = 1 << 16
@@ -259,9 +259,7 @@ def enumerate_distribution(m: ScoreMatrix | GammaProfile, enum_cap: int = 10) ->
     if need > _ENUM_BYTES:
         raise CapExceededError(f"n = {n}: enumeration needs {need} bytes, over its {_ENUM_BYTES}-byte budget")
     profile = _as_profile(m)
-    stats = profile.stats
-    require_nondegenerate(stats)
-    sigma = math.sqrt(stats.sigma2)
+    sigma = math.sqrt(require_nondegenerate(profile.sigma2))
     s = _statistic_values(profile.matrix)
     s.sort()
     tol = _MERGE_RTOL * float(max(abs(s[0]), abs(s[-1]), 1e-300))
@@ -283,7 +281,7 @@ def enumerate_distribution(m: ScoreMatrix | GammaProfile, enum_cap: int = 10) ->
         # value rounds as that expression does.
         values = np.add.reduceat(s[lo:hi], starts)
         values /= ends - starts
-        values -= stats.mu
+        values -= profile.mu
         values /= sigma
         k = values.size
         s[atoms : atoms + k] = values
@@ -430,19 +428,18 @@ def monte_carlo_delta(
     sign.  Delta is the largest gap between the empirical CDF, i/N just after
     the i-th sorted sample and (i-1)/N just before it, and Phi, found by
     ``_ks_sup``: Phi is evaluated at about 1% of the samples, and the value
-    and ``arg_x`` are those of a scan of every sample, bit for bit.
+    and ``arg_x`` are those of a scan of every sample, bit for bit.  A sample
+    array over ``_ENUM_BYTES`` raises ``CapExceededError`` before any work.
     """
-    try:
-        samples = operator.index(samples)
-    except TypeError:
-        raise ParameterError(f"samples must be an integer, got {samples!r}") from None
+    samples = _integer(samples, "samples")
     if samples < 10_000:
         raise ParameterError(f"samples must be at least 10000, got {samples}")
+    if 8 * samples > _ENUM_BYTES:
+        raise CapExceededError(f"{samples} samples need {8 * samples} bytes, over the {_ENUM_BYTES}-byte budget")
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")
     profile = _as_profile(m)
-    stats = profile.stats
-    sigma = math.sqrt(require_nondegenerate(stats))
+    sigma = math.sqrt(require_nondegenerate(profile.sigma2))
     n = profile.n
     # a[j, r] sits at r * n + j: one flat index per drawn entry.
     a_cols = np.ascontiguousarray(profile.matrix.a.T).ravel()
@@ -476,7 +473,7 @@ def monte_carlo_delta(
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run_batch, jobs))
-    s -= stats.mu
+    s -= profile.mu
     s /= sigma
     s.sort()
     delta, i = _ks_sup(s)

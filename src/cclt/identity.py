@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceededError, InvalidMatrixError, ParameterError
+from .errors import CapExceededError, InvalidMatrixError, ParameterError, _integer
 from .permanents import permanent
 from .permtables import perm_blocks
 from .quadrature import gauss_legendre
@@ -311,6 +311,7 @@ def swap_identity_check(
     returns the larger of the two residuals.
     """
     n = Y.n
+    j, k = _integer(j, "j"), _integer(k, "k")
     if j == k:
         raise ParameterError("j and k must be distinct")
     for name, idx in (("j", j), ("k", k)):

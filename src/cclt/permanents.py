@@ -42,9 +42,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .analytic import kappa
-from .errors import CapExceededError, ParameterError
+from .errors import CapExceededError, ParameterError, _integer
 from .quadrature import adaptive_simpson_lanes
-from .scores import CenteredStats, GammaProfile, ScoreMatrix, _as_profile, require_nondegenerate
+from .scores import GammaProfile, ScoreMatrix, _as_profile, require_nondegenerate
 
 
 # Element budget of the kernel's sign-sum table: 2^16 complex values, 1 MB.
@@ -125,19 +125,19 @@ def charfn_grid(m: ScoreMatrix, ts, perm_cap: int = 20) -> np.ndarray:
     return _exp_perms(m.a, ts) / math.factorial(m.n)
 
 
-def _gauss_cf_grid(stats: CenteredStats, ts: np.ndarray) -> np.ndarray:
+def _gauss_cf_grid(profile: GammaProfile, ts: np.ndarray) -> np.ndarray:
     """exp(i t mu - sigma2 t^2 / 2) at each t of ``ts``."""
-    return np.exp(1j * ts * stats.mu - stats.sigma2 * ts * ts / 2.0)
+    return np.exp(1j * ts * profile.mu - profile.sigma2 * ts * ts / 2.0)
 
 
 def gauss_cf(m: ScoreMatrix | GammaProfile, t: float) -> complex:
     """Characteristic function exp(i t mu - sigma2 t^2 / 2) of the matching normal."""
-    return complex(_gauss_cf_grid(_as_profile(m).stats, np.array([t], dtype=float))[0])
+    return complex(_gauss_cf_grid(_as_profile(m), np.array([t], dtype=float))[0])
 
 
 def _cf_gap(profile: GammaProfile, ts, perm_cap: int = 20) -> np.ndarray:
     """|phi(t) - exp(i t mu - sigma2 t^2 / 2)| at each t of the array ``ts``."""
-    return np.abs(charfn_grid(profile.matrix, ts, perm_cap=perm_cap) - _gauss_cf_grid(profile.stats, ts))
+    return np.abs(charfn_grid(profile.matrix, ts, perm_cap=perm_cap) - _gauss_cf_grid(profile, ts))
 
 
 def charfn_bound_grid(m: ScoreMatrix | GammaProfile, ts) -> np.ndarray:
@@ -208,7 +208,7 @@ def _weighted_terms(profile: GammaProfile, ts: np.ndarray, g_a, g_b, g_2k) -> np
 
 def h_ell(m: ScoreMatrix | GammaProfile, t: float, ell: float) -> DampingBound:
     """Damping bound for permutation sums with ell rows and columns fixed."""
-    if ell < 0:
+    if not ell >= 0:  # written so that NaN fails
         raise ParameterError(f"ell must be nonnegative, got {ell}")
     value = _damping(_as_profile(m), _t_values(t), ell)[0]
     return DampingBound(ell=ell, t=t, value=float(value))
@@ -229,8 +229,8 @@ def restricted_sum_grid(
     """
     profile = _as_profile(m)
     n = profile.n
-    cols = sorted(set(int(c) for c in cols_removed))
-    rows = sorted(set(int(r) for r in rows_removed))
+    cols = sorted(set(_integer(c, "removed column") for c in cols_removed))
+    rows = sorted(set(_integer(r, "removed row") for r in rows_removed))
     if len(cols) != len(cols_removed) or len(rows) != len(rows_removed):
         raise ParameterError("removed index sets must not contain duplicates")
     if len(cols) != len(rows):
@@ -282,7 +282,7 @@ def cf_diff_bound_integral_grid(
     at two points up to 2.1e-10 below it.
     """
     profile = _as_profile(m)
-    require_nondegenerate(profile.stats)
+    require_nondegenerate(profile.sigma2)
     ts = _t_values(ts)
     sigma2 = profile.sigma2_quad
     kap, _ = kappa()
@@ -332,7 +332,7 @@ def cf_diff_bound_closed_grid(
     is evaluated as well; below n = 6 the second array is None.
     """
     profile = _as_profile(m)
-    require_nondegenerate(profile.stats)
+    require_nondegenerate(profile.sigma2)
     ts = _t_values(ts)
     kap, _ = kappa()
     stacked = profile.gamma_many(np.concatenate((ts / 6.0, ts / 3.0, 2.0 * kap * ts)))
@@ -384,7 +384,7 @@ def evaluate_cf_grid(
     profile = _as_profile(m)
     ts = _t_values(ts)
     phis = charfn_grid(profile.matrix, ts, perm_cap=perm_cap)
-    gauss = _gauss_cf_grid(profile.stats, ts)
+    gauss = _gauss_cf_grid(profile, ts)
     modulus = charfn_bound_grid(profile, ts)
     integral = cf_diff_bound_integral_grid(profile, ts, tol=tol)
     closed, simplified = cf_diff_bound_closed_grid(profile, ts)

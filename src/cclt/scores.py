@@ -45,12 +45,11 @@ immutable, and indices appearing in the public API are 1-based.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMatrixError, InvalidMatrixError, ParameterError
+from .errors import DegenerateMatrixError, InvalidMatrixError, ParameterError, _integer
 
 # Row/column sums of the centered matrix must vanish to this relative level.
 _CENTERING_RTOL = 1e-10
@@ -91,30 +90,16 @@ class ScoreMatrix:
         return self.a.shape[0]
 
 
-@dataclass(frozen=True)
-class CenteredStats:
-    """Centered matrix and derived scalars of one score matrix.
-
-    ``sigma2`` is the pair-sum variance sum(at**2)/(n-1); ``delta`` is the
-    cubic quadruple functional sum(|b|^3)/(n^2 (n-1)).  Row sums, column sums
-    of ``a_tilde`` vanish by construction (checked to 1e-10 of the entry
-    scale).
-    """
-
-    n: int
-    a_tilde: np.ndarray
-    mu: float
-    sigma2: float
-    delta: float
-
-
 class GammaProfile:
-    """Precomputed clipped-moment machinery for one score matrix.
+    """The functionals of one score matrix and its clipped moments.
 
-    ``sigma2_quad`` is the quadruple-sum variance; it equals ``stats.sigma2``
-    up to roundoff and is the form used inside exponential damping bounds so
-    that ``4*sigma2_quad - gamma(x) >= 0`` holds termwise.  The quadruple sums
-    take one of two routes, fixed by n alone:
+    Attributes, set once here: ``matrix`` and its size ``n``; ``a_tilde``, the
+    doubly centered matrix (row and column sums checked to vanish to 1e-10
+    of the entry scale); ``mu``, ``sigma2`` and ``delta`` as in the module
+    docstring; and ``sigma2_quad``, the quadruple-sum variance.  It equals
+    ``sigma2`` up to roundoff and is the form used inside exponential
+    damping bounds so that ``4*sigma2_quad - gamma(x) >= 0`` holds termwise.
+    The quadruple sums take one of two routes, fixed by n alone:
 
     * n <= 20 (``_LITERAL_MAX_N``, the default ``perm_cap``, 3.61e4 terms):
       the literal route.  b^2 and |b| over the quarter j < k, s < r
@@ -145,17 +130,18 @@ class GammaProfile:
     the corpus of ``tests/test_scores.py``); open windows far from their
     row's median (|x| M_jk >> 1) widen it.  Observed errors stay below 2% of
     it.  ``4 * sigma2_quad`` is gamma's square part with every window closed
-    and ``stats.delta`` its cube part with every window open, and they carry
+    and ``delta`` its cube part with every window open, and they carry
     the allowance of those two cases.  The reported gamma feeds an upper
     bound: it may come out low by at most this amount.
     """
 
     __slots__ = (
         "matrix",
-        "stats",
         "n",
-        "at_sq",
-        "at_abs",
+        "a_tilde",
+        "mu",
+        "sigma2",
+        "delta",
         "sigma2_quad",
         "_quad_norm",
         "_literal",
@@ -179,29 +165,22 @@ class GammaProfile:
 
         self.matrix = matrix
         self.n = n
-        self.at_sq = (at * at).ravel()
-        self.at_abs = np.abs(at).ravel()
         self._quad_norm = float(n * n * (n - 1))
         self._literal = None
         self._split = None
         if n <= _LITERAL_MAX_N:
             b_sq, b_abs = self._literal_tables()
             self.sigma2_quad = float(b_sq.sum() / self._quad_norm)
-            delta = float(4.0 * (b_sq * b_abs).sum() / self._quad_norm)
+            self.delta = float(4.0 * (b_sq * b_abs).sum() / self._quad_norm)
         else:
             cubes, squares = _row_pair_sums(a, np.array([0.0, np.inf]))
             self.sigma2_quad = float(squares[0] / self._quad_norm)
-            delta = float(4.0 * cubes[1] / self._quad_norm)
+            self.delta = float(4.0 * cubes[1] / self._quad_norm)
 
-        sigma2 = float(self.at_sq.sum() / (n - 1))
+        self.sigma2 = float((at * at).sum() / (n - 1))
         at.setflags(write=False)
-        self.stats = CenteredStats(
-            n=n,
-            a_tilde=at,
-            mu=float(n * a.mean()),
-            sigma2=sigma2,
-            delta=delta,
-        )
+        self.a_tilde = at
+        self.mu = float(n * a.mean())
 
     def _literal_tables(self):
         """(b^2, |b|) over the quarter j < k, s < r, built on first use.
@@ -223,8 +202,9 @@ class GammaProfile:
 
     def gamma_tilde(self, x: float) -> float:
         """Pair-sum clipped moment sum at^2 min(1, |x at|) / (n - 1)."""
-        clip = np.minimum(1.0, abs(x) * self.at_abs)
-        return float((self.at_sq * clip).sum() / (self.n - 1))
+        at = self.a_tilde
+        clip = np.minimum(1.0, abs(x) * np.abs(at))
+        return float(((at * at) * clip).sum() / (self.n - 1))
 
     def gamma_many(self, xs) -> np.ndarray:
         """Clipped moment sum b^2 min(1, |x b|) / (n^2 (n-1)) at each argument.
@@ -396,14 +376,13 @@ def _as_profile(m: ScoreMatrix | GammaProfile) -> GammaProfile:
     return m if isinstance(m, GammaProfile) else GammaProfile(m)
 
 
-def center(m: ScoreMatrix) -> CenteredStats:
-    """Doubly center ``m`` and return the derived statistics.
+def center(m: ScoreMatrix | GammaProfile) -> GammaProfile:
+    """The ``GammaProfile`` of ``m`` (a profile is returned as is).
 
-    at[j, r] = a[j, r] - colmean[r] - rowmean[j] + grandmean, mu = n*grandmean,
-    sigma2 = sum(at**2)/(n-1), delta = sum over distinct index pairs of
-    |b|^3 / (n^2 (n-1)).
+    Its ``a_tilde``, ``mu``, ``sigma2`` and ``delta`` are the centered matrix
+    and the statistics derived from it (see ``GammaProfile``).
     """
-    return _as_profile(m).stats
+    return _as_profile(m)
 
 
 def variance_quadruple(m: ScoreMatrix | GammaProfile) -> float:
@@ -448,25 +427,31 @@ class SamplingScores:
     degenerate: bool
 
 
-def _sampling_values(values, m_draw: int) -> np.ndarray:
-    """``values`` as a float vector of a valid design with ``m_draw`` draws.
+def _sampling_design(values, m_draw: int) -> tuple[np.ndarray, float, float]:
+    """(c, mu, sigma2) of the design drawing ``m_draw`` of ``values``, by the closed forms
 
-    Raises ``InvalidMatrixError`` unless the values form a finite 1-D vector of
-    at least 2 entries, and ``ParameterError`` unless m_draw is an integer in
-    1..n.
+        mu     = m_draw * mean(values)
+        sigma2 = m_draw (n - m_draw) / (n (n-1)) * sum((values - mean)^2),
+
+    with sigma2 = 0 exactly when the design is degenerate: equal values, a
+    full draw, or a sum that rounds to 0.  Raises ``InvalidMatrixError``
+    unless the values form a finite 1-D vector of at least 2 entries, and
+    ``ParameterError`` unless m_draw is an integer in 1..n.
     """
     c = np.asarray(values, dtype=float)
     if c.ndim != 1 or c.size < 2:
         raise InvalidMatrixError(f"need a 1-D vector of at least 2 values, got shape {c.shape}")
     if not np.all(np.isfinite(c)):
         raise InvalidMatrixError("values must be finite")
-    try:
-        operator.index(m_draw)
-    except TypeError:
-        raise ParameterError(f"m_draw must be an integer, got {m_draw!r}") from None
-    if not 1 <= m_draw <= c.size:
-        raise ParameterError(f"m_draw={m_draw} out of range 1..{c.size}")
-    return c
+    _integer(m_draw, "m_draw")
+    n = c.size
+    if not 1 <= m_draw <= n:
+        raise ParameterError(f"m_draw={m_draw} out of range 1..{n}")
+    cbar = float(c.mean())
+    spread = float(c.max() - c.min())
+    sigma2 = m_draw * (n - m_draw) / (n * (n - 1)) * float(((c - cbar) ** 2).sum())
+    degenerate = spread == 0.0 or m_draw == n or sigma2 == 0.0
+    return c, m_draw * cbar, 0.0 if degenerate else sigma2
 
 
 def from_sampling(values, m_draw: int) -> SamplingScores:
@@ -474,31 +459,24 @@ def from_sampling(values, m_draw: int) -> SamplingScores:
 
     Row j of the matrix equals the value vector for j <= m_draw and is zero
     otherwise, so S is the sum of m_draw values drawn uniformly without
-    replacement.  Closed forms:
-
-        mu     = m_draw * mean(values)
-        sigma2 = m_draw (n - m_draw) / (n (n-1)) * sum((values - mean)^2)
+    replacement; mu and sigma2 take the closed forms of ``_sampling_design``.
     """
-    c = _sampling_values(values, m_draw)
+    c, mu, sigma2 = _sampling_design(values, m_draw)
     n = c.size
     a = np.zeros((n, n))
     a[:m_draw, :] = c[None, :]
-    cbar = float(c.mean())
-    spread = float(c.max() - c.min())
-    sigma2 = m_draw * (n - m_draw) / (n * (n - 1)) * float(((c - cbar) ** 2).sum())
-    degenerate = spread == 0.0 or m_draw == n or sigma2 == 0.0
     return SamplingScores(
         matrix=ScoreMatrix(a),
-        mu=m_draw * cbar,
-        sigma2=0.0 if degenerate else sigma2,
+        mu=mu,
+        sigma2=sigma2,
         m_draw=m_draw,
-        degenerate=degenerate,
+        degenerate=sigma2 == 0.0,
     )
 
 
-def require_nondegenerate(stats_or_sigma2) -> float:
-    """Return sigma2, raising if the statistic is almost surely constant."""
-    sigma2 = stats_or_sigma2.sigma2 if isinstance(stats_or_sigma2, CenteredStats) else float(stats_or_sigma2)
+def require_nondegenerate(sigma2: float) -> float:
+    """Return sigma2 as a float, raising if the statistic is almost surely constant."""
+    sigma2 = float(sigma2)
     if sigma2 <= 0.0:
         raise DegenerateMatrixError("sigma2 = 0: the permutation statistic is constant")
     return sigma2

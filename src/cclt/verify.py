@@ -89,7 +89,7 @@ def t_grids(matrices, span: float, count: int) -> list:
     out = []
     for m in matrices:
         profile = GammaProfile(m)
-        sigma = math.sqrt(profile.stats.sigma2)
+        sigma = math.sqrt(profile.sigma2)
         out.append((profile, np.linspace(-span / sigma, span / sigma, count)))
     return out
 
@@ -207,13 +207,12 @@ def check_cf_specialization(matrices, tol: float, quad_tol: float = 1e-10) -> Ch
     worst = _Worst(-1.0)
     for i, m in enumerate(matrices):
         profile = GammaProfile(m)
-        stats = profile.stats
         for t in (0.3, 0.8):
             y = ComplexScoreMatrix(1j * t * m.a)
             terms = identity_terms(y)
             lhs = identity_check(y, tol=quad_tol).lhs
             expected = charfn_grid(m, [t])[0] - gauss_cf(profile, t)
-            gaps = (abs(terms.alpha - 1j * t * stats.mu), abs(terms.beta + stats.sigma2 * t * t), abs(lhs - expected))
+            gaps = (abs(terms.alpha - 1j * t * profile.mu), abs(terms.beta + profile.sigma2 * t * t), abs(lhs - expected))
             worst.add(max(gaps), _at(i, m, t=t))
     return _result("cf_specialization", {"max_residual": (worst, tol)})
 
@@ -293,14 +292,14 @@ def check_sandwich(matrices, tol: float) -> CheckResult:
     worst = _Worst()
     for i, m in enumerate(matrices):
         profile = GammaProfile(m)
-        stats, n = profile.stats, profile.n
-        sigma = math.sqrt(stats.sigma2)
+        n = profile.n
+        sigma = math.sqrt(profile.sigma2)
         for x in (0.1 / sigma, 1.0 / sigma, 10.0 / sigma):
             g = profile.gamma(x)
             gaps = [
                 g - 16.0 * profile.gamma_tilde(x),
-                4.0 * (stats.sigma2 - (n - 1) / (27.0 * x * x)) - g,
-                g - min(4.0 * stats.sigma2, abs(x) * stats.delta),
+                4.0 * (profile.sigma2 - (n - 1) / (27.0 * x * x)) - g,
+                g - min(4.0 * profile.sigma2, abs(x) * profile.delta),
             ]
             for y in (0.25, 0.5, 0.75):
                 gaps.append((1.0 - y * y * ((n - 1) / n) ** 2) * profile.gamma_tilde(x * y) - g)
@@ -328,7 +327,7 @@ def check_smoothing(matrices, tol: float) -> CheckResult:
     worst = _Worst()
     for i, m in enumerate(matrices):
         profile = GammaProfile(m)
-        sigma = math.sqrt(profile.stats.sigma2)
+        sigma = math.sqrt(profile.sigma2)
         delta = kolmogorov_distance(enumerate_distribution(profile)).delta
         for cutoff in (2.0 / sigma, 10.0 / sigma):
             worst.add(delta - smoothing_bound(profile, 0.89, cutoff, tol=1e-8), _at(i, m, T=cutoff))
@@ -341,12 +340,11 @@ def check_sampling(designs, tol: float) -> CheckResult:
     for values, m_draw in designs:
         design = from_sampling(values, m_draw)
         profile = GammaProfile(design.matrix)
-        stats = profile.stats
-        special = sampling_bound_specialized(values, m_draw, design.sigma2)
+        special = sampling_bound_specialized(values, m_draw)
         bound = berry_esseen_bound(profile, attach_delta=False).bound
         gaps = (
-            abs(stats.sigma2 - design.sigma2) / max(1.0, design.sigma2),
-            abs(stats.mu - design.mu) / max(1.0, abs(design.mu)),
+            abs(profile.sigma2 - design.sigma2) / max(1.0, design.sigma2),
+            abs(profile.mu - design.mu) / max(1.0, abs(design.mu)),
             abs(bound - special) / max(1.0, bound),
         )
         worst.add(max(gaps), f"n = {len(values)}, m = {m_draw}")
@@ -446,7 +444,6 @@ def run_suite(suite: str, seed: int = 0, quad_tol: float = 1e-10) -> dict:
     names = ("identity", "bounds", "constants", "cf") if suite == "all" else (suite,)
     results = [r for name in names for r in _SUITES[name](seed, quad_tol)]
     return {
-        "schema": 1,
         "suite": suite,
         "seed": seed,
         "passed": all(r.passed for r in results),

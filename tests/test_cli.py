@@ -186,6 +186,14 @@ class TestBoundCommand:
         assert payload["delta"]["method"] == "monte-carlo"
         assert payload["delta"]["std_error"] == pytest.approx(0.5 / math.sqrt(20000))
 
+    def test_oversized_monte_carlo_sample_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "m12.csv"
+        rows = np.random.default_rng(12).standard_normal((12, 12))
+        path.write_text("\n".join(",".join(str(v) for v in row) for row in rows))
+        code, out, err = run_cli(capsys, "bound", "--input", str(path), "--mc-samples", str(10**12))
+        assert (code, out) == (2, "")
+        assert err == f"error: {10**12} samples need {8 * 10**12} bytes, over the {2**31}-byte budget\n"
+
     @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
     def test_seed_out_of_range_exits_2(self, capsys, tmp_path, seed):
         path = tmp_path / "m5.csv"
@@ -577,22 +585,17 @@ class TestVerifyCommand:
 
 
 class TestThreadsConfig:
-    def test_env_fallback(self, capsys, fixture_csv, monkeypatch):
-        monkeypatch.setenv("CCLT_THREADS", "3")
-        code, out, _ = run_cli(capsys, "bound", "--input", fixture_csv)
+    def test_environment_is_ignored(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "m5.csv"
+        rows = np.random.default_rng(5).standard_normal((5, 5))
+        path.write_text("\n".join(",".join(str(v) for v in row) for row in rows))
+        argv = ("bound", "--input", str(path), "--enum-cap", "4", "--mc-samples", "20000")
+        code, plain, _ = run_cli(capsys, *argv)
         assert code == 0
-        assert json.loads(out)["bound"] == pytest.approx(63.36)
-
-    def test_invalid_env_value(self, capsys, fixture_csv, monkeypatch):
         monkeypatch.setenv("CCLT_THREADS", "many")
-        code, _, err = run_cli(capsys, "bound", "--input", fixture_csv)
-        assert code == 2
-        assert "CCLT_THREADS" in err
-
-    def test_flag_beats_env(self, capsys, fixture_csv, monkeypatch):
-        monkeypatch.setenv("CCLT_THREADS", "bogus")
-        code, _, _ = run_cli(capsys, "bound", "--input", fixture_csv, "--threads", "2")
-        assert code == 0
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == plain
 
     def test_invalid_thread_count(self, capsys, fixture_csv):
         code, _, err = run_cli(capsys, "bound", "--input", fixture_csv, "--threads", "0")

@@ -236,18 +236,29 @@ class TestSamplingBound:
             values = rng.standard_normal(n)
             design = from_sampling(values, m_draw)
             generic = berry_esseen_bound(design.matrix, attach_delta=False).bound
-            special = sampling_bound_specialized(values, m_draw, design.sigma2)
+            special = sampling_bound_specialized(values, m_draw)
             assert special == pytest.approx(generic, rel=1e-11)
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateMatrixError):
-            sampling_bound_specialized([1.0, 1.0, 1.0], 2, 0.0)
+            sampling_bound_specialized([1.0, 1.0, 1.0], 2)
+        with pytest.raises(DegenerateMatrixError):
+            sampling_bound_specialized([1.0, 2.0, 3.0], 3)
+
+    def test_equal_values_are_degenerate_though_the_sum_rounds_above_zero(self):
+        values = [0.1, 0.1, 0.1]
+        c = np.asarray(values)
+        # The closed form m (n - m) / (n (n-1)) * sum((c - mean)^2) rounds to about 1.9e-34.
+        assert 2 * (3 - 2) / (3 * 2) * float(((c - c.mean()) ** 2).sum()) > 0.0
+        assert from_sampling(values, 2).degenerate
+        with pytest.raises(DegenerateMatrixError):
+            sampling_bound_specialized(values, 2)
 
     def test_m_draw_must_be_an_integer(self):
         with pytest.raises(ParameterError, match="m_draw must be an integer"):
-            sampling_bound_specialized([1.0, 2.0, 3.0, 4.0], 2.5, 1.0)
+            sampling_bound_specialized([1.0, 2.0, 3.0, 4.0], 2.5)
         values = [1.0, 2.0, 3.0, 4.0]
-        assert sampling_bound_specialized(values, np.int64(2), 1.0) == sampling_bound_specialized(values, 2, 1.0)
+        assert sampling_bound_specialized(values, np.int64(2)) == sampling_bound_specialized(values, 2)
 
     @staticmethod
     def pair_matrix_oracle(values, m_draw, sigma2):
@@ -276,7 +287,7 @@ class TestSamplingBound:
             if design.degenerate:
                 continue
             expected = self.pair_matrix_oracle(values, m_draw, design.sigma2)
-            got = sampling_bound_specialized(values, m_draw, design.sigma2)
+            got = sampling_bound_specialized(values, m_draw)
             # The same terms summed in another order: a few ulps apart.
             assert got == pytest.approx(expected, rel=2e-15, abs=0.0), (n, m_draw)
             checked += 1
@@ -284,10 +295,9 @@ class TestSamplingBound:
 
     def test_holds_no_n_by_n_array(self):
         values = np.random.default_rng(4000).standard_normal(4000)
-        sigma2 = from_sampling(values, 1000).sigma2
         tracemalloc.start()
         try:
-            sampling_bound_specialized(values, 1000, sigma2)
+            sampling_bound_specialized(values, 1000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -300,7 +310,7 @@ class TestSamplingBound:
         with pytest.raises(InvalidMatrixError):
             from_sampling(values, 1)
         with pytest.raises(InvalidMatrixError):
-            sampling_bound_specialized(values, 1, 1.0)
+            sampling_bound_specialized(values, 1)
 
 
 def hypergeometric_pmf(n: int, ones: int, draws: int) -> tuple[int, np.ndarray]:
@@ -372,7 +382,7 @@ class TestTheoremBelowOne:
     )
     def test_exact_delta_below_bound_below_one(self, n, bound_ref, delta_ref):
         values, draws, sigma2 = balanced_design(n)
-        bound = sampling_bound_specialized(values, draws, sigma2)
+        bound = sampling_bound_specialized(values, draws)
         delta = hypergeometric_delta(n, n // 2, draws, sigma2)
         assert delta <= bound < 1.0
         assert bound == pytest.approx(bound_ref, rel=1e-3)

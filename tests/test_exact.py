@@ -564,3 +564,18 @@ class TestMonteCarlo:
     def test_degenerate_matrix_rejected(self):
         with pytest.raises(DegenerateMatrixError):
             monte_carlo_delta(ScoreMatrix(np.zeros((3, 3))), 10_000, seed=0)
+
+    def test_sample_budget_refuses_before_allocating(self, monkeypatch):
+        # 8 TB of samples: numpy would raise MemoryError, not the cap error.
+        called = []
+        monkeypatch.setattr(exact, "_as_profile", lambda m: called.append(m) or m)
+        m = rand_matrix(np.random.default_rng(12), 12)
+        with pytest.raises(CapExceededError, match=f"{10**12} samples need {8 * 10**12} bytes"):
+            monte_carlo_delta(m, 10**12, seed=0)
+        assert called == []
+
+    def test_sample_budget_boundary(self, monkeypatch, two_by_two):
+        monkeypatch.setattr(exact, "_ENUM_BYTES", 8 * 20_000)
+        with pytest.raises(CapExceededError, match="20001 samples need 160008 bytes"):
+            monte_carlo_delta(two_by_two, 20_001, seed=0)
+        assert monte_carlo_delta(two_by_two, 20_000, seed=0).method == "monte-carlo"

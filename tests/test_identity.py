@@ -314,3 +314,11 @@ class TestSwapIdentity:
     def test_rejects_out_of_range(self, rng):
         with pytest.raises(IndexError):
             swap_identity_check(rand_complex(rng, 3), 1, 4)
+
+    def test_rejects_non_integer_indices(self, rng):
+        y = rand_complex(rng, 3)
+        with pytest.raises(ParameterError, match="j must be an integer, got 1.5"):
+            swap_identity_check(y, 1.5, 2)
+        with pytest.raises(ParameterError, match="k must be an integer, got '2'"):
+            swap_identity_check(y, 1, "2")
+        assert swap_identity_check(y, np.int64(1), np.int64(3)) == swap_identity_check(y, 1, 3)

@@ -207,7 +207,7 @@ class TestModulusBound:
         # table: scales, lattices, a spike and entries near 1e6.
         for name, entries in row_pair_corpus(np.random.default_rng(n), n).items():
             profile = GammaProfile(entries)
-            sigma = math.sqrt(profile.stats.sigma2)
+            sigma = math.sqrt(profile.sigma2)
             ts = np.linspace(-10.0 / sigma, 10.0 / sigma, 41)
             _, b_abs = literal_tables(entries)
             mean = np.array([(np.cos(0.5 * t * b_abs) ** 2).sum() for t in ts.tolist()])
@@ -261,8 +261,23 @@ class TestDampingBound:
         with pytest.raises(ParameterError):
             h_ell(two_by_two, 1.0, -0.5)
 
+    def test_rejects_nan_ell(self, two_by_two):
+        with pytest.raises(ParameterError, match="ell must be nonnegative"):
+            h_ell(two_by_two, 0.3, math.nan)
+
 
 class TestRestrictedSums:
+    def test_rejects_non_integer_indices(self, rng):
+        m = rand_matrix(rng, 4)
+        ts = np.linspace(-2.0, 2.0, 5)
+        with pytest.raises(ParameterError, match="removed column must be an integer, got 1.5"):
+            restricted_sum_grid(m, [1.5], [2.9], ts)
+        with pytest.raises(ParameterError, match="removed row must be an integer, got 2.9"):
+            restricted_sum_grid(m, [1], [2.9], ts)
+        lhs, rhs = restricted_sum_grid(m, [np.int64(1)], [np.int64(2)], ts)
+        expected = restricted_sum_grid(m, [1], [2], ts)
+        assert lhs.tolist() == expected[0].tolist() and rhs.tolist() == expected[1].tolist()
+
     def test_full_and_almost_full_exclusion(self, rng):
         m = rand_matrix(rng, 5)
         lhs, rhs = restricted_sum_check(m, [1, 2, 3, 4, 5], [1, 2, 3, 4, 5], 1.3)
@@ -385,7 +400,7 @@ class TestCfDifferenceBounds:
     def test_integral_dominates_difference(self, rng):
         m = rand_matrix(rng, 5)
         profile = GammaProfile(m)
-        sigma = math.sqrt(profile.stats.sigma2)
+        sigma = math.sqrt(profile.sigma2)
         for t in np.linspace(0.1, 8.0, 12):
             diff = abs(charfn(m, float(t)) - gauss_cf(profile, float(t)))
             bound = cf_diff_bound_integral(profile, float(t), tol=1e-10)
@@ -534,9 +549,9 @@ class TestScalarIsBatchOfOne:
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_gauss_cf_is_its_grid_and_the_scalar_formula(self, rng, n):
         profile = GammaProfile(rand_matrix(rng, n))
-        mu, sigma2 = profile.stats.mu, profile.stats.sigma2
+        mu, sigma2 = profile.mu, profile.sigma2
         ts = np.concatenate((np.linspace(-9.0, 9.0, 37), [0.0, -0.0, 1e-300, 40.0]))
-        grid = permanents._gauss_cf_grid(profile.stats, ts)
+        grid = permanents._gauss_cf_grid(profile, ts)
         for i, t in enumerate(ts.tolist()):
             assert gauss_cf(profile, t) == grid[i]
             assert gauss_cf(profile, t) == cmath.exp(1j * t * mu - sigma2 * t * t / 2.0)

@@ -78,6 +78,13 @@ class TestCenter:
         stats = center(m)
         assert stats.mu == pytest.approx(5 * m.a.mean(), rel=1e-12)
 
+    def test_returns_the_profile(self, rng):
+        m = rand_matrix(rng, 4)
+        profile = center(m)
+        assert isinstance(profile, GammaProfile)
+        assert center(profile) is profile
+        assert not profile.a_tilde.flags.writeable
+
 
 class TestVarianceRoutes:
     def test_two_by_two_value(self, two_by_two):
@@ -199,7 +206,7 @@ class TestGamma:
         # gamma, a batch of one) must give this value bit for bit.
         m = rand_matrix(rng, n)
         profile = GammaProfile(m)
-        sigma = math.sqrt(profile.stats.sigma2)
+        sigma = math.sqrt(profile.sigma2)
         xs = np.concatenate(([0.0, -0.0], np.linspace(-4.0, 4.0, 11) / sigma, [1e-9, 1e9]))
         lo, hi = np.triu_indices(n, 1)
         quarter = second_difference_tensor(m.a)[lo, hi][:, hi, lo].ravel()
@@ -282,17 +289,17 @@ class TestRowPairRoute:
             sigma2 = float(b_sq.sum()) / (4.0 * norm)
             delta = float((b_sq * b_abs).sum()) / norm
             assert abs(profile.sigma2_quad - sigma2) <= 1e-12 * sigma2, name
-            assert abs(profile.stats.delta - delta) <= 1e-12 * delta, name
+            assert abs(profile.delta - delta) <= 1e-12 * delta, name
 
     def test_high_precision_oracle(self):
         # The hardest corpus entry: one 1e6 among 1e-3 noise.
         n = 21
         entries = row_pair_corpus(np.random.default_rng(7), n)["spike"]
         profile = GammaProfile(entries)
-        xs = (1e-2, 1.0, 0.65 / math.sqrt(profile.stats.sigma2))
+        xs = (1e-2, 1.0, 0.65 / math.sqrt(profile.sigma2))
         exact_sigma2, exact_delta, exact_gamma = mp_quadruple_sums(entries, xs)
         assert abs(profile.sigma2_quad - exact_sigma2) <= 1e-14 * exact_sigma2
-        assert abs(profile.stats.delta - exact_delta) <= 1e-14 * exact_delta
+        assert abs(profile.delta - exact_delta) <= 1e-14 * exact_delta
         for x, exact in zip(xs, exact_gamma):
             g = profile.gamma(x)
             # Never low beyond the stated allowance (it feeds an upper bound).
@@ -301,7 +308,7 @@ class TestRowPairRoute:
 
     def test_scalar_is_a_batch_of_one(self, rng):
         profile = GammaProfile(rand_matrix(rng, 25))
-        sigma = math.sqrt(profile.stats.sigma2)
+        sigma = math.sqrt(profile.sigma2)
         xs = np.concatenate(([0.0, -0.0], np.linspace(-4.0, 4.0, 11) / sigma, [1e-9, 1e9]))
         batch = profile.gamma_many(xs).tolist()
         assert [profile.gamma(x) for x in xs.tolist()] == batch
@@ -326,7 +333,7 @@ class TestRowPairRoute:
         tracemalloc.start()
         try:
             profile = GammaProfile(entries)
-            profile.gamma(0.65 / math.sqrt(profile.stats.sigma2))
+            profile.gamma(0.65 / math.sqrt(profile.sigma2))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -380,10 +387,10 @@ class TestQuarterTable:
         n = 9
         for name, entries in row_pair_corpus(np.random.default_rng(9), n).items():
             profile = GammaProfile(entries)
-            xs = (1e-2, 1.0, 0.65 / math.sqrt(profile.stats.sigma2))
+            xs = (1e-2, 1.0, 0.65 / math.sqrt(profile.sigma2))
             exact_sigma2, exact_delta, exact_gamma = mp_quadruple_sums(entries, xs)
             assert abs(profile.sigma2_quad - exact_sigma2) <= 1e-15 * exact_sigma2, name
-            assert abs(profile.stats.delta - exact_delta) <= 1e-15 * exact_delta, name
+            assert abs(profile.delta - exact_delta) <= 1e-15 * exact_delta, name
             for x, exact in zip(xs, exact_gamma):
                 assert abs(profile.gamma(x) - exact) <= 1e-15 * exact, (name, x)
 
@@ -393,8 +400,7 @@ class TestSandwichChains:
     def test_both_chains(self, rng, n):
         m = rand_matrix(rng, n)
         profile = GammaProfile(m)
-        stats = profile.stats
-        sigma = math.sqrt(stats.sigma2)
+        sigma = math.sqrt(profile.sigma2)
         for x in (0.1 / sigma, 1.0 / sigma, 10.0 / sigma):
             g = profile.gamma(x)
             # pair-form sandwich
@@ -403,8 +409,8 @@ class TestSandwichChains:
                 lower = (1.0 - y * y * ((n - 1) / n) ** 2) * profile.gamma_tilde(x * y)
                 assert lower <= g * (1 + 1e-12)
             # variance sandwich
-            assert 4.0 * (stats.sigma2 - (n - 1) / (27.0 * x * x)) <= g + 1e-12 * g
-            assert g <= min(4.0 * stats.sigma2, abs(x) * stats.delta) * (1 + 1e-12)
+            assert 4.0 * (profile.sigma2 - (n - 1) / (27.0 * x * x)) <= g + 1e-12 * g
+            assert g <= min(4.0 * profile.sigma2, abs(x) * profile.delta) * (1 + 1e-12)
 
     def test_pair_form_factor_is_tight(self):
         # ratio gamma/gamma_tilde reaches 16 for the antisymmetric 2x2 matrix

@@ -50,6 +50,10 @@ def test_verify_all_runs_the_21_checks_in_order(seed):
     assert all(c["passed"] for c in summary["checks"])
 
 
+def test_summary_leaves_the_report_version_to_the_cli():
+    assert "schema" not in run_suite("constants")
+
+
 def test_unknown_suite_raises_parameter_error():
     with pytest.raises(ParameterError, match="unknown suite 'nonsense'"):
         run_suite("nonsense")
