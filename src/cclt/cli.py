@@ -40,7 +40,7 @@ from .constants import (
     theorem_constants,
 )
 from .errors import CcltError, ParameterError
-from .exact import enumerate_distribution, kolmogorov_distance, monte_carlo_delta
+from .exact import _check_mc_budget, enumerate_distribution, kolmogorov_distance, monte_carlo_delta
 from .matrixio import load_score_matrix
 from .permanents import evaluate_cf_grid
 from .scores import GammaProfile, from_sampling
@@ -123,6 +123,8 @@ def _parse_t_grid(spec: str) -> np.ndarray:
 
 
 def _bound_payload(matrix, args: argparse.Namespace) -> dict:
+    if matrix.n > args.enum_cap:  # Monte Carlo: refuse its sample before the profile
+        _check_mc_budget(args.mc_samples)
     profile = GammaProfile(matrix)
     report = berry_esseen_bound(profile, enum_cap=args.enum_cap, attach_delta=True)
     if report.delta_report is None:

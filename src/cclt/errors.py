@@ -3,7 +3,7 @@
 Every error deliberately raised by this package derives from ``CcltError``,
 so callers (in particular the CLI) can distinguish domain failures from
 programming bugs.  All concrete classes also derive from ``ValueError`` to
-stay friendly to generic callers.
+stay friendly to generic callers, and ``IndexRangeError`` from ``IndexError``.
 """
 
 from __future__ import annotations
@@ -29,6 +29,14 @@ class CapExceededError(CcltError, ValueError):
 
 class ParameterError(CcltError, ValueError):
     """A scalar parameter is outside its documented domain."""
+
+
+class IndexRangeError(ParameterError, IndexError):
+    """A 1-based row, column or element index lies outside 1..n.
+
+    Also an ``IndexError``, as numpy's ``AxisError`` is, so callers that
+    catch the builtin keep working.
+    """
 
 
 class ConvergenceError(CcltError, ValueError):

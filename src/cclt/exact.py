@@ -33,6 +33,10 @@ attaining it are those of a scan of every atom, bit for bit.
 A seeded Monte Carlo fallback covers matrices above the enumeration cap; it
 is deterministic for a fixed seed and thread-count independent (the sample
 is assembled from a fixed batch layout of spawned substreams).
+
+Phi is scipy's ``ndtr``, imported by ``_load_ndtr`` the first time a
+Kolmogorov distance or ``normal_cdf`` needs it, so importing the package,
+and every command that computes no distance, leaves scipy unloaded.
 """
 
 from __future__ import annotations
@@ -40,10 +44,10 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import CapExceededError, InvalidMatrixError, ParameterError, _integer
 from .permtables import _table
@@ -166,8 +170,29 @@ class DeltaReport:
         return asdict(self)
 
 
+@lru_cache(maxsize=1)
+def _load_ndtr():
+    """scipy's ``ndtr``, imported on first use: only a Kolmogorov distance needs Phi.
+
+    ``monte_carlo_delta`` calls it before it samples.  Two threads of
+    ``Generator.permuted`` ran 15-25% slower in a process that had not
+    imported scipy, most likely through where numpy's allocations land
+    rather than through scipy code, so sampling keeps the state it was
+    measured in.
+    """
+    from scipy.special import ndtr as phi
+
+    return phi
+
+
+def ndtr(x):
+    """Phi, elementwise: scipy's ``ndtr`` through ``_load_ndtr``."""
+    return _load_ndtr()(x)
+
+
 def normal_cdf(x: float) -> float:
     """Standard normal CDF, the ``ndtr`` of the Kolmogorov scan at one point."""
+    _load_ndtr()
     if not math.isfinite(x):
         raise ParameterError(f"x must be finite, got {x}")
     return float(ndtr(x))
@@ -385,6 +410,7 @@ def kolmogorov_distance(d: AtomDistribution) -> DeltaReport:
     stored cumulative counts, F(x_i) = cum_counts[i]/n!, so the scan builds
     no array as long as the law (at n = 10 it allocates under 3 MB).
     """
+    _load_ndtr()
     delta, i = _ks_sup(d.values, d.cum_counts)
     return DeltaReport(
         delta=delta,
@@ -401,6 +427,12 @@ def _mc_batch_layout(samples: int) -> list[int]:
     if samples % _MC_BATCH:
         sizes.append(samples % _MC_BATCH)
     return sizes
+
+
+def _check_mc_budget(samples: int) -> None:
+    """Refuse a Monte Carlo sample whose float64 array would pass ``_ENUM_BYTES``."""
+    if 8 * samples > _ENUM_BYTES:
+        raise CapExceededError(f"{samples} samples need {8 * samples} bytes, over the {_ENUM_BYTES}-byte budget")
 
 
 def monte_carlo_delta(
@@ -430,12 +462,14 @@ def monte_carlo_delta(
     ``_ks_sup``: Phi is evaluated at about 1% of the samples, and the value
     and ``arg_x`` are those of a scan of every sample, bit for bit.  A sample
     array over ``_ENUM_BYTES`` raises ``CapExceededError`` before any work.
+    Phi is loaded first, so the sampling threads run with scipy imported
+    (see ``_load_ndtr``).
     """
+    _load_ndtr()
     samples = _integer(samples, "samples")
     if samples < 10_000:
         raise ParameterError(f"samples must be at least 10000, got {samples}")
-    if 8 * samples > _ENUM_BYTES:
-        raise CapExceededError(f"{samples} samples need {8 * samples} bytes, over the {_ENUM_BYTES}-byte budget")
+    _check_mc_budget(samples)
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")
     profile = _as_profile(m)

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceededError, InvalidMatrixError, ParameterError, _integer
+from .errors import CapExceededError, IndexRangeError, InvalidMatrixError, ParameterError, _integer
 from .permanents import permanent
 from .permtables import perm_blocks
 from .quadrature import gauss_legendre
@@ -308,7 +308,8 @@ def swap_identity_check(
 
     because swapping the images of j and k permutes the summands.  Checked
     here for g(v, w) = v + 2w and g(v, w) = v * w over 1-based index values;
-    returns the larger of the two residuals.
+    returns the larger of the two residuals.  A j or k outside 1..n raises
+    ``IndexRangeError``.
     """
     n = Y.n
     j, k = _integer(j, "j"), _integer(k, "k")
@@ -316,7 +317,7 @@ def swap_identity_check(
         raise ParameterError("j and k must be distinct")
     for name, idx in (("j", j), ("k", k)):
         if not 1 <= idx <= n:
-            raise IndexError(f"index {name}={idx} out of range 1..{n}")
+            raise IndexRangeError(f"index {name}={idx} out of range 1..{n}")
     if n > enum_cap:
         raise CapExceededError(f"swap check needs {n}! permutation terms, above cap {enum_cap}")
     jj, kk = j - 1, k - 1

@@ -42,7 +42,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .analytic import kappa
-from .errors import CapExceededError, ParameterError, _integer
+from .errors import CapExceededError, IndexRangeError, ParameterError, _integer
 from .quadrature import adaptive_simpson_lanes
 from .scores import GammaProfile, ScoreMatrix, _as_profile, require_nondegenerate
 
@@ -226,6 +226,7 @@ def restricted_sum_grid(
           columns of exp(i t sum_j a[j, r(j)]) |  /  (n - ell)!,
 
     by one Glynn batch over t (n - ell <= ``perm_cap``); rhs = h_ell(t) >= lhs for every t.
+    An index outside 1..n raises ``IndexRangeError``.
     """
     profile = _as_profile(m)
     n = profile.n
@@ -237,7 +238,7 @@ def restricted_sum_grid(
         raise ParameterError("removed row and column sets must have equal size")
     for idx in cols + rows:
         if not 1 <= idx <= n:
-            raise IndexError(f"index {idx} out of range 1..{n}")
+            raise IndexRangeError(f"index {idx} out of range 1..{n}")
     ell, k = len(cols), n - len(cols)
     if k > perm_cap:
         raise CapExceededError(f"restricted sum needs a {k} x {k} permanent, above cap {perm_cap}")

@@ -53,6 +53,12 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def child_env() -> dict:
+    """This environment with the imported ``cclt``'s source folder first on PYTHONPATH."""
+    src = str(Path(cclt.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 class TestMatrixIo:
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -194,6 +200,18 @@ class TestBoundCommand:
         assert (code, out) == (2, "")
         assert err == f"error: {10**12} samples need {8 * 10**12} bytes, over the {2**31}-byte budget\n"
 
+    def test_oversized_monte_carlo_sample_is_refused_before_the_profile(self, capsys, monkeypatch, tmp_path):
+        built = []
+        init = GammaProfile.__init__
+        monkeypatch.setattr(GammaProfile, "__init__", lambda self, matrix: built.append(matrix) or init(self, matrix))
+        path = tmp_path / "m12.csv"
+        rows = np.random.default_rng(12).standard_normal((12, 12))
+        path.write_text("\n".join(",".join(str(v) for v in row) for row in rows))
+        code, _, err = run_cli(capsys, "bound", "--input", str(path), "--mc-samples", str(10**12))
+        assert code == 2
+        assert "over the 2147483648-byte budget" in err
+        assert built == []
+
     @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
     def test_seed_out_of_range_exits_2(self, capsys, tmp_path, seed):
         path = tmp_path / "m5.csv"
@@ -257,11 +275,9 @@ class TestBoundCommand:
             "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')))\n"
             "sys.exit(code)\n"
         )
-        src = str(Path(cclt.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
         argv = ["bound", "--input", str(path), "--mc-samples", "10000", "--output", str(report)]
         proc = subprocess.run(
-            [sys.executable, "-c", child, *argv], capture_output=True, text=True, env=env, timeout=300
+            [sys.executable, "-c", child, *argv], capture_output=True, text=True, env=child_env(), timeout=300
         )
         assert proc.returncode == 0, proc.stderr
         peak_bytes = int(proc.stdout.split()[-1]) * 1024  # VmHWM is in kB
@@ -572,9 +588,7 @@ class TestVerifyCommand:
             "assert 'cclt.verify' not in sys.modules, 'cclt.verify imported with the CLI'\n"
             "sys.exit(cclt.cli.main(['verify', 'nonsense']))\n"
         )
-        src = str(Path(cclt.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=60)
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=child_env(), timeout=60)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: unknown suite 'nonsense'")
 
@@ -582,6 +596,49 @@ class TestVerifyCommand:
         _, serial, _ = run_cli(capsys, "verify", "constants", "--threads", "1")
         _, threaded, _ = run_cli(capsys, "verify", "constants", "--threads", "4")
         assert serial == threaded
+
+
+class TestScipyLoading:
+    """scipy serves only Phi: a command that computes no Kolmogorov distance never imports it."""
+
+    CHILD = (
+        "import json, sys\n"
+        "import cclt.cli\n"
+        "loaded = ['scipy' in sys.modules]\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert cclt.cli.main(argv) == 0, argv\n"
+        "    loaded.append('scipy' in sys.modules)\n"
+        "print(json.dumps(loaded))\n"
+    )
+
+    def loaded_after(self, *commands) -> list[bool]:
+        """Whether scipy is loaded after ``import cclt.cli`` and after each command, in one fresh process."""
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CHILD, json.dumps(commands)],
+            capture_output=True, text=True, env=child_env(), timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_phi_free_commands_leave_scipy_unloaded(self, tmp_path):
+        path = tmp_path / "m6.csv"
+        rows = np.random.default_rng(6).standard_normal((6, 6))
+        path.write_text("\n".join(",".join(str(v) for v in row) for row in rows))
+        out = str(tmp_path / "out.json")
+        commands = [
+            ["charfn", "--input", str(path), "--t-grid=0:2:5", "--output", out],
+            ["constants", "--output", out],
+            *(["verify", suite, "--output", out] for suite in ("cf", "identity", "constants")),
+        ]
+        assert self.loaded_after(*commands) == [False] * 6
+
+    @pytest.mark.parametrize("command", ["bound", "exact"])
+    def test_kolmogorov_commands_load_scipy(self, tmp_path, command):
+        path = tmp_path / "m5.csv"
+        rows = np.random.default_rng(5).standard_normal((5, 5))
+        path.write_text("\n".join(",".join(str(v) for v in row) for row in rows))
+        out = str(tmp_path / "out.json")
+        assert self.loaded_after([command, "--input", str(path), "--output", out]) == [False, True]
 
 
 class TestThreadsConfig:

@@ -100,6 +100,25 @@ class TestSmoothingThreshold:
             expected = mpmath.quad(lambda x: (mpmath.sin(x) / x) ** 2, mpmath.linspace(0, v, 41))
         assert analytic._sinc_sq_integral(v) == pytest.approx(float(expected), rel=1e-14)
 
+    def test_sine_integral_against_mpmath(self):
+        # Both sides of the series / continued-fraction switch at x = 2, the
+        # argument 2 v(0.89) = 10.66, the bracket doublings 2 * 8 * 2^k of
+        # ``v_of_w`` and grids over (0, 2e9], each against 50 digits.
+        xs = [math.nextafter(2.0, 0.0), 2.0, math.nextafter(2.0, 3.0), 2.0 * v_of_w(0.89)]
+        xs += [16.0 * 2.0**k for k in range(27)]
+        xs += np.geomspace(1e-12, 2e9, 2001).tolist() + np.linspace(1.0, 12.0, 1101).tolist()
+        with mpmath.workdps(50):
+            errors = [abs(analytic._si(x) - mpmath.si(x)) for x in xs]
+        assert max(errors) <= 2e-15
+
+    @pytest.mark.parametrize("w", [0.1, 0.3, 0.89, 0.999])
+    def test_within_bisection_tolerance_of_the_root(self, w):
+        v = v_of_w(w)
+        with mpmath.workdps(50):
+            target = (1 + mpmath.mpf(w)) * mpmath.pi / 4
+            root = mpmath.findroot(lambda u: mpmath.si(2 * u) - mpmath.sin(u) ** 2 / u - target, v)
+        assert abs(v - root) <= analytic._V_TOL
+
     def test_monotone_in_w(self):
         values = [v_of_w(w) for w in (0.1, 0.3, 0.5, 0.7, 0.9)]
         assert all(a < b for a, b in zip(values, values[1:]))

@@ -463,6 +463,17 @@ class TestMonteCarlo:
         with pytest.raises(ParameterError, match="threads must be >= 1"):
             monte_carlo_delta(rand_matrix(rng, 4), 10_000, seed=0, threads=threads)
 
+    def test_phi_is_loaded_before_sampling(self, monkeypatch):
+        # The sampling threads run in a process that has imported scipy (see ``_load_ndtr``).
+        calls = []
+        load, default_rng = exact._load_ndtr, np.random.default_rng
+        m = rand_matrix(np.random.default_rng(5), 5)
+        monkeypatch.setattr(exact, "_load_ndtr", lambda: calls.append("phi") or load())
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: calls.append("rng") or default_rng(seed))
+        monte_carlo_delta(m, 20_000, seed=0, threads=2)
+        assert "rng" in calls
+        assert calls[0] == "phi"
+
     def test_thread_count_does_not_change_result(self, rng):
         m = rand_matrix(rng, 5)
         serial = monte_carlo_delta(m, 600_000, seed=3)

@@ -9,6 +9,7 @@ import pytest
 
 from cclt import (
     CapExceededError,
+    CcltError,
     ComplexScoreMatrix,
     ConvergenceError,
     InvalidMatrixError,
@@ -313,6 +314,10 @@ class TestSwapIdentity:
 
     def test_rejects_out_of_range(self, rng):
         with pytest.raises(IndexError):
+            swap_identity_check(rand_complex(rng, 3), 1, 4)
+
+    def test_out_of_range_is_a_cclt_error(self, rng):
+        with pytest.raises(CcltError, match="index k=4 out of range 1..3"):
             swap_identity_check(rand_complex(rng, 3), 1, 4)
 
     def test_rejects_non_integer_indices(self, rng):

@@ -10,6 +10,7 @@ import pytest
 
 from cclt import (
     CapExceededError,
+    CcltError,
     ConvergenceError,
     GammaProfile,
     ParameterError,
@@ -369,6 +370,10 @@ class TestRestrictedSums:
             restricted_sum_check(m, [1, 1], [1, 2], 0.5)
         with pytest.raises(IndexError):
             restricted_sum_check(m, [5], [1], 0.5)
+
+    def test_out_of_range_is_a_cclt_error(self, rng):
+        with pytest.raises(CcltError, match="index 5 out of range 1..4"):
+            restricted_sum_check(rand_matrix(rng, 4), [5], [1], 0.5)
 
 
 @pytest.mark.parametrize(
