@@ -134,6 +134,7 @@ def _sinc_sq_integral(v: float) -> float:
     return _si(2.0 * v) - s * s / v
 
 
+@lru_cache(maxsize=64)
 def v_of_w(w: float) -> float:
     """Threshold v solving (1+w)/2 = (2/pi) * integral_0^v sin^2(x)/x^2 dx.
 
@@ -142,6 +143,7 @@ def v_of_w(w: float) -> float:
     unique for w in (0, 1).  Solved by bracketing (doubling from 8) and
     bisection on the closed form Si(2v) - sin^2(v)/v of the integral.  v grows
     like 2/(pi (1 - w)); past 1e9 (1 - w below about 6e-10) ``ParameterError``.
+    Cached per w, as ``kappa`` is, so repeated smoothing bounds bisect once.
     """
     if not 0.0 < w < 1.0:
         raise ParameterError(f"w must lie in (0, 1), got {w}")

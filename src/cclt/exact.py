@@ -9,8 +9,10 @@ place.  Equal values are then merged in place, chunk by chunk: a chunk
 ends at the first run start past ``_ATOM_CHUNK`` values, so no run is split,
 and its atoms overwrite the front of the same array while its run ends go
 into one cumulative-count array of the smallest unsigned type that holds
-n!.  At n = 10 the enumeration peaks at 46 MB under tracemalloc (the 29 MB
-of values, 14.5 MB of uint32 counts and the chunk temporaries).  The
+n!.  A chunk with no ties skips the merge: its values are its atoms.  A law
+of at most ``_ATOM_CHUNK`` atoms is then copied out of the two arrays.  At
+n = 10 the enumeration peaks at 45 MB under tracemalloc (the 29 MB of
+values, 14.5 MB of uint32 counts and the chunk temporaries).  The
 Kolmogorov distance to the standard normal,
 
     Delta = sup_x | P(S* <= x) - Phi(x) |,
@@ -91,11 +93,12 @@ class AtomDistribution:
     counts positive, total n!), each chunk after the first starting at the
     last atom of the one before, so no check builds an array as long as the
     law and no neighbouring pair goes unchecked.  The exact enumeration
-    hands over its arrays as they are: views of the front of its n! value
-    buffer and of its cumulative-count buffer, whose unsigned type is the
-    smallest that holds n! (uint32 for n = 9-12).  A Gaussian 10 x 10 law
-    (3.6M atoms) holds 29 MB of values and 14.5 MB of counts, the bulk of
-    the enumeration's 46 MB peak.
+    hands over views of the front of its n! value buffer and of its
+    cumulative-count buffer, whose unsigned type is the smallest that holds
+    n! (uint32 for n = 9-12), or, for a law of at most ``_ATOM_CHUNK``
+    atoms, copies of the atoms alone.  A Gaussian 10 x 10 law (3.6M atoms)
+    holds 29 MB of values and 14.5 MB of counts, the bulk of the
+    enumeration's 45 MB peak; a Spearman 10 x 10 law (166 atoms) holds 2 kB.
     """
 
     values: np.ndarray
@@ -262,16 +265,23 @@ def enumerate_distribution(m: ScoreMatrix | GammaProfile, enum_cap: int = 10) ->
 
     The law is then built in place, in one pass over chunks of about
     ``_ATOM_CHUNK`` sorted values.  A chunk ends at the first run start at
-    or after that length (the seam rule), so no run is split and each run
-    is summed by ``np.add.reduceat`` as one segment, as over the whole
-    array.  The chunk's atoms, (sum / count - mu) / sigma, go into the front
-    of the same buffer, which the pass has already read, and its run ends
-    into one cumulative-count array of the smallest unsigned type that holds
-    n!.  The peak is the n! values plus those counts, 12 bytes per
-    permutation for n = 9-12 (about 1.6 n!-long float64 arrays at n = 10
-    under tracemalloc, chunk temporaries included); an n whose values and
-    counts would pass ``_ENUM_BYTES`` raises ``CapExceededError`` before
-    any work.
+    or after that length (the seam rule), so no run is split.  A chunk with
+    ties goes through ``_merge_runs``, which sums each run by
+    ``np.add.reduceat`` as one segment, as over the whole array, and divides
+    it by its count.  A chunk with no ties, where every value starts a run
+    and the last run ends at the chunk's end, skips it: a one-value segment
+    sums to the value itself and x / 1 is x, signed zeros and infinities
+    included, so its values are its atoms, bit for bit (on Gaussian input
+    nearly every chunk).  The chunk's atoms, (sum / count - mu) / sigma, go
+    into the front of the same buffer, which the pass has already read, and
+    its run ends into one cumulative-count array of the smallest unsigned
+    type that holds n!.  A law of at most ``_ATOM_CHUNK`` atoms is copied
+    out and the two n!-long arrays are freed, so it keeps only its atoms; a
+    larger law keeps views of them.  The peak is the n! values plus those
+    counts, 12 bytes per permutation for n = 9-12 (about 1.56 n!-long
+    float64 arrays at n = 10 under tracemalloc, chunk temporaries included);
+    an n whose values and counts would pass ``_ENUM_BYTES`` raises
+    ``CapExceededError`` before any work.
     """
     n = m.n
     if n > enum_cap:
@@ -298,22 +308,51 @@ def enumerate_distribution(m: ScoreMatrix | GammaProfile, enum_cap: int = 10) ->
         is_start = np.empty(head.size, dtype=bool)
         is_start[0] = True
         np.greater(head[1:] - head[:-1], tol, out=is_start[1:])
-        starts = is_start.nonzero()[0]
-        ends = np.empty_like(starts)
-        ends[:-1] = starts[1:]
-        ends[-1] = hi - lo
-        # In place, in the order of (sums / counts - mu) / sigma, so every
-        # value rounds as that expression does.
-        values = np.add.reduceat(s[lo:hi], starts)
-        values /= ends - starts
-        values -= profile.mu
-        values /= sigma
+        if hi - lo == head.size and is_start.all():
+            # No ties: every value is an atom of count 1, and its one-value
+            # sum over 1 is the value itself, bit for bit.
+            values, ends = s[lo:hi], np.arange(1, hi - lo + 1)
+        else:
+            values, ends = _merge_runs(s[lo:hi], is_start)
+        # In the order of (sums / counts - mu) / sigma, so every value rounds
+        # as that expression does.
         k = values.size
-        s[atoms : atoms + k] = values
-        cum[atoms : atoms + k] = ends + lo
+        atom_values = s[atoms : atoms + k]
+        np.subtract(values, profile.mu, out=atom_values)
+        atom_values /= sigma
+        ends += lo
+        cum[atoms : atoms + k] = ends
         atoms += k
         lo = hi
-    return AtomDistribution._from_cumulative(s[:atoms], cum[:atoms], n)
+        # The next chunk's temporaries do not stack on this one's.
+        del head, values, ends, atom_values
+    if atoms > _ATOM_CHUNK:
+        return AtomDistribution._from_cumulative(s[:atoms], cum[:atoms], n)
+    # A law of at most _ATOM_CHUNK atoms is copied out, and the n!-long
+    # buffers are freed whole.  The values' copy, made while both buffers
+    # live, is no larger than each chunk's difference array, so the peak
+    # does not rise.  (Shrinking the buffers in place with ``ndarray.resize``
+    # split them in the heap: repeated enumerations then grew the process
+    # by up to one value buffer each.)
+    values = s[:atoms].copy()
+    del s
+    return AtomDistribution._from_cumulative(values, cum[:atoms].copy(), n)
+
+
+def _merge_runs(chunk: np.ndarray, is_start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean value and end of each run of the sorted ``chunk``, whose runs
+    start where ``is_start`` is set, the last one running on to its end:
+    each run summed as one ``np.add.reduceat`` segment, then divided by its
+    count.  Only chunks with ties come here.
+    """
+    starts = is_start.nonzero()[0]
+    values = np.add.reduceat(chunk, starts)
+    ends = np.empty_like(starts)
+    ends[:-1] = starts[1:]
+    ends[-1] = chunk.size
+    counts = np.subtract(ends, starts, out=starts)
+    values /= counts
+    return values, ends
 
 
 def _ks_sup(x: np.ndarray, cum: np.ndarray | None = None) -> tuple[float, int]:

@@ -2,16 +2,25 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cclt
 from cclt import ScoreMatrix
 
 # One line per acceptance criterion, echoed after the run (see the
 # pytest_terminal_summary hook below).
 acceptance_lines: list[str] = []
+
+
+def child_env() -> dict:
+    """This environment with the imported ``cclt``'s source folder first on PYTHONPATH."""
+    src = str(Path(cclt.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -23,6 +23,7 @@ from cclt import (
     load_score_matrix,
 )
 from cclt.cli import _build_parser, main
+from conftest import child_env
 
 TWO_BY_TWO_CSV = "1,-1\n-1,1\n"
 
@@ -51,12 +52,6 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def child_env() -> dict:
-    """This environment with the imported ``cclt``'s source folder first on PYTHONPATH."""
-    src = str(Path(cclt.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
 
 
 class TestMatrixIo:

@@ -467,6 +467,17 @@ class TestSmoothingBound:
         with pytest.raises(DegenerateMatrixError):
             smoothing_bound(ScoreMatrix(np.zeros((3, 3))), 0.89, 2.0)
 
+    def test_threshold_solved_once_per_w(self, two_by_two, monkeypatch):
+        evaluated = []
+        integral = analytic._sinc_sq_integral
+        monkeypatch.setattr(analytic, "_sinc_sq_integral", lambda v: evaluated.append(v) or integral(v))
+        v_of_w.cache_clear()
+        first = smoothing_bound(two_by_two, 0.89, 5.0)
+        assert evaluated
+        evaluated.clear()
+        assert smoothing_bound(two_by_two, 0.89, 5.0) == first
+        assert evaluated == []
+
     def test_unconverged_quadrature_raises(self, rng, monkeypatch):
         m = rand_matrix(rng, 5)
         cutoff = 10.0 / math.sqrt(center(m).sigma2)

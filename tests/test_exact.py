@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -24,7 +26,7 @@ from cclt import (
     normal_cdf,
 )
 from cclt.permtables import perm_blocks
-from conftest import itertools_perms, rand_matrix
+from conftest import child_env, itertools_perms, rand_matrix
 
 # Phi(1) frozen from the power series of erf at 1/sqrt(2) (see oracle below).
 PHI_AT_ONE = 0.8413447460685429
@@ -162,6 +164,16 @@ def signed_zero_matrix(n: int) -> np.ndarray:
     return a
 
 
+def sparse_tie_matrix() -> np.ndarray:
+    """Gaussian 9 x 9 whose rows 0 and 1 agree on columns 2 and 5: each
+    permutation sending rows 0 and 1 to those columns ties with its swap,
+    2 * 7! pairs spread over the sorted values, so chunks with and without
+    ties alternate."""
+    a = rand_matrix(np.random.default_rng(109), 9).a.copy()
+    a[1, [2, 5]] = a[0, [2, 5]]
+    return a
+
+
 def negative_zeros(x: np.ndarray) -> int:
     return int(np.count_nonzero((x == 0) & np.signbit(x)))
 
@@ -190,14 +202,18 @@ class TestEnumerateMatchesOracle:
         self.check(ScoreMatrix(lattice_matrices(10)["footrule"]))
 
     @pytest.mark.parametrize("chunk", [1, 7, 64])
-    @pytest.mark.parametrize("kind", ["gaussian", "spearman", "footrule", "integers", "signed zeros"])
+    @pytest.mark.parametrize("kind", ["gaussian", "spearman", "footrule", "integers", "signed zeros", "sparse ties"])
     def test_chunk_seams(self, monkeypatch, chunk, kind):
         # The lattice laws have runs across many chunks; the seam rule
         # must leave every atom's sum, count and check as in one chunk.
+        # Sparse ties mix chunks without ties, which skip the merge, with
+        # chunks whose last run spills past their first _ATOM_CHUNK values.
         if kind == "gaussian":
             a = rand_matrix(np.random.default_rng(109), 9).a
         elif kind == "signed zeros":
             a = signed_zero_matrix(8)
+        elif kind == "sparse ties":
+            a = sparse_tie_matrix()
         else:
             a = lattice_matrices(9)[kind]
         monkeypatch.setattr(exact, "_ATOM_CHUNK", chunk)
@@ -212,6 +228,31 @@ class TestEnumerateMatchesOracle:
         assert np.array_equal(dist.counts, counts)
         rep = kolmogorov_distance(dist)
         assert (rep.delta, rep.arg_x) == kolmogorov_oracle(values, counts)
+
+
+class TestMergePath:
+    """Only chunks with ties are merged by ``reduceat``; the rest keep their values."""
+
+    @staticmethod
+    def spy_on_merge(monkeypatch) -> list[int]:
+        merged = []
+        merge = exact._merge_runs
+        monkeypatch.setattr(exact, "_merge_runs", lambda chunk, is_start: merged.append(chunk.size) or merge(chunk, is_start))
+        return merged
+
+    def test_tie_free_law_skips_the_merge(self, monkeypatch):
+        merged = self.spy_on_merge(monkeypatch)
+        dist = enumerate_distribution(rand_matrix(np.random.default_rng(109), 9))
+        assert dist.values.size == math.factorial(9)
+        assert merged == []
+
+    def test_every_chunk_of_a_lattice_law_is_merged(self, monkeypatch):
+        merged = self.spy_on_merge(monkeypatch)
+        dist = enumerate_distribution(ScoreMatrix(lattice_matrices(9)["footrule"]))
+        assert dist.values.size < 200
+        # One call per chunk: the chunks tile the n! sorted values.
+        assert len(merged) > 1
+        assert sum(merged) == math.factorial(9)
 
 
 class TestStatisticValues:
@@ -250,6 +291,43 @@ class TestStatisticValues:
         values_bytes = 8 * math.factorial(10)
         assert self.peak(enumerate_distribution, m) <= 2.0 * values_bytes
         assert self.peak(exact._statistic_values, m) <= 1.25 * values_bytes
+
+    def test_merged_law_keeps_only_its_atoms(self):
+        # The 10 x 10 Spearman law has a few hundred atoms: its arrays are
+        # copies of them, not views of the 43.5 MB enumeration buffers.
+        m = ScoreMatrix(lattice_matrices(10)["spearman"])
+        tracemalloc.start()
+        try:
+            dist = enumerate_distribution(m)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert dist.values.base is None and dist.cum_counts.base is None
+        assert dist.values.nbytes + dist.cum_counts.nbytes < 1e6
+        assert held < 1e6
+
+    def test_repeated_enumerations_do_not_grow_the_process(self):
+        # Laws of few and of many atoms in turn, as a long-running caller
+        # makes them.  Buffers split in place in the heap (by shrinking them
+        # to the atoms) grew the process by up to one 29 MB value buffer per
+        # round; freed whole, the peak settles in the first round.
+        child = (
+            "import resource\n"
+            "import numpy as np\n"
+            "from cclt import ScoreMatrix, enumerate_distribution\n"
+            "rng = np.random.default_rng(5)\n"
+            "p, q = rng.permutation(10) + 1.0, rng.permutation(10) + 1.0\n"
+            "mats = [np.outer(p, q), rng.standard_normal((10, 10)), np.abs(p[:, None] - q)]\n"
+            "mats.append(rng.standard_normal((9, 9)))\n"
+            "for _ in range(4):\n"
+            "    for a in mats:\n"
+            "        enumerate_distribution(ScoreMatrix(a))\n"
+            "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=child_env(), timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        first, *_, last = (int(kb) * 1024 for kb in proc.stdout.split())  # ru_maxrss is in kB
+        assert last - first < 8 * math.factorial(10) / 2
 
     def test_kolmogorov_peak_memory(self):
         # The scan reads the stored cumulative counts: arrays of n!/128 and
