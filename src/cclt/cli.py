@@ -42,15 +42,16 @@ from .constants import (
 from .errors import CcltError, ParameterError
 from .exact import _check_mc_budget, enumerate_distribution, kolmogorov_distance, monte_carlo_delta
 from .matrixio import load_score_matrix
-from .permanents import evaluate_cf_grid
+from .permanents import PERM_CAP, evaluate_cf_grid
+from .permtables import ENUM_CAP
 from .scores import GammaProfile, from_sampling
 
 _SCHEMA = 1
 
 
 _OPTIONS = {
-    "--enum-cap": dict(type=int, default=10, help="max n for full enumeration (default 10)"),
-    "--perm-cap": dict(type=int, default=20, help="max n for permanent evaluation (default 20)"),
+    "--enum-cap": dict(type=int, default=ENUM_CAP, help=f"max n for full enumeration (default {ENUM_CAP})"),
+    "--perm-cap": dict(type=int, default=PERM_CAP, help=f"max n for permanent evaluation (default {PERM_CAP})"),
     "--quad-tol": dict(type=float, default=1e-10, help="quadrature absolute tolerance (default 1e-10)"),
     "--mc-samples": dict(type=int, default=10**6, help="Monte Carlo sample count (default 1e6)"),
     "--seed": dict(type=int, default=0, help="64-bit seed for randomized paths (default 0)"),

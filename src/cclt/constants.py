@@ -52,6 +52,7 @@ from .analytic import kappa, v_of_w
 from .errors import ParameterError
 from .exact import DeltaReport, enumerate_distribution, kolmogorov_distance
 from .permanents import _cf_gap
+from .permtables import ENUM_CAP
 from .quadrature import adaptive_simpson_vec
 from .scores import GammaProfile, ScoreMatrix, _as_profile, _row_pair_sums, _sampling_design, require_nondegenerate
 
@@ -206,14 +207,15 @@ class BoundReport:
 
 def berry_esseen_bound(
     m: ScoreMatrix | GammaProfile,
-    enum_cap: int = 10,
+    enum_cap: int = ENUM_CAP,
     attach_delta: bool = True,
 ) -> BoundReport:
     """Evaluate Delta <= (C1/sigma2) gamma(C2/sigma) plus the Lyapunov form.
 
-    When n is within the enumeration cap (and ``attach_delta`` holds) the
-    exact distance is attached together with the slack bound - Delta; both
-    bounds dominate the exact distance for every matrix.
+    When n <= ``enum_cap`` (default ``permtables.ENUM_CAP``) and
+    ``attach_delta`` holds, the exact distance is attached together with the
+    slack bound - Delta; both bounds dominate the exact distance for every
+    matrix.
     """
     profile = _as_profile(m)
     sigma2 = require_nondegenerate(profile.sigma2)
@@ -272,7 +274,6 @@ def smoothing_bound(
     w: float,
     T: float,
     tol: float = 1e-8,
-    perm_cap: int = 20,
 ) -> float:
     """Direct smoothing-inequality bound on the exact distance.
 
@@ -281,7 +282,8 @@ def smoothing_bound(
     since the difference is O(t^2)) and adds the kernel remainder
     (1 + w) v(w) / (sqrt(2 pi) w sigma T).  Dominates the exact distance for
     every w in (0, 1) and finite T > 0.  Raises ``ConvergenceError`` when the
-    quadrature does not converge, ``CapExceededError`` when n > ``perm_cap``.
+    quadrature does not converge, ``CapExceededError`` when n >
+    ``permanents.PERM_CAP``.
     """
     if not 0.0 < T < math.inf:
         raise ParameterError(f"T must be positive and finite, got {T}")
@@ -290,7 +292,7 @@ def smoothing_bound(
     remainder = _kernel_tail(w, v_of_w(w)) / (math.sqrt(sigma2) * T)  # v_of_w checks w
 
     def integrand(ts: np.ndarray) -> np.ndarray:
-        return np.divide(_cf_gap(profile, ts, perm_cap), ts, out=np.zeros(ts.shape), where=ts != 0.0)
+        return np.divide(_cf_gap(profile, ts), ts, out=np.zeros(ts.shape), where=ts != 0.0)
 
     integral = adaptive_simpson_vec(integrand, 0.0, T, tol=tol)
     return float(integral / (math.pi * w) + remainder)

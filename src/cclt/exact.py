@@ -52,7 +52,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import CapExceededError, InvalidMatrixError, ParameterError, _integer
-from .permtables import _table
+from .permtables import ENUM_CAP, _table
 from .scores import GammaProfile, ScoreMatrix, _as_profile, require_nondegenerate
 
 _MERGE_RTOL = 1e-12
@@ -80,7 +80,7 @@ _PDF_WIDEN = 1e-12
 _PDF_AT_ZERO = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class AtomDistribution:
     """Exact law of the standardized statistic as sorted atoms and cumulative counts.
 
@@ -88,11 +88,15 @@ class AtomDistribution:
     infinity; ``cum_counts`` are the cumulative integer multiplicities out
     of n! permutations, ending at n!, so P(S* <= values[i]) is exactly
     cum_counts[i]/n!.  ``counts`` (int64) and ``probs`` are derived from
-    them.  The constructor takes the multiplicities themselves; it checks
-    the law per chunk of ``_ATOM_CHUNK`` atoms (values strictly increasing,
-    counts positive, total n!), each chunk after the first starting at the
-    last atom of the one before, so no check builds an array as long as the
-    law and no neighbouring pair goes unchecked.  The exact enumeration
+    them.  A float64 ``values`` array and an integer ``cum_counts`` array
+    are kept as given, not copied, and marked read-only in place, so the
+    caller's own arrays turn read-only too, and a write through another view
+    of their memory would change the law past its checks; anything else is
+    converted to float64 and int64.  The law is checked per chunk of ``_ATOM_CHUNK``
+    atoms (values strictly increasing, cumulative counts strictly
+    increasing from above 0, total n!), each chunk after the first starting
+    at the last atom of the one before, so no check builds an array as long
+    as the law and no neighbouring pair goes unchecked.  The exact enumeration
     hands over views of the front of its n! value buffer and of its
     cumulative-count buffer, whose unsigned type is the smallest that holds
     n! (uint32 for n = 9-12), or, for a law of at most ``_ATOM_CHUNK``
@@ -105,19 +109,10 @@ class AtomDistribution:
     cum_counts: np.ndarray
     n: int
 
-    def __init__(self, values, counts, n: int):
-        counts = np.asarray(counts, dtype=np.int64)
-        if counts.ndim != 1:
-            raise InvalidMatrixError("values and counts must be matching 1-D arrays")
-        self._set(np.asarray(values, dtype=float), np.cumsum(counts), n)
-
-    @classmethod
-    def _from_cumulative(cls, values: np.ndarray, cum_counts: np.ndarray, n: int) -> AtomDistribution:
-        law = cls.__new__(cls)
-        law._set(values, cum_counts, n)
-        return law
-
-    def _set(self, values: np.ndarray, cum: np.ndarray, n: int) -> None:
+    def __post_init__(self):
+        values, cum = np.asarray(self.values, dtype=float), np.asarray(self.cum_counts)
+        if cum.dtype.kind not in "iu":
+            cum = cum.astype(np.int64)
         if values.ndim != 1 or cum.shape != values.shape:
             raise InvalidMatrixError("values and counts must be matching 1-D arrays")
         if values.size == 0:
@@ -130,14 +125,13 @@ class AtomDistribution:
             c = cum[seam : lo + _ATOM_CHUNK]
             if c[0] <= 0 or (c[1:] <= c[:-1]).any():
                 raise InvalidMatrixError("atom counts must be positive")
-        total = math.factorial(n)
+        total = math.factorial(self.n)
         if int(cum[-1]) != total:
             raise InvalidMatrixError(f"atom counts must sum to n! = {total}")
         values.setflags(write=False)
         cum.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "cum_counts", cum)
-        object.__setattr__(self, "n", n)
 
     @property
     def counts(self) -> np.ndarray:
@@ -195,7 +189,6 @@ def ndtr(x):
 
 def normal_cdf(x: float) -> float:
     """Standard normal CDF, the ``ndtr`` of the Kolmogorov scan at one point."""
-    _load_ndtr()
     if not math.isfinite(x):
         raise ParameterError(f"x must be finite, got {x}")
     return float(ndtr(x))
@@ -252,7 +245,7 @@ def _run_start(s: np.ndarray, i: int, tol: float) -> int:
     return s.size
 
 
-def enumerate_distribution(m: ScoreMatrix | GammaProfile, enum_cap: int = 10) -> AtomDistribution:
+def enumerate_distribution(m: ScoreMatrix | GammaProfile, enum_cap: int = ENUM_CAP) -> AtomDistribution:
     """Exact law of S* by full enumeration of the n! permutations.
 
     Values agreeing to within 1e-12 of the statistic scale are merged into a
@@ -280,7 +273,8 @@ def enumerate_distribution(m: ScoreMatrix | GammaProfile, enum_cap: int = 10) ->
     larger law keeps views of them.  The peak is the n! values plus those
     counts, 12 bytes per permutation for n = 9-12 (about 1.56 n!-long
     float64 arrays at n = 10 under tracemalloc, chunk temporaries included);
-    an n whose values and counts would pass ``_ENUM_BYTES`` raises
+    an n above ``enum_cap`` (default ``permtables.ENUM_CAP``), or whose
+    values and counts would pass ``_ENUM_BYTES``, raises
     ``CapExceededError`` before any work.
     """
     n = m.n
@@ -327,7 +321,7 @@ def enumerate_distribution(m: ScoreMatrix | GammaProfile, enum_cap: int = 10) ->
         # The next chunk's temporaries do not stack on this one's.
         del head, values, ends, atom_values
     if atoms > _ATOM_CHUNK:
-        return AtomDistribution._from_cumulative(s[:atoms], cum[:atoms], n)
+        return AtomDistribution(s[:atoms], cum[:atoms], n)
     # A law of at most _ATOM_CHUNK atoms is copied out, and the n!-long
     # buffers are freed whole.  The values' copy, made while both buffers
     # live, is no larger than each chunk's difference array, so the peak
@@ -336,7 +330,7 @@ def enumerate_distribution(m: ScoreMatrix | GammaProfile, enum_cap: int = 10) ->
     # by up to one value buffer each.)
     values = s[:atoms].copy()
     del s
-    return AtomDistribution._from_cumulative(values, cum[:atoms].copy(), n)
+    return AtomDistribution(values, cum[:atoms].copy(), n)
 
 
 def _merge_runs(chunk: np.ndarray, is_start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -449,7 +443,6 @@ def kolmogorov_distance(d: AtomDistribution) -> DeltaReport:
     stored cumulative counts, F(x_i) = cum_counts[i]/n!, so the scan builds
     no array as long as the law (at n = 10 it allocates under 3 MB).
     """
-    _load_ndtr()
     delta, i = _ks_sup(d.values, d.cum_counts)
     return DeltaReport(
         delta=delta,

@@ -33,7 +33,9 @@ with alpha = i t mu and beta = -sigma2 t^2.
 The permutation sums are evaluated in vectorised form (one pair-difference
 tensor per chunk of permutations), checked in the tests against a literal
 nested-loop evaluation at small n; this whole module is itself a
-verification oracle rather than a production path.
+verification oracle rather than a production path.  Every permutation sum
+here refuses n > ``permtables.ENUM_CAP`` with ``CapExceededError`` before
+its walk.
 
 ``identity_check`` integrates the right-hand side by Gauss-Legendre at orders
 8, 16, 32 and 64: the integrand is a finite sum of exponentials times
@@ -52,7 +54,7 @@ import numpy as np
 
 from .errors import CapExceededError, IndexRangeError, InvalidMatrixError, ParameterError, _integer
 from .permanents import permanent
-from .permtables import perm_blocks
+from .permtables import ENUM_CAP, perm_blocks
 from .quadrature import gauss_legendre
 from .scores import _double_center, _second_differences
 
@@ -226,24 +228,24 @@ class FTerms:
     f: complex
 
 
-def f_terms(Y: ComplexScoreMatrix, u: float, enum_cap: int = 10) -> FTerms:
+def f_terms(Y: ComplexScoreMatrix, u: float) -> FTerms:
     """Evaluate f1(u), f2(u), f3(u), and f(u) by exact permutation sums."""
     n = Y.n
-    if n > enum_cap:
-        raise CapExceededError(f"f-terms need {n}! permutation terms, above cap {enum_cap}")
+    if n > ENUM_CAP:
+        raise CapExceededError(f"f-terms need {n}! permutation terms, above cap {ENUM_CAP}")
     [(f1, f2, f3)] = _f_sums(Y.y, [u])
     return FTerms(f1=f1, f2=f2, f3=f3, f=_combine_f(n, f1, f2, f3))
 
 
-def f_residual(Y: ComplexScoreMatrix, u: float, enum_cap: int = 10) -> float:
+def f_residual(Y: ComplexScoreMatrix, u: float) -> float:
     """Pointwise defect |sum_r (c_r - alpha - u beta) exp(u c_r) - f(u)|.
 
     Zero up to roundoff for every u in [0, 1]; this is the derivative-form
     identity underlying the integral identity.
     """
     n = Y.n
-    if n > enum_cap:
-        raise CapExceededError(f"residual needs {n}! permutation terms, above cap {enum_cap}")
+    if n > ENUM_CAP:
+        raise CapExceededError(f"residual needs {n}! permutation terms, above cap {ENUM_CAP}")
     terms = identity_terms(Y)
     direct = 0.0 + 0.0j
     f_val = 0.0 + 0.0j
@@ -262,7 +264,7 @@ class IdentityCheck:
     residual: float
 
 
-def identity_check(Y: ComplexScoreMatrix, tol: float = 1e-10, enum_cap: int = 10) -> IdentityCheck:
+def identity_check(Y: ComplexScoreMatrix, tol: float = 1e-10) -> IdentityCheck:
     """Evaluate both sides of the permanent identity.
 
     lhs = perm(exp(y))/n! - exp(alpha + beta/2) with the permanent computed by
@@ -278,8 +280,8 @@ def identity_check(Y: ComplexScoreMatrix, tol: float = 1e-10, enum_cap: int = 10
     rhs.
     """
     n = Y.n
-    if n > enum_cap:
-        raise CapExceededError(f"identity check needs {n}! permutation terms, above cap {enum_cap}")
+    if n > ENUM_CAP:
+        raise CapExceededError(f"identity check needs {n}! permutation terms, above cap {ENUM_CAP}")
     fact = math.factorial(n)
     terms = identity_terms(Y)
     lhs = permanent(np.exp(Y.y)) / fact - cmath.exp(terms.alpha + terms.beta / 2.0)
@@ -293,12 +295,7 @@ def identity_check(Y: ComplexScoreMatrix, tol: float = 1e-10, enum_cap: int = 10
     return IdentityCheck(lhs=complex(lhs), rhs=complex(rhs), residual=abs(lhs - rhs))
 
 
-def swap_identity_check(
-    Y: ComplexScoreMatrix,
-    j: int,
-    k: int,
-    enum_cap: int = 10,
-) -> float:
+def swap_identity_check(Y: ComplexScoreMatrix, j: int, k: int) -> float:
     """Residual of the row-exchange identity for a fixed test family.
 
     For any function g of two indices,
@@ -318,8 +315,8 @@ def swap_identity_check(
     for name, idx in (("j", j), ("k", k)):
         if not 1 <= idx <= n:
             raise IndexRangeError(f"index {name}={idx} out of range 1..{n}")
-    if n > enum_cap:
-        raise CapExceededError(f"swap check needs {n}! permutation terms, above cap {enum_cap}")
+    if n > ENUM_CAP:
+        raise CapExceededError(f"swap check needs {n}! permutation terms, above cap {ENUM_CAP}")
     jj, kk = j - 1, k - 1
     worst = 0.0
     for g in (lambda v, w: v + 2.0 * w, lambda v, w: v * w):

@@ -49,6 +49,9 @@ from .scores import GammaProfile, ScoreMatrix, _as_profile, require_nondegenerat
 
 # Element budget of the kernel's sign-sum table: 2^16 complex values, 1 MB.
 _BLOCK_ELEMS = 1 << 16
+# Largest n of a permanent: ``charfn_grid`` and ``evaluate_cf_grid`` take it
+# as their default cap, and every other entry point refuses above it.
+PERM_CAP = 20
 
 
 def _t_values(ts) -> np.ndarray:
@@ -96,14 +99,14 @@ def _perm_batch(mats: np.ndarray) -> np.ndarray:
     return total / 2.0 ** (n - 1)
 
 
-def permanent(matrix, perm_cap: int = 20) -> complex:
-    """Exact permanent of a square complex matrix by Glynn's formula, n <= ``perm_cap``."""
+def permanent(matrix) -> complex:
+    """Exact permanent of a square complex matrix by Glynn's formula, n <= ``PERM_CAP``."""
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ParameterError(f"permanent needs a square matrix, got shape {m.shape}")
     n = m.shape[0]
-    if n > perm_cap:
-        raise CapExceededError(f"n = {n} exceeds the permanent cap {perm_cap}")
+    if n > PERM_CAP:
+        raise CapExceededError(f"n = {n} exceeds the permanent cap {PERM_CAP}")
     return complex(_perm_batch(m[None])[0])
 
 
@@ -112,13 +115,13 @@ def _exp_perms(a: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return _perm_batch(np.exp(1j * ts[:, None, None] * a))
 
 
-def charfn(m: ScoreMatrix, t: float, perm_cap: int = 20) -> complex:
-    """Characteristic function E exp(i t S) = perm(exp(i t a)) / n!."""
-    return complex(charfn_grid(m, [t], perm_cap=perm_cap)[0])
+def charfn(m: ScoreMatrix, t: float) -> complex:
+    """Characteristic function E exp(i t S) = perm(exp(i t a)) / n!, n <= ``PERM_CAP``."""
+    return complex(charfn_grid(m, [t])[0])
 
 
-def charfn_grid(m: ScoreMatrix, ts, perm_cap: int = 20) -> np.ndarray:
-    """phi evaluated on an array of t values, one permanent batch over t."""
+def charfn_grid(m: ScoreMatrix, ts, perm_cap: int = PERM_CAP) -> np.ndarray:
+    """phi evaluated on an array of t values, one permanent batch over t; n > ``perm_cap`` raises."""
     ts = _t_values(ts)
     if m.n > perm_cap:
         raise CapExceededError(f"n = {m.n} exceeds the permanent cap {perm_cap}")
@@ -135,9 +138,9 @@ def gauss_cf(m: ScoreMatrix | GammaProfile, t: float) -> complex:
     return complex(_gauss_cf_grid(_as_profile(m), np.array([t], dtype=float))[0])
 
 
-def _cf_gap(profile: GammaProfile, ts, perm_cap: int = 20) -> np.ndarray:
+def _cf_gap(profile: GammaProfile, ts) -> np.ndarray:
     """|phi(t) - exp(i t mu - sigma2 t^2 / 2)| at each t of the array ``ts``."""
-    return np.abs(charfn_grid(profile.matrix, ts, perm_cap=perm_cap) - _gauss_cf_grid(profile, ts))
+    return np.abs(charfn_grid(profile.matrix, ts) - _gauss_cf_grid(profile, ts))
 
 
 def charfn_bound_grid(m: ScoreMatrix | GammaProfile, ts) -> np.ndarray:
@@ -162,15 +165,6 @@ def charfn_bound_grid(m: ScoreMatrix | GammaProfile, ts) -> np.ndarray:
 def charfn_bound(m: ScoreMatrix | GammaProfile, t: float) -> float:
     """Modulus bound for |phi(t)| at one t (see ``charfn_bound_grid``)."""
     return float(charfn_bound_grid(m, [t])[0])
-
-
-@dataclass(frozen=True)
-class DampingBound:
-    """Value of the exponential damping bound h_ell at one (ell, t)."""
-
-    ell: float
-    t: float
-    value: float
 
 
 def _damping_many(profile: GammaProfile, ts: np.ndarray, ell: float, gamma_2kt: np.ndarray) -> np.ndarray:
@@ -206,16 +200,15 @@ def _weighted_terms(profile: GammaProfile, ts: np.ndarray, g_a, g_b, g_2k) -> np
     return total
 
 
-def h_ell(m: ScoreMatrix | GammaProfile, t: float, ell: float) -> DampingBound:
-    """Damping bound for permutation sums with ell rows and columns fixed."""
+def h_ell(m: ScoreMatrix | GammaProfile, t: float, ell: float) -> float:
+    """Damping bound h_ell(t) for permutation sums with ell rows and columns fixed."""
     if not ell >= 0:  # written so that NaN fails
         raise ParameterError(f"ell must be nonnegative, got {ell}")
-    value = _damping(_as_profile(m), _t_values(t), ell)[0]
-    return DampingBound(ell=ell, t=t, value=float(value))
+    return float(_damping(_as_profile(m), _t_values(t), ell)[0])
 
 
 def restricted_sum_grid(
-    m: ScoreMatrix | GammaProfile, cols_removed, rows_removed, ts, perm_cap: int = 20
+    m: ScoreMatrix | GammaProfile, cols_removed, rows_removed, ts
 ) -> tuple[np.ndarray, np.ndarray]:
     """Restricted permutation sums and their damping bound at each t.
 
@@ -225,7 +218,7 @@ def restricted_sum_grid(
         | sum over bijections r from the remaining rows onto the remaining
           columns of exp(i t sum_j a[j, r(j)]) |  /  (n - ell)!,
 
-    by one Glynn batch over t (n - ell <= ``perm_cap``); rhs = h_ell(t) >= lhs for every t.
+    by one Glynn batch over t (n - ell <= ``PERM_CAP``); rhs = h_ell(t) >= lhs for every t.
     An index outside 1..n raises ``IndexRangeError``.
     """
     profile = _as_profile(m)
@@ -240,8 +233,8 @@ def restricted_sum_grid(
         if not 1 <= idx <= n:
             raise IndexRangeError(f"index {idx} out of range 1..{n}")
     ell, k = len(cols), n - len(cols)
-    if k > perm_cap:
-        raise CapExceededError(f"restricted sum needs a {k} x {k} permanent, above cap {perm_cap}")
+    if k > PERM_CAP:
+        raise CapExceededError(f"restricted sum needs a {k} x {k} permanent, above cap {PERM_CAP}")
     ts = _t_values(ts)
     kept_rows = np.delete(profile.matrix.a, np.array(rows, dtype=int) - 1, axis=0)
     sub = np.delete(kept_rows, np.array(cols, dtype=int) - 1, axis=1)
@@ -250,10 +243,10 @@ def restricted_sum_grid(
 
 
 def restricted_sum_check(
-    m: ScoreMatrix | GammaProfile, cols_removed, rows_removed, t: float, perm_cap: int = 20
+    m: ScoreMatrix | GammaProfile, cols_removed, rows_removed, t: float
 ) -> tuple[float, float]:
     """(lhs, rhs) of the restricted-sum bound at one t (see ``restricted_sum_grid``)."""
-    lhs, rhs = restricted_sum_grid(m, cols_removed, rows_removed, [t], perm_cap=perm_cap)
+    lhs, rhs = restricted_sum_grid(m, cols_removed, rows_removed, [t])
     return float(lhs[0]), float(rhs[0])
 
 
@@ -379,9 +372,9 @@ def evaluate_cf_grid(
     m: ScoreMatrix | GammaProfile,
     ts,
     tol: float = 1e-10,
-    perm_cap: int = 20,
+    perm_cap: int = PERM_CAP,
 ) -> list[CfEvaluation]:
-    """Evaluate phi, the matching normal CF, and all three bounds at each t."""
+    """Evaluate phi, the matching normal CF, and all three bounds at each t; n > ``perm_cap`` raises."""
     profile = _as_profile(m)
     ts = _t_values(ts)
     phis = charfn_grid(profile.matrix, ts, perm_cap=perm_cap)
@@ -407,7 +400,6 @@ def evaluate_cf(
     m: ScoreMatrix | GammaProfile,
     t: float,
     tol: float = 1e-10,
-    perm_cap: int = 20,
 ) -> CfEvaluation:
     """Evaluate phi(t), the matching normal CF, and all three bounds at one t."""
-    return evaluate_cf_grid(m, [t], tol=tol, perm_cap=perm_cap)[0]
+    return evaluate_cf_grid(m, [t], tol=tol)[0]

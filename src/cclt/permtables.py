@@ -20,6 +20,9 @@ from typing import Iterator
 import numpy as np
 
 _TABLE_N = 8
+# Largest n whose n! permutations are walked: the identity checks refuse a
+# larger n before any walk; ``enumerate_distribution`` takes it as its default.
+ENUM_CAP = 10
 
 
 @lru_cache(maxsize=None)

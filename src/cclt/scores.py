@@ -53,8 +53,8 @@ from .errors import DegenerateMatrixError, InvalidMatrixError, ParameterError, _
 
 # Row/column sums of the centered matrix must vanish to this relative level.
 _CENTERING_RTOL = 1e-10
-# Largest n whose quadruple sums run over the literal quarter table; the
-# default ``perm_cap``, where it holds 20^2 * 19^2 / 4 = 3.61e4 terms.
+# Largest n whose quadruple sums run over the literal quarter table, which at
+# this n holds 20^2 * 19^2 / 4 = 3.61e4 terms.
 _LITERAL_MAX_N = 20
 # Elements (row pairs x n) per chunk of the row-pair route; a chunk holds at
 # least one row pair, so at most max(n, _PAIR_CHUNK) elements.
@@ -101,7 +101,7 @@ class GammaProfile:
     damping bounds so that ``4*sigma2_quad - gamma(x) >= 0`` holds termwise.
     The quadruple sums take one of two routes, fixed by n alone:
 
-    * n <= 20 (``_LITERAL_MAX_N``, the default ``perm_cap``, 3.61e4 terms):
+    * n <= 20 (``_LITERAL_MAX_N``, a table of at most 3.61e4 terms):
       the literal route.  b^2 and |b| over the quarter j < k, s < r
       (``_second_differences``) are built at construction; every sum runs
       over them and is multiplied by 4, which is exact.

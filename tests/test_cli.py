@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import errno
 import importlib.util
+import inspect
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import cclt
-from cclt import quadrature
+from cclt import permanents, quadrature
 from cclt import (
     GammaProfile,
     MatrixParseError,
@@ -23,6 +24,8 @@ from cclt import (
     load_score_matrix,
 )
 from cclt.cli import _build_parser, main
+from cclt.permanents import PERM_CAP
+from cclt.permtables import ENUM_CAP
 from conftest import child_env
 
 TWO_BY_TWO_CSV = "1,-1\n-1,1\n"
@@ -732,6 +735,32 @@ class TestOptionValues:
             assert code == 2
             assert out == ""
             assert err.startswith("error: seed must be in [0, 2^64)")
+
+
+# The library functions that take a cap: those the CLI's --enum-cap and
+# --perm-cap reach.  Every other path checks its module's constant.
+CAP_PARAMETERS = {
+    "enumerate_distribution": "enum_cap",
+    "berry_esseen_bound": "enum_cap",
+    "charfn_grid": "perm_cap",
+    "evaluate_cf_grid": "perm_cap",
+}
+
+
+class TestLibraryCaps:
+    def test_only_the_cli_paths_take_a_cap(self):
+        caps = {"enum_cap": ENUM_CAP, "perm_cap": PERM_CAP}
+        public = [getattr(cclt, name) for name in cclt.__all__]
+        public += [fn for name, fn in vars(permanents).items() if not name.startswith("_")]
+        found = {}
+        for fn in public:
+            if inspect.isfunction(fn):
+                for cap, param in inspect.signature(fn).parameters.items():
+                    if cap in caps:
+                        found[fn.__name__] = (cap, param.default)
+        assert found == {name: (cap, caps[cap]) for name, cap in CAP_PARAMETERS.items()}
+        assert _subparsers()["exact"].get_default("enum_cap") == ENUM_CAP
+        assert _subparsers()["charfn"].get_default("perm_cap") == PERM_CAP
 
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 from scipy.stats import hypergeom
 
-from cclt import analytic, quadrature
+from cclt import analytic, permanents, quadrature
 from cclt.constants import THEOREM_C1, THEOREM_C2
 from cclt import (
     CapExceededError,
@@ -422,9 +422,12 @@ class TestSmoothingBound:
         bound = smoothing_bound(two_by_two, 0.89, 5.0, tol=1e-8)
         assert delta <= bound
 
-    def test_permanent_cap(self, rng):
-        with pytest.raises(CapExceededError, match="n = 5 exceeds the permanent cap 4"):
-            smoothing_bound(rand_matrix(rng, 5), 0.89, 1.0, perm_cap=4)
+    def test_permanent_cap(self, rng, monkeypatch):
+        batches = []
+        monkeypatch.setattr(permanents, "_perm_batch", lambda mats: batches.append(mats.shape))
+        with pytest.raises(CapExceededError, match="n = 21 exceeds the permanent cap 20$"):
+            smoothing_bound(rand_matrix(rng, 21), 0.89, 1.0)
+        assert batches == []
 
     def test_reassembles_from_parts(self, two_by_two):
         # integral of |cos(2t) - exp(-2 t^2)|/t over [0, T], assembled here

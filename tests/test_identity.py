@@ -33,6 +33,14 @@ def rand_complex(rng, n):
     return ComplexScoreMatrix(rand_complex_entries(rng, n))
 
 
+@pytest.fixture
+def walks(monkeypatch):
+    """The n of every permutation walk the identity module starts."""
+    seen = []
+    monkeypatch.setattr(identity, "perm_blocks", lambda n: seen.append(n) or iter(()))
+    return seen
+
+
 def plain_f_parts(u, n, c, z1):
     """f1, f2, f3 of one chunk with a fresh array for every temporary."""
     weight = np.exp(u * c)
@@ -140,13 +148,15 @@ class TestFTerms:
         f_orig = f_terms(y, u).f
         assert abs(f_scaled - u * f_orig) <= 1e-10 * max(1.0, abs(f_scaled))
 
-    def test_cap(self, rng):
-        with pytest.raises(CapExceededError):
-            f_terms(rand_complex(rng, 5), 0.5, enum_cap=4)
+    def test_cap(self, rng, walks):
+        with pytest.raises(CapExceededError, match=r"f-terms need 11! permutation terms, above cap 10$"):
+            f_terms(rand_complex(rng, 11), 0.5)
+        assert walks == []
 
-    def test_residual_cap(self, rng):
-        with pytest.raises(CapExceededError):
-            f_residual(rand_complex(rng, 5), 0.5, enum_cap=4)
+    def test_residual_cap(self, rng, walks):
+        with pytest.raises(CapExceededError, match=r"residual needs 11! permutation terms, above cap 10$"):
+            f_residual(rand_complex(rng, 11), 0.5)
+        assert walks == []
 
     def test_batch_of_one_is_bit_identical(self, rng):
         # f_terms is _f_sums at one u; the batch walk adds each u's parts in
@@ -281,13 +291,15 @@ class TestIdentityCheck:
         with pytest.raises(ParameterError):
             identity_check(rand_complex(rng, 3), tol=math.nan)
 
-    def test_cap(self, rng):
-        with pytest.raises(CapExceededError):
-            identity_check(rand_complex(rng, 5), enum_cap=4)
+    def test_cap(self, rng, walks):
+        with pytest.raises(CapExceededError, match=r"identity check needs 11! permutation terms, above cap 10$"):
+            identity_check(rand_complex(rng, 11))
+        assert walks == []
 
-    def test_swap_cap(self, rng):
-        with pytest.raises(CapExceededError):
-            swap_identity_check(rand_complex(rng, 5), 1, 3, enum_cap=4)
+    def test_swap_cap(self, rng, walks):
+        with pytest.raises(CapExceededError, match=r"swap check needs 11! permutation terms, above cap 10$"):
+            swap_identity_check(rand_complex(rng, 11), 1, 3)
+        assert walks == []
 
     def test_independent_of_memory_layout(self, rng):
         y = rand_complex_entries(rng, 6)

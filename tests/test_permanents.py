@@ -101,9 +101,20 @@ class TestPermanent:
         m = rand_complex_entries(rng, 9)
         assert permanent_reference(m) == pytest.approx(permanent(m), rel=1e-10)
 
-    def test_cap(self):
-        with pytest.raises(CapExceededError):
-            permanent(np.eye(8), perm_cap=7)
+    def test_cap(self, rng, monkeypatch):
+        # Each path refuses a 21 x 21 matrix before any Glynn batch.
+        batches = []
+        monkeypatch.setattr(permanents, "_perm_batch", lambda mats: batches.append(mats.shape))
+        m = rand_matrix(rng, 21)
+        with pytest.raises(CapExceededError, match=r"n = 21 exceeds the permanent cap 20$"):
+            permanent(m.a)
+        with pytest.raises(CapExceededError, match=r"n = 21 exceeds the permanent cap 20$"):
+            charfn(m, 0.5)
+        with pytest.raises(CapExceededError, match=r"n = 21 exceeds the permanent cap 20$"):
+            evaluate_cf(m, 0.5)
+        with pytest.raises(CapExceededError, match=r"21 x 21 permanent, above cap 20$"):
+            restricted_sum_check(m, [], [], 0.5)
+        assert batches == []
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ParameterError):
@@ -231,10 +242,10 @@ class TestModulusBound:
 
 class TestDampingBound:
     def test_indicator_for_small_n(self, two_by_two):
-        assert h_ell(two_by_two, 1.0, 3).value == 0.0
+        assert h_ell(two_by_two, 1.0, 3) == 0.0
 
     def test_one_at_zero_frequency(self, two_by_two):
-        assert h_ell(two_by_two, 0.0, 2).value == 1.0
+        assert h_ell(two_by_two, 0.0, 2) == 1.0
 
     def test_damping_exponent_nonnegative(self, rng):
         # sigma2 - gamma(2 kappa t)/4 >= 0 for every t
@@ -250,7 +261,7 @@ class TestDampingBound:
             profile = GammaProfile(rand_matrix(rng, n))
             for ell in (2, 3, 4):
                 for t in (0.3, 1.0, 4.0):
-                    val = h_ell(profile, t, ell).value
+                    val = h_ell(profile, t, ell)
                     damp = profile.sigma2_quad - profile.gamma(2.0 * kap * t) / 4.0
                     envelope = math.exp(ell) * math.exp(
                         -(n - ell - 1.0) / (4.0 * (n - 1.0)) * t * t * damp
@@ -343,7 +354,7 @@ class TestRestrictedSums:
             assert np.all(lhs <= rhs + 1e-12)
             for i, t in enumerate(ts.tolist()):
                 assert restricted_sum_check(profile, cols, rows, t) == (lhs[i], rhs[i])
-                assert h_ell(profile, t, ell).value == rhs[i]
+                assert h_ell(profile, t, ell) == rhs[i]
 
     def test_no_fixed_rows_at_n12_is_the_cf_modulus(self, rng):
         m = rand_matrix(rng, 12)
@@ -355,11 +366,14 @@ class TestRestrictedSums:
         lhs, _ = restricted_sum_check(m, [], [], 0.3)
         assert lhs == pytest.approx(abs(charfn(m, 0.3)), rel=0.0, abs=1e-15)
 
-    def test_cap_applies_to_the_submatrix(self, rng):
+    def test_cap_applies_to_the_submatrix(self, rng, monkeypatch):
+        # A lowered cap keeps both sides cheap: 12 x 12 is refused, and the
+        # 11 x 11 submatrix left by one fixed pair is taken at the cap.
+        monkeypatch.setattr(permanents, "PERM_CAP", 11)
         m = rand_matrix(rng, 12)
         with pytest.raises(CapExceededError, match="12 x 12 permanent, above cap 11"):
-            restricted_sum_check(m, [], [], 0.3, perm_cap=11)
-        lhs, _ = restricted_sum_check(m, [3], [7], 0.3, perm_cap=11)
+            restricted_sum_check(m, [], [], 0.3)
+        lhs, _ = restricted_sum_check(m, [3], [7], 0.3)
         assert 0.0 <= lhs <= 1.0
 
     def test_rejects_mismatched_sets(self, rng):
@@ -521,7 +535,7 @@ class TestScalarIsBatchOfOne:
             assert closed.general == general[i]
             assert closed.simplified == (None if simplified is None else simplified[i])
             for ell, values in damping.items():
-                assert h_ell(profile, t, ell).value == values[i]
+                assert h_ell(profile, t, ell) == values[i]
 
     @pytest.mark.parametrize("n", [2, 3, 4, 7])
     def test_integral_lanes_match_single_t(self, rng, n):
