@@ -72,11 +72,7 @@ from .scores import (
     GammaProfile,
     SamplingScores,
     ScoreMatrix,
-    center,
     from_sampling,
-    gamma,
-    gamma_tilde,
-    variance_quadruple,
 )
 
 __version__ = "0.1.0"
@@ -110,7 +106,6 @@ __all__ = [
     "ThetaEntry",
     "berry_esseen_bound",
     "beta_quadruple",
-    "center",
     "cf_diff_bound_closed",
     "cf_diff_bound_integral",
     "charfn",
@@ -121,8 +116,6 @@ __all__ = [
     "f_residual",
     "f_terms",
     "from_sampling",
-    "gamma",
-    "gamma_tilde",
     "gauss_cf",
     "h_ell",
     "identity_check",
@@ -142,5 +135,4 @@ __all__ = [
     "taylor_remainder_check",
     "theorem_constants",
     "v_of_w",
-    "variance_quadruple",
 ]

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _finite
 from .quadrature import adaptive_simpson_vec, gauss_legendre
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -88,8 +88,9 @@ def taylor_remainder_check(x: float, k: int) -> tuple[float, float]:
 
     Returns (lhs, rhs) with lhs = |e^{ix} - sum_{j=0}^{k} (ix)^j / j!| and
     rhs = 2 |x|^k / k! * min(1, |x| / (2(k+1))); lhs <= rhs holds for every
-    real x and integer k >= 0.
+    real x and integer k >= 0; a non-finite x raises ``ParameterError``.
     """
+    _finite(x, "x")
     if k < 0 or int(k) != k:
         raise ParameterError(f"k must be a nonnegative integer, got {k}")
     term = 1.0 + 0.0j

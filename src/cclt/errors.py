@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import operator
 
+import numpy as np
+
 
 class CcltError(Exception):
     """Base class for all errors raised by this package."""
@@ -58,3 +60,11 @@ def _integer(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _finite(values, name: str) -> np.ndarray:
+    """``values`` as a 1-d float array; a non-finite entry raises ``ParameterError``."""
+    values = np.atleast_1d(np.asarray(values, dtype=float))
+    if not np.isfinite(values).all():
+        raise ParameterError(f"{name} must be finite, got {values[~np.isfinite(values)][0]}")
+    return values

@@ -51,7 +51,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import CapExceededError, InvalidMatrixError, ParameterError, _integer
+from .errors import CapExceededError, InvalidMatrixError, ParameterError, _finite, _integer
 from .permtables import ENUM_CAP, _table
 from .scores import GammaProfile, ScoreMatrix, _as_profile, require_nondegenerate
 
@@ -189,8 +189,7 @@ def ndtr(x):
 
 def normal_cdf(x: float) -> float:
     """Standard normal CDF, the ``ndtr`` of the Kolmogorov scan at one point."""
-    if not math.isfinite(x):
-        raise ParameterError(f"x must be finite, got {x}")
+    _finite(x, "x")
     return float(ndtr(x))
 
 

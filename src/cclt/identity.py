@@ -30,12 +30,12 @@ Specialising y = i t a for a real score matrix reproduces the
 characteristic-function difference phi(t) - exp(i t mu - sigma2 t^2 / 2)
 with alpha = i t mu and beta = -sigma2 t^2.
 
-The permutation sums are evaluated in vectorised form (one pair-difference
-tensor per chunk of permutations), checked in the tests against a literal
-nested-loop evaluation at small n; this whole module is itself a
-verification oracle rather than a production path.  Every permutation sum
-here refuses n > ``permtables.ENUM_CAP`` with ``CapExceededError`` before
-its walk.
+The permutation sums are evaluated in vectorised form, one pair-difference
+tensor per block of ``perm_blocks`` (at most 7! permutations; all n! at
+n <= 7), checked in the tests against a literal nested-loop evaluation at
+small n; this whole module is itself a verification oracle rather than a
+production path.  Every permutation sum here refuses n >
+``permtables.ENUM_CAP`` with ``CapExceededError`` before its walk.
 
 ``identity_check`` integrates the right-hand side by Gauss-Legendre at orders
 8, 16, 32 and 64: the integrand is a finite sum of exponentials times
@@ -52,14 +52,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceededError, IndexRangeError, InvalidMatrixError, ParameterError, _integer
+from .errors import CapExceededError, IndexRangeError, InvalidMatrixError, ParameterError, _finite, _integer
 from .permanents import permanent
 from .permtables import ENUM_CAP, perm_blocks
 from .quadrature import gauss_legendre
 from .scores import _double_center, _second_differences
-
-# Pair differences per chunk of ``_blocks`` (4 MB); a whole n <= 7 block fits.
-_CHUNK_ELEMS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -116,18 +113,6 @@ def beta_quadruple(Y: ComplexScoreMatrix) -> complex:
     return complex((z * z).sum() / (n * n * (n - 1)))
 
 
-def _blocks(n: int):
-    """The n! permutations of ``perm_blocks(n)``, in its order and in int8 chunks.
-
-    A chunk holds at most ``_CHUNK_ELEMS`` pair differences: each n <= 7
-    block is one chunk; at n >= 8 the identity sums may move in last digits.
-    """
-    rows = max(1, _CHUNK_ELEMS // (n * n))
-    for block in perm_blocks(n):
-        for start in range(0, len(block), rows):
-            yield block[start : start + rows]
-
-
 def _pair_diff_tensor(y: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-permutation c_r and the matrix z1[p, j, k] = z[j,k,r(j),r(k)]."""
     n = y.shape[1]
@@ -139,13 +124,13 @@ def _pair_diff_tensor(y: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def _chunks(y: np.ndarray):
-    """c, z1 and five work arrays for each chunk of ``_blocks``.
+    """c, z1 and five work arrays for each block of ``perm_blocks``.
 
     The work arrays take z1's memory layout, as the temporaries of z1's
     expressions do: numpy sums over axes in memory order, so the layout
     fixes the rounding of every sum in ``_f_parts``.
     """
-    for block in _blocks(y.shape[0]):
+    for block in perm_blocks(y.shape[0]):
         c, z1 = _pair_diff_tensor(y, block)
         yield c, z1, [np.empty_like(z1) for _ in range(5)]
 
@@ -230,6 +215,7 @@ class FTerms:
 
 def f_terms(Y: ComplexScoreMatrix, u: float) -> FTerms:
     """Evaluate f1(u), f2(u), f3(u), and f(u) by exact permutation sums."""
+    _finite(u, "u")
     n = Y.n
     if n > ENUM_CAP:
         raise CapExceededError(f"f-terms need {n}! permutation terms, above cap {ENUM_CAP}")
@@ -243,6 +229,7 @@ def f_residual(Y: ComplexScoreMatrix, u: float) -> float:
     Zero up to roundoff for every u in [0, 1]; this is the derivative-form
     identity underlying the integral identity.
     """
+    _finite(u, "u")
     n = Y.n
     if n > ENUM_CAP:
         raise CapExceededError(f"residual needs {n}! permutation terms, above cap {ENUM_CAP}")
@@ -274,7 +261,7 @@ def identity_check(Y: ComplexScoreMatrix, tol: float = 1e-10) -> IdentityCheck:
     between the last two Gauss-Legendre orders of rhs, and the residual stays
     within a small multiple of it.  Each order evaluates f at all its nodes
     in one walk over the permutations (``_f_sums``), so memory is set by one
-    chunk of ``_blocks``, not by n!.  Raises ``ConvergenceError`` when no two
+    block of ``perm_blocks``, not by n!.  Raises ``ConvergenceError`` when no two
     successive orders agree to ``tol`` (entries too large for double
     precision to resolve the integral), rather than return an unconverged
     rhs.
@@ -322,7 +309,7 @@ def swap_identity_check(Y: ComplexScoreMatrix, j: int, k: int) -> float:
     for g in (lambda v, w: v + 2.0 * w, lambda v, w: v * w):
         lhs = 0.0 + 0.0j
         rhs = 0.0 + 0.0j
-        for block in _blocks(n):
+        for block in perm_blocks(n):
             c, z1 = _pair_diff_tensor(Y.y, block)
             weight = np.exp(c)
             rj = block[:, jj] + 1.0

@@ -42,7 +42,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .analytic import kappa
-from .errors import CapExceededError, IndexRangeError, ParameterError, _integer
+from .errors import CapExceededError, IndexRangeError, ParameterError, _finite, _integer
 from .quadrature import adaptive_simpson_lanes
 from .scores import GammaProfile, ScoreMatrix, _as_profile, require_nondegenerate
 
@@ -52,14 +52,6 @@ _BLOCK_ELEMS = 1 << 16
 # Largest n of a permanent: ``charfn_grid`` and ``evaluate_cf_grid`` take it
 # as their default cap, and every other entry point refuses above it.
 PERM_CAP = 20
-
-
-def _t_values(ts) -> np.ndarray:
-    """``ts`` as a 1-d float array; a non-finite t raises ``ParameterError``."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    if not np.isfinite(ts).all():
-        raise ParameterError(f"t must be finite, got {ts[~np.isfinite(ts)][0]}")
-    return ts
 
 
 def _perm_batch(mats: np.ndarray) -> np.ndarray:
@@ -115,14 +107,19 @@ def _exp_perms(a: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return _perm_batch(np.exp(1j * ts[:, None, None] * a))
 
 
-def charfn(m: ScoreMatrix, t: float) -> complex:
+def charfn(m: ScoreMatrix | GammaProfile, t: float) -> complex:
     """Characteristic function E exp(i t S) = perm(exp(i t a)) / n!, n <= ``PERM_CAP``."""
     return complex(charfn_grid(m, [t])[0])
 
 
-def charfn_grid(m: ScoreMatrix, ts, perm_cap: int = PERM_CAP) -> np.ndarray:
-    """phi evaluated on an array of t values, one permanent batch over t; n > ``perm_cap`` raises."""
-    ts = _t_values(ts)
+def charfn_grid(m: ScoreMatrix | GammaProfile, ts, perm_cap: int = PERM_CAP) -> np.ndarray:
+    """phi evaluated on an array of t values, one permanent batch over t; n > ``perm_cap`` raises.
+
+    A profile is read through its ``matrix``, so no profile is built here.
+    """
+    ts = _finite(ts, "t")
+    if isinstance(m, GammaProfile):
+        m = m.matrix
     if m.n > perm_cap:
         raise CapExceededError(f"n = {m.n} exceeds the permanent cap {perm_cap}")
     return _exp_perms(m.a, ts) / math.factorial(m.n)
@@ -135,7 +132,8 @@ def _gauss_cf_grid(profile: GammaProfile, ts: np.ndarray) -> np.ndarray:
 
 def gauss_cf(m: ScoreMatrix | GammaProfile, t: float) -> complex:
     """Characteristic function exp(i t mu - sigma2 t^2 / 2) of the matching normal."""
-    return complex(_gauss_cf_grid(_as_profile(m), np.array([t], dtype=float))[0])
+    ts = _finite(t, "t")
+    return complex(_gauss_cf_grid(_as_profile(m), ts)[0])
 
 
 def _cf_gap(profile: GammaProfile, ts) -> np.ndarray:
@@ -150,8 +148,8 @@ def charfn_bound_grid(m: ScoreMatrix | GammaProfile, ts) -> np.ndarray:
     by n^2 (n-1)^2; row pair j < k adds (n(n-2) + |sum_r exp(i t d_r)|^2) / 2,
     d = a[k] - a[j].  Tight for the 2 x 2 matrix [[t, -t], [-t, t]].
     """
+    ts = _finite(ts, "t")
     profile = _as_profile(m)
-    ts = _t_values(ts)
     n, a = profile.n, profile.matrix.a
     step = max(1, _BLOCK_ELEMS // (n * n))
     total = np.full(ts.shape, n * (n - 1.0) * n * (n - 2.0) / 2.0)
@@ -202,9 +200,10 @@ def _weighted_terms(profile: GammaProfile, ts: np.ndarray, g_a, g_b, g_2k) -> np
 
 def h_ell(m: ScoreMatrix | GammaProfile, t: float, ell: float) -> float:
     """Damping bound h_ell(t) for permutation sums with ell rows and columns fixed."""
+    ts = _finite(t, "t")
     if not ell >= 0:  # written so that NaN fails
         raise ParameterError(f"ell must be nonnegative, got {ell}")
-    return float(_damping(_as_profile(m), _t_values(t), ell)[0])
+    return float(_damping(_as_profile(m), ts, ell)[0])
 
 
 def restricted_sum_grid(
@@ -221,6 +220,7 @@ def restricted_sum_grid(
     by one Glynn batch over t (n - ell <= ``PERM_CAP``); rhs = h_ell(t) >= lhs for every t.
     An index outside 1..n raises ``IndexRangeError``.
     """
+    ts = _finite(ts, "t")
     profile = _as_profile(m)
     n = profile.n
     cols = sorted(set(_integer(c, "removed column") for c in cols_removed))
@@ -235,7 +235,6 @@ def restricted_sum_grid(
     ell, k = len(cols), n - len(cols)
     if k > PERM_CAP:
         raise CapExceededError(f"restricted sum needs a {k} x {k} permanent, above cap {PERM_CAP}")
-    ts = _t_values(ts)
     kept_rows = np.delete(profile.matrix.a, np.array(rows, dtype=int) - 1, axis=0)
     sub = np.delete(kept_rows, np.array(cols, dtype=int) - 1, axis=1)
     lhs = np.abs(_exp_perms(sub, ts)) / math.factorial(k)
@@ -275,9 +274,9 @@ def cf_diff_bound_integral_grid(
     the value at tol 1e-10 is up to 8.6e-9 above its value at tol 1e-14, and
     at two points up to 2.1e-10 below it.
     """
+    ts = _finite(ts, "t")
     profile = _as_profile(m)
     require_nondegenerate(profile.sigma2)
-    ts = _t_values(ts)
     sigma2 = profile.sigma2_quad
     kap, _ = kappa()
 
@@ -325,9 +324,9 @@ def cf_diff_bound_closed_grid(
 
     is evaluated as well; below n = 6 the second array is None.
     """
+    ts = _finite(ts, "t")
     profile = _as_profile(m)
     require_nondegenerate(profile.sigma2)
-    ts = _t_values(ts)
     kap, _ = kappa()
     stacked = profile.gamma_many(np.concatenate((ts / 6.0, ts / 3.0, 2.0 * kap * ts)))
     g16, g13, g2k = np.split(stacked, 3)
@@ -375,8 +374,8 @@ def evaluate_cf_grid(
     perm_cap: int = PERM_CAP,
 ) -> list[CfEvaluation]:
     """Evaluate phi, the matching normal CF, and all three bounds at each t; n > ``perm_cap`` raises."""
+    ts = _finite(ts, "t")
     profile = _as_profile(m)
-    ts = _t_values(ts)
     phis = charfn_grid(profile.matrix, ts, perm_cap=perm_cap)
     gauss = _gauss_cf_grid(profile, ts)
     modulus = charfn_bound_grid(profile, ts)

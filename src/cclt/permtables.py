@@ -2,12 +2,13 @@
 
 ``perm_blocks(n)`` yields the n! permutations of range(n) in the
 lexicographic order of ``itertools.permutations``, as fresh int8 blocks of
-at most 8! rows.  A block fixes its first n - k entries (a prefix), k =
-min(n, 8), and maps the one cached table of the k! permutations of range(k)
+at most 7! rows.  A block fixes its first n - k entries (a prefix), k =
+min(n, 7), and maps the one cached table of the k! permutations of range(k)
 onto the remaining columns, so no caller holds the n! x n table.  Each
-caller gathers what it needs through the blocks; exact enumeration shares
-partial sums between permutations and takes only the small tables of
-``_table``.
+caller gathers what it needs through the blocks, and the identity sums walk
+them with no second chunking, so each of their temporaries holds at most 7!
+rows; exact enumeration shares partial sums between permutations and takes
+only the small tables of ``_table``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Iterator
 
 import numpy as np
 
-_TABLE_N = 8
+_TABLE_N = 7
 # Largest n whose n! permutations are walked: the identity checks refuse a
 # larger n before any walk; ``enumerate_distribution`` takes it as its default.
 ENUM_CAP = 10

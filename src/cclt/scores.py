@@ -28,6 +28,11 @@ error bounds -- is driven by a small family of functionals computed here:
 
   together with  delta = sum_{j!=k, r!=s} |b|^3 / (n^2 (n-1)).
 
+Each of them is read from the one ``GammaProfile`` of the matrix: mu,
+sigma2, delta and the centered matrix as attributes, the profiles as its
+methods ``gamma``, ``gamma_tilde``, ``gamma_many`` and ``gamma_split_many``,
+which refuse a non-finite argument with ``ParameterError``.
+
 For n <= 20 the quadruple sums are evaluated literally, termwise
 (vectorised, pairwise-summed), over the quarter table of second differences
 with j < k and s < r: b is exactly antisymmetric in each index pair, so each
@@ -49,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMatrixError, InvalidMatrixError, ParameterError, _integer
+from .errors import DegenerateMatrixError, InvalidMatrixError, ParameterError, _finite, _integer
 
 # Row/column sums of the centered matrix must vanish to this relative level.
 _CENTERING_RTOL = 1e-10
@@ -197,11 +202,16 @@ class GammaProfile:
         return tables
 
     def gamma(self, x: float) -> float:
-        """Quadruple-sum clipped moment at one argument (see ``gamma_many``)."""
+        """Quadruple-sum clipped moment at one argument (see ``gamma_many``).
+
+        Nondecreasing in |x|, zero at x = 0, bounded by min(4*sigma2, |x|*delta),
+        and converging to 4*sigma2 as |x| grows.
+        """
         return float(self.gamma_many([x])[0])
 
     def gamma_tilde(self, x: float) -> float:
         """Pair-sum clipped moment sum at^2 min(1, |x at|) / (n - 1)."""
+        [x] = _finite(x, "x")
         at = self.a_tilde
         clip = np.minimum(1.0, abs(x) * np.abs(at))
         return float(((at * at) * clip).sum() / (self.n - 1))
@@ -217,7 +227,7 @@ class GammaProfile:
         windows (see the class docstring), whose per-argument totals are
         likewise independent of the batch.
         """
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        xs = _finite(xs, "x")
         if self.n > _LITERAL_MAX_N:
             ax = np.abs(xs)
             with np.errstate(divide="ignore"):
@@ -247,8 +257,8 @@ class GammaProfile:
         equal |b|: a right-sided search always lands at a run end, so every
         value is the one the full sorted tables give.
         """
+        xs = _finite(xs, "x")
         order, prefix_cube, prefix_sq = self._split_tables()
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
         ax = np.abs(xs)
         with np.errstate(divide="ignore"):
             thresh = np.where(ax > 0.0, 1.0 / ax, np.inf)
@@ -374,42 +384,6 @@ def _merge_ranks(e: np.ndarray, cut: float) -> np.ndarray:
 
 def _as_profile(m: ScoreMatrix | GammaProfile) -> GammaProfile:
     return m if isinstance(m, GammaProfile) else GammaProfile(m)
-
-
-def center(m: ScoreMatrix | GammaProfile) -> GammaProfile:
-    """The ``GammaProfile`` of ``m`` (a profile is returned as is).
-
-    Its ``a_tilde``, ``mu``, ``sigma2`` and ``delta`` are the centered matrix
-    and the statistics derived from it (see ``GammaProfile``).
-    """
-    return _as_profile(m)
-
-
-def variance_quadruple(m: ScoreMatrix | GammaProfile) -> float:
-    """Variance via the quadruple route: sum b^2 / (4 n^2 (n-1)).
-
-    Agrees with ``center(m).sigma2`` to 1e-10 relative; kept as a separate
-    evaluation path on purpose.
-    """
-    return _as_profile(m).sigma2_quad
-
-
-def gamma(m: ScoreMatrix | GammaProfile, x: float) -> float:
-    """Clipped quadruple moment sum b^2 min(1, |x b|) / (n^2 (n-1)).
-
-    Nondecreasing in |x|, zero at x = 0, bounded by min(4*sigma2, |x|*delta),
-    and converging to 4*sigma2 as |x| grows.
-    """
-    if not np.isfinite(x):
-        raise ParameterError(f"x must be finite, got {x}")
-    return _as_profile(m).gamma(float(x))
-
-
-def gamma_tilde(m: ScoreMatrix | GammaProfile, x: float) -> float:
-    """Clipped pair moment sum at^2 min(1, |x at|) / (n - 1)."""
-    if not np.isfinite(x):
-        raise ParameterError(f"x must be finite, got {x}")
-    return _as_profile(m).gamma_tilde(float(x))
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,11 @@ import pytest
 
 import conftest
 
-import cclt
 from cclt import (
     ComplexScoreMatrix,
+    GammaProfile,
     ScoreMatrix,
-    center,
     enumerate_distribution,
-    variance_quadruple,
 )
 from cclt.analytic import kappa
 from cclt.verify import (
@@ -100,9 +98,8 @@ def test_criterion_3_variance_and_beta_identities():
     for _ in range(200):
         n = int(rng.integers(2, 9))
         m = ScoreMatrix(rng.standard_normal((n, n)) * float(rng.choice([0.1, 1.0, 10.0])))
-        s1 = center(m).sigma2
-        s2 = variance_quadruple(m)
-        rel = abs(s1 - s2) / s1
+        profile = GammaProfile(m)
+        rel = abs(profile.sigma2 - profile.sigma2_quad) / profile.sigma2
         worst_var = max(worst_var, rel)
         assert rel <= 1e-10, f"variance routes disagree: {rel}"
     corpus = []
@@ -153,14 +150,10 @@ def test_criterion_6_sandwich_chains():
     worst = holds(check_sandwich(_domination_corpus(), 1e-12))["max_violation"]
 
     for t in (0.5, 1.0, 2.0):
-        m = ScoreMatrix([[t, -t], [-t, t]])
+        profile = GammaProfile(ScoreMatrix([[t, -t], [-t, t]]))
         for x in (-2.0, -0.04, 0.03, 1.0):
-            assert cclt.gamma(m, x) == pytest.approx(
-                16 * t * t * min(1.0, abs(4 * x * t)), rel=1e-14
-            )
-            assert cclt.gamma_tilde(m, x) == pytest.approx(
-                4 * t * t * min(1.0, abs(x * t)), rel=1e-14
-            )
+            assert profile.gamma(x) == pytest.approx(16 * t * t * min(1.0, abs(4 * x * t)), rel=1e-14)
+            assert profile.gamma_tilde(x) == pytest.approx(4 * t * t * min(1.0, abs(x * t)), rel=1e-14)
     report(f"6: PASS - sandwich chains rel slack<={worst:.2e}; 2x2 closed forms exact")
 
 

@@ -535,6 +535,14 @@ class TestConstantsCommand:
         assert code == 2
         assert "C5*C6" in err
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--w", "nan"), ("--c4", "inf"), ("--c5", "inf"), ("--c6", "inf"), ("--c6", "-inf")]
+    )
+    def test_nonfinite_inputs_exit_2(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "constants", f"{flag}={value}")
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag[2:]} must be finite, got {value}\n"
+
     def test_unbracketed_threshold_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "constants", "--w", "0.99999999999")
         assert code == 2

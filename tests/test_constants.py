@@ -18,11 +18,11 @@ from cclt import (
     CapExceededError,
     ConvergenceError,
     DegenerateMatrixError,
+    GammaProfile,
     InvalidMatrixError,
     ParameterError,
     ScoreMatrix,
     berry_esseen_bound,
-    center,
     damped_moment_integrals,
     enumerate_distribution,
     from_sampling,
@@ -412,7 +412,7 @@ class TestSmoothingBound:
     def test_dominates_exact_distance(self, rng):
         for n in (3, 4, 5):
             m = rand_matrix(rng, n)
-            sigma = math.sqrt(center(m).sigma2)
+            sigma = math.sqrt(GammaProfile(m).sigma2)
             delta = kolmogorov_distance(enumerate_distribution(m)).delta
             for cutoff in (2.0 / sigma, 10.0 / sigma):
                 assert delta <= smoothing_bound(m, 0.89, cutoff, tol=1e-8) + 1e-8
@@ -483,7 +483,7 @@ class TestSmoothingBound:
 
     def test_unconverged_quadrature_raises(self, rng, monkeypatch):
         m = rand_matrix(rng, 5)
-        cutoff = 10.0 / math.sqrt(center(m).sigma2)
+        cutoff = 10.0 / math.sqrt(GammaProfile(m).sigma2)
         assert smoothing_bound(m, 0.89, cutoff) > 0.0
         monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 10)
         with pytest.raises(ConvergenceError, match="more than 10 splits"):

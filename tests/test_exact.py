@@ -16,10 +16,10 @@ from cclt import (
     AtomDistribution,
     CapExceededError,
     DegenerateMatrixError,
+    GammaProfile,
     InvalidMatrixError,
     ParameterError,
     ScoreMatrix,
-    center,
     enumerate_distribution,
     kolmogorov_distance,
     monte_carlo_delta,
@@ -116,7 +116,7 @@ def enumerate_oracle(m: ScoreMatrix) -> tuple[np.ndarray, np.ndarray]:
     scale = float(max(abs(s[0]), abs(s[-1]), 1e-300))
     starts = np.concatenate(([0], np.flatnonzero(np.diff(s) > exact._MERGE_RTOL * scale) + 1))
     counts = np.diff(np.concatenate((starts, [s.size])))
-    stats = center(m)
+    stats = GammaProfile(m)
     values = (np.add.reduceat(s, starts) / counts - stats.mu) / math.sqrt(stats.sigma2)
     return values, counts
 
@@ -578,7 +578,7 @@ class TestMonteCarlo:
             m.a[rows, np.random.default_rng(ss).permuted(np.tile(rows, (size, 1)), axis=1)].sum(axis=1)
             for ss, size in zip(np.random.SeedSequence(5).spawn(len(sizes)), sizes)
         ]
-        stats = center(m)
+        stats = GammaProfile(m)
         s = np.sort((np.concatenate(sums) - stats.mu) / math.sqrt(stats.sigma2), kind="stable")
         grid = np.arange(1, samples + 1) / samples
         phi = ndtr(s)
@@ -607,7 +607,7 @@ class TestMonteCarlo:
             m.a[rows, np.random.default_rng(ss).permuted(np.tile(rows, (size, 1)), axis=1)].sum(axis=1)
             for ss, size in zip(np.random.SeedSequence(11).spawn(len(sizes)), sizes)
         ]
-        stats = center(m)
+        stats = GammaProfile(m)
         s = np.sort((np.concatenate(sums) - stats.mu) / math.sqrt(stats.sigma2), kind="stable")
         grid = np.arange(1, samples + 1) / samples
         phi = ndtr(s)

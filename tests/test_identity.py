@@ -12,10 +12,10 @@ from cclt import (
     CcltError,
     ComplexScoreMatrix,
     ConvergenceError,
+    GammaProfile,
     InvalidMatrixError,
     ParameterError,
     beta_quadruple,
-    center,
     charfn,
     f_residual,
     f_terms,
@@ -84,7 +84,7 @@ class TestIdentityTerms:
 
     def test_imaginary_scaling_of_real_matrix(self, rng):
         a = rand_matrix(rng, 5)
-        stats = center(a)
+        stats = GammaProfile(a)
         t = 0.8
         terms = identity_terms(ComplexScoreMatrix(1j * t * a.a))
         assert abs(terms.alpha - 1j * t * stats.mu) <= 1e-12
@@ -171,8 +171,8 @@ class TestFTerms:
     def test_chunked_blocks_agree(self, rng, monkeypatch):
         y = rand_complex(rng, 6)
         whole = f_terms(y, 0.6)
-        monkeypatch.setattr(identity, "_CHUNK_ELEMS", 7 * 36)
-        assert sum(1 for _ in identity._blocks(6)) == 103  # 720 rows, 7 per chunk
+        monkeypatch.setattr(permtables, "_TABLE_N", 3)
+        assert sum(1 for _ in permtables.perm_blocks(6)) == 120  # 720 rows, 3! per block
         chunked = f_terms(y, 0.6)
         for name in ("f1", "f2", "f3", "f"):
             ref = getattr(whole, name)
@@ -190,8 +190,9 @@ class TestFTerms:
             assert identity._f_parts(u, n, c, z1, work) == plain_f_parts(u, n, c, z1)
 
     def test_n8_peak_memory(self, rng):
-        # One 8! block's pair differences are 41 MB of complex values; chunks
-        # of the block bound them and the five work arrays of the f parts.
+        # All 8! permutations' pair differences are 41 MB of complex values;
+        # the walk holds one 7! block of them (5.2 MB) and the five work
+        # arrays of the f parts at a time.
         y = rand_complex(rng, 8)
         tracemalloc.start()
         try:
@@ -200,6 +201,19 @@ class TestFTerms:
         finally:
             tracemalloc.stop()
         assert peak <= 100e6, peak
+
+    def test_n8_sums_by_blocks_alone(self, rng, monkeypatch):
+        # At n = 8 the sums walk eight 7! blocks with no second chunking:
+        # the pointwise identity holds to roundoff, and smaller blocks move
+        # each sum by roundoff only.
+        y = rand_complex(rng, 8)
+        assert f_residual(y, 0.6) <= 1e-9
+        whole = f_terms(y, 0.6)
+        monkeypatch.setattr(permtables, "_TABLE_N", 5)
+        blocked = f_terms(y, 0.6)
+        for name in ("f1", "f2", "f3", "f"):
+            ref = getattr(whole, name)
+            assert abs(getattr(blocked, name) - ref) <= 1e-12 * abs(ref), name
 
 
 class TestPointwiseResidual:

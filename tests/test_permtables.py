@@ -8,7 +8,7 @@ import pytest
 from cclt.permtables import _table, perm_blocks
 from conftest import itertools_perms
 
-MAX_BLOCK_ROWS = math.factorial(8)
+MAX_BLOCK_ROWS = math.factorial(7)
 
 
 def lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -72,12 +72,12 @@ def test_yielded_rows_do_not_alias():
     # Blocks are fresh, writable, C-contiguous int8, sharing no memory with
     # each other or with the cached table.
     held = list(perm_blocks(9))
-    assert len(held) == 9
+    assert len(held) == 72  # 9! / 7!
     for i, block in enumerate(held):
         assert block.dtype == np.int8 and block.flags.c_contiguous and block.flags.writeable
         assert block.base is None
         assert not any(np.shares_memory(block, other) for other in held[i + 1 :])
-        assert not np.shares_memory(block, _table(8))
+        assert not np.shares_memory(block, _table(7))
 
 
 @pytest.mark.parametrize("k", range(9))

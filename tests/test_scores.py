@@ -14,11 +14,7 @@ from cclt import (
     InvalidMatrixError,
     ParameterError,
     ScoreMatrix,
-    center,
     from_sampling,
-    gamma,
-    gamma_tilde,
-    variance_quadruple,
 )
 from cclt.scores import _second_differences
 from conftest import literal_tables, rand_matrix, row_pair_corpus, second_difference_tensor
@@ -54,50 +50,43 @@ class TestScoreMatrix:
 
 class TestCenter:
     def test_already_centered_matrix(self, two_by_two):
-        stats = center(two_by_two)
+        stats = GammaProfile(two_by_two)
         assert np.array_equal(stats.a_tilde, two_by_two.a)
         assert stats.mu == 0.0
         assert stats.sigma2 == pytest.approx(4.0, abs=1e-15)
         assert stats.delta == pytest.approx(64.0, rel=1e-13)
 
     def test_constant_matrix(self):
-        stats = center(ScoreMatrix(np.full((3, 3), 2.5)))
+        stats = GammaProfile(ScoreMatrix(np.full((3, 3), 2.5)))
         assert np.all(stats.a_tilde == 0.0)
         assert stats.mu == pytest.approx(7.5)
         assert stats.sigma2 == 0.0
 
     def test_row_and_column_sums_vanish(self, rng):
         m = rand_matrix(rng, 4)
-        stats = center(m)
+        stats = GammaProfile(m)
+        assert not stats.a_tilde.flags.writeable
         scale = np.abs(m.a).max()
         assert np.abs(stats.a_tilde.sum(axis=0)).max() <= 1e-12 * scale * 4
         assert np.abs(stats.a_tilde.sum(axis=1)).max() <= 1e-12 * scale * 4
 
     def test_mu_is_n_times_grand_mean(self, rng):
         m = rand_matrix(rng, 5)
-        stats = center(m)
+        stats = GammaProfile(m)
         assert stats.mu == pytest.approx(5 * m.a.mean(), rel=1e-12)
-
-    def test_returns_the_profile(self, rng):
-        m = rand_matrix(rng, 4)
-        profile = center(m)
-        assert isinstance(profile, GammaProfile)
-        assert center(profile) is profile
-        assert not profile.a_tilde.flags.writeable
 
 
 class TestVarianceRoutes:
     def test_two_by_two_value(self, two_by_two):
-        assert variance_quadruple(two_by_two) == pytest.approx(4.0, abs=1e-14)
+        assert GammaProfile(two_by_two).sigma2_quad == pytest.approx(4.0, abs=1e-14)
 
     def test_constant_matrix(self):
-        assert variance_quadruple(ScoreMatrix(np.ones((4, 4)))) == 0.0
+        assert GammaProfile(ScoreMatrix(np.ones((4, 4)))).sigma2_quad == 0.0
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_routes_agree(self, rng, n):
-        m = rand_matrix(rng, n)
-        s1 = center(m).sigma2
-        s2 = variance_quadruple(m)
+        profile = GammaProfile(rand_matrix(rng, n))
+        s1, s2 = profile.sigma2, profile.sigma2_quad
         assert abs(s1 - s2) <= 1e-12 * s1
 
 
@@ -119,7 +108,7 @@ class TestQuadDiff:
 
     def test_centered_matrix_gives_same_value(self, rng):
         m = rand_matrix(rng, 4)
-        stats = center(m)
+        stats = GammaProfile(m)
         mc = ScoreMatrix(stats.a_tilde)
         for _ in range(20):
             j, k, r, s = rng.integers(1, 5, size=4)
@@ -130,7 +119,7 @@ class TestQuadDiff:
     def test_centered_entry_is_average_of_diffs(self, rng):
         # at[j, r] = (1/n^2) sum over all (k, s) of b[j, k, r, s]
         m = rand_matrix(rng, 4)
-        stats = center(m)
+        stats = GammaProfile(m)
         n = 4
         for j in range(1, n + 1):
             for r in range(1, n + 1):
@@ -150,18 +139,18 @@ class TestGamma:
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("x", [-3.0, -0.2, 0.05, 0.4, 7.0])
     def test_two_by_two_closed_form(self, t, x):
-        m = ScoreMatrix([[t, -t], [-t, t]])
-        assert gamma(m, x) == pytest.approx(16 * t * t * min(1.0, abs(4 * x * t)), rel=1e-14)
-        assert gamma_tilde(m, x) == pytest.approx(4 * t * t * min(1.0, abs(x * t)), rel=1e-14)
+        profile = GammaProfile(ScoreMatrix([[t, -t], [-t, t]]))
+        assert profile.gamma(x) == pytest.approx(16 * t * t * min(1.0, abs(4 * x * t)), rel=1e-14)
+        assert profile.gamma_tilde(x) == pytest.approx(4 * t * t * min(1.0, abs(x * t)), rel=1e-14)
 
     def test_zero_argument(self, rng):
-        m = rand_matrix(rng, 4)
-        assert gamma(m, 0.0) == 0.0
-        assert gamma_tilde(m, 0.0) == 0.0
+        profile = GammaProfile(rand_matrix(rng, 4))
+        assert profile.gamma(0.0) == 0.0
+        assert profile.gamma_tilde(0.0) == 0.0
 
     def test_large_argument_limit(self, rng):
-        m = rand_matrix(rng, 5)
-        assert gamma(m, 1e12) == pytest.approx(4.0 * variance_quadruple(m), rel=1e-12)
+        profile = GammaProfile(rand_matrix(rng, 5))
+        assert profile.gamma(1e12) == pytest.approx(4.0 * profile.sigma2_quad, rel=1e-12)
 
     def test_nondecreasing_in_abs_x(self, rng):
         profile = GammaProfile(rand_matrix(rng, 4))
@@ -169,19 +158,18 @@ class TestGamma:
         assert np.all(np.diff(values) >= 0.0)
 
     def test_upper_bounds(self, rng):
-        m = rand_matrix(rng, 6)
-        stats = center(m)
+        stats = GammaProfile(rand_matrix(rng, 6))
         for x in (0.03, 0.7, 5.0):
-            g = gamma(m, x)
+            g = stats.gamma(x)
             assert g <= 4.0 * stats.sigma2 * (1 + 1e-12)
             assert g <= abs(x) * stats.delta * (1 + 1e-12)
 
     def test_scaled_argument_lower_bound_for_pair_form(self, rng):
         # y * gamma_tilde(x) <= gamma_tilde(x y) for y in (0, 1)
-        m = rand_matrix(rng, 5)
+        profile = GammaProfile(rand_matrix(rng, 5))
         for x in (0.1, 1.0, 4.0):
             for y in (0.2, 0.5, 0.9):
-                assert y * gamma_tilde(m, x) <= gamma_tilde(m, x * y) * (1 + 1e-12)
+                assert y * profile.gamma_tilde(x) <= profile.gamma_tilde(x * y) * (1 + 1e-12)
 
     def test_split_evaluation_matches_direct(self, rng):
         profile = GammaProfile(rand_matrix(rng, 6))
@@ -192,12 +180,12 @@ class TestGamma:
 
     def test_rejects_nonfinite_argument(self, two_by_two):
         with pytest.raises(ParameterError):
-            gamma(two_by_two, math.inf)
+            GammaProfile(two_by_two).gamma(math.inf)
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
     def test_gamma_tilde_rejects_nonfinite_argument(self, two_by_two, x):
         with pytest.raises(ParameterError, match="x must be finite"):
-            gamma_tilde(two_by_two, x)
+            GammaProfile(two_by_two).gamma_tilde(x)
 
     @pytest.mark.parametrize("n", [2, 9, 20])
     def test_reduction_order_is_the_pairwise_row_sum(self, rng, n):
@@ -414,9 +402,9 @@ class TestSandwichChains:
 
     def test_pair_form_factor_is_tight(self):
         # ratio gamma/gamma_tilde reaches 16 for the antisymmetric 2x2 matrix
-        m = ScoreMatrix([[1.0, -1.0], [-1.0, 1.0]])
+        profile = GammaProfile(ScoreMatrix([[1.0, -1.0], [-1.0, 1.0]]))
         for x in (1e-6, 1e-3, 0.2):
-            assert gamma(m, x) / gamma_tilde(m, x) == pytest.approx(16.0, rel=1e-12)
+            assert profile.gamma(x) / profile.gamma_tilde(x) == pytest.approx(16.0, rel=1e-12)
 
     def test_mixing_inequality(self, rng):
         # x1 g(y1) + x2 g(y2) <= (x1 + x2) g((x1 y1 + x2 y2)/(x1 + x2))
@@ -462,7 +450,7 @@ class TestSampling:
         assert design.sigma2 == pytest.approx(5.0 / 3.0, rel=1e-14)
         assert design.mu == pytest.approx(5.0)
         assert not design.degenerate
-        stats = center(design.matrix)
+        stats = GammaProfile(design.matrix)
         assert stats.sigma2 == pytest.approx(design.sigma2, rel=1e-12)
         assert stats.mu == pytest.approx(design.mu, rel=1e-12)
 
@@ -500,6 +488,6 @@ class TestSampling:
             m_draw = int(rng.integers(1, n))
             values = rng.standard_normal(n)
             design = from_sampling(values, m_draw)
-            stats = center(design.matrix)
+            stats = GammaProfile(design.matrix)
             assert stats.sigma2 == pytest.approx(design.sigma2, rel=1e-11, abs=1e-14)
             assert stats.mu == pytest.approx(design.mu, rel=1e-11, abs=1e-14)

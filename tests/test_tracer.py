@@ -45,7 +45,7 @@ def _reports(tmp_path: Path, a: np.ndarray, y: np.ndarray) -> dict[str, str]:
     chk = cclt.identity_check(cclt.ComplexScoreMatrix(y))
     reports["identity"] = json.dumps([repr(chk.lhs), repr(chk.rhs), repr(chk.residual)])
     m = cclt.ScoreMatrix(a)
-    T = 2.0 / math.sqrt(cclt.center(m).sigma2)
+    T = 2.0 / math.sqrt(cclt.GammaProfile(m).sigma2)
     reports["smoothing"] = repr(cclt.smoothing_bound(m, 0.5, T))
     return reports
 
