@@ -53,6 +53,8 @@ CLI_CASES = {
     "sample-n40": ["sample", "--values=" + ",".join(str((17 * i) % 40 / 8 - 2.5) for i in range(40)),
                    "--m-draw", "13"],
     "charfn-gauss8": ["charfn", "--input", "@gauss8.csv", "--t-grid=0:3:7"],
+    # 25 points on [0, 6/sigma], as the benchmark's charfn anchor: gamma's split table has 8,281 entries.
+    "charfn-gauss14": ["charfn", "--input", "@gauss14.csv", "--t-grid=0:1.7964459704958302:25"],
     "constants-default": ["constants"],
     "constants-custom": ["constants", "--w", "0.8", "--m", "1000", "--c4", "7", "--c5", "0.05", "--c6", "30"],
     "verify-identity": ["verify", "identity"],
@@ -176,6 +178,7 @@ def _write_inputs() -> None:
     for name, a in matrices.items():
         np.savetxt(INPUTS / name, a, fmt="%.17g", delimiter=",")
     y = rng.uniform(-1.0, 1.0, (5, 5)) + 1j * rng.uniform(-1.0, 1.0, (5, 5))
+    np.savetxt(INPUTS / "gauss14.csv", rng.standard_normal((14, 14)), fmt="%.17g", delimiter=",")
     (INPUTS / "complex5.json").write_text(json.dumps({"re": y.real.tolist(), "im": y.imag.tolist()}) + "\n")
 
 
