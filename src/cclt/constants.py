@@ -117,9 +117,9 @@ def theorem_constants(
     Raises ``ParameterError`` naming the violated inequality if any input
     leaves its admissible region (w in (0,1); m integer >= 4;
     sqrt((m-1)/27) < C4; C5*C6 > 1/4; every theta_l in (0, 1/2)), and naming
-    the input if w, C4, C5 or C6 is not finite.
+    the input if w, m, C4, C5 or C6 is not finite.
     """
-    for name, value in (("w", w), ("c4", c4), ("c5", c5), ("c6", c6)):
+    for name, value in (("w", w), ("m", m), ("c4", c4), ("c5", c5), ("c6", c6)):
         _finite(value, name)
     if not 0.0 < w < 1.0:
         raise ParameterError(f"w in (0, 1) violated: w = {w}")

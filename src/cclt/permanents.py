@@ -42,7 +42,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .analytic import kappa
-from .errors import CapExceededError, IndexRangeError, ParameterError, _finite, _integer
+from .errors import CapExceededError, IndexRangeError, InvalidMatrixError, ParameterError, _finite, _integer
 from .quadrature import adaptive_simpson_lanes
 from .scores import GammaProfile, ScoreMatrix, _as_profile, require_nondegenerate
 
@@ -92,10 +92,15 @@ def _perm_batch(mats: np.ndarray) -> np.ndarray:
 
 
 def permanent(matrix) -> complex:
-    """Exact permanent of a square complex matrix by Glynn's formula, n <= ``PERM_CAP``."""
+    """Exact permanent of a square complex matrix by Glynn's formula, n <= ``PERM_CAP``.
+
+    A NaN or infinite entry raises ``InvalidMatrixError``.
+    """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ParameterError(f"permanent needs a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise InvalidMatrixError("matrix entries must be finite")
     n = m.shape[0]
     if n > PERM_CAP:
         raise CapExceededError(f"n = {n} exceeds the permanent cap {PERM_CAP}")
@@ -269,6 +274,12 @@ def cf_diff_bound_integral_grid(
     depend on the other t.  The bound is 0 at t = 0, where the integrand is
     not evaluated.  Raises ``ConvergenceError`` when a lane does not converge.
 
+    Each quadrature step's points are evaluated in decreasing |t u| and their
+    values put back in the step's order: the three gamma argument sets then
+    reach ``gamma_split_many`` in ascending thresholds 1/|x|, which search its
+    table fastest.  No value depends on that order, because every point is
+    computed by elementwise operations alone.
+
     ``tol`` is Simpson's local acceptance target, not a bound on the error of
     the result: on a 14 x 14 Gaussian matrix over 25 points of [0, 6/sigma]
     the value at tol 1e-10 is up to 8.6e-9 above its value at tol 1e-14, and
@@ -281,11 +292,14 @@ def cf_diff_bound_integral_grid(
     kap, _ = kappa()
 
     def integrand(us: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-        t = ts[lanes]
-        tu = t * us
+        tu = ts[lanes] * us
+        order = np.argsort(np.abs(tu))[::-1]  # decreasing |t u|
+        tu, us, t = tu[order], us[order], ts[lanes[order]]
         stacked = profile.gamma_split_many(np.concatenate((tu / 4.0, tu / 2.0, 2.0 * kap * tu)))
         inner = _weighted_terms(profile, tu, *np.split(stacked, 3))
-        return t * t * us * inner * np.exp(-(1.0 - us * us) * sigma2 * t * t / 2.0)
+        values = np.empty_like(inner)
+        values[order] = t * t * us * inner * np.exp(-(1.0 - us * us) * sigma2 * t * t / 2.0)
+        return values
 
     # A lane over the empty interval [0, 0] is 0 and never calls the integrand.
     return adaptive_simpson_lanes(integrand, 0.0, (ts != 0.0).astype(float), tol)

@@ -90,6 +90,7 @@ REAL_ARGUMENTS = {
     "taylor_remainder_check": ("x", lambda m, p, y, v: cclt.taylor_remainder_check(v, 2)),
     "normal_cdf": ("x", lambda m, p, y, v: cclt.normal_cdf(v)),
     "theorem_constants.w": ("w", lambda m, p, y, v: cclt.theorem_constants(w=v)),
+    "theorem_constants.m": ("m", lambda m, p, y, v: cclt.theorem_constants(m=v)),
     "theorem_constants.c4": ("c4", lambda m, p, y, v: cclt.theorem_constants(c4=v)),
     "theorem_constants.c5": ("c5", lambda m, p, y, v: cclt.theorem_constants(c5=v)),
     "theorem_constants.c6": ("c6", lambda m, p, y, v: cclt.theorem_constants(c6=v)),

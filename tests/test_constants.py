@@ -209,6 +209,11 @@ class TestConstantPipeline:
         with pytest.raises(ParameterError, match="theta_4"):
             theorem_constants(m=4, c4=1.0)
 
+    def test_integral_float_m_accepted(self):
+        assert theorem_constants(m=1367.0) == theorem_constants(m=1367)
+        with pytest.raises(ParameterError, match="m integer"):
+            theorem_constants(m=1367.5)
+
 
 class TestBerryEsseenBound:
     def test_two_by_two_values(self, two_by_two):

@@ -13,6 +13,7 @@ from cclt import (
     CcltError,
     ConvergenceError,
     GammaProfile,
+    InvalidMatrixError,
     ParameterError,
     ScoreMatrix,
     cf_diff_bound_closed,
@@ -118,6 +119,14 @@ class TestPermanent:
     def test_rejects_nonsquare(self):
         with pytest.raises(ParameterError):
             permanent(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)], ids=["nan", "inf", "-inf j"])
+    def test_rejects_nonfinite_entries(self, monkeypatch, bad):
+        batches = []
+        monkeypatch.setattr(permanents, "_perm_batch", lambda mats: batches.append(mats.shape))
+        with pytest.raises(InvalidMatrixError, match="^matrix entries must be finite$"):
+            permanent(np.array([[bad, 1.0], [1.0, 1.0]]))
+        assert batches == []
 
     @pytest.mark.parametrize("n", [6, 9, 12])
     def test_independent_of_memory_layout(self, rng, n):
@@ -536,13 +545,21 @@ class TestScalarIsBatchOfOne:
             for ell, values in damping.items():
                 assert h_ell(profile, t, ell) == values[i]
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 7])
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 14])
     def test_integral_lanes_match_single_t(self, rng, n):
         profile = GammaProfile(rand_matrix(rng, n))
         ts = np.concatenate((np.linspace(-5.0, 5.0, 9), [0.3, -0.01, 9.0]))
         assert 0.0 in ts
         grid = cf_diff_bound_integral_grid(profile, ts, tol=1e-10)
         assert grid.tolist() == [cf_diff_bound_integral(profile, t, tol=1e-10) for t in ts.tolist()]
+
+    def test_integral_grid_of_reversed_ts_is_the_reversed_grid(self, rng):
+        # The quadrature steps then hold other sets of points, which the
+        # integrand evaluates in another order.
+        profile = GammaProfile(rand_matrix(rng, 14))
+        ts = np.concatenate((np.linspace(-5.0, 5.0, 9), [0.3, -0.01, 9.0]))
+        grid = cf_diff_bound_integral_grid(profile, ts)
+        assert cf_diff_bound_integral_grid(profile, ts[::-1]).tobytes() == grid[::-1].tobytes()
 
     def test_zero_t_lane_never_calls_integrand(self, rng, monkeypatch):
         lanes_seen = []

@@ -178,6 +178,16 @@ class TestGamma:
         split = profile.gamma_split_many(xs)
         assert np.max(np.abs(direct - split)) <= 1e-11 * max(1.0, float(np.max(direct)))
 
+    @pytest.mark.parametrize("n", [14, 22], ids=["literal table", "split tables on demand"])
+    def test_split_evaluation_is_independent_of_order(self, rng, n):
+        profile = GammaProfile(rand_matrix(rng, n))
+        xs = np.concatenate((rng.standard_normal(300) * 4.0 / math.sqrt(profile.sigma2), [0.0, -0.0, 0.0, 1e-300]))
+        xs = np.concatenate((xs, -xs[:50]))
+        values = profile.gamma_split_many(xs)
+        ax = np.abs(xs)
+        for perm in (rng.permutation(xs.size), np.argsort(ax), np.argsort(ax)[::-1]):
+            assert profile.gamma_split_many(xs[perm]).tobytes() == values[perm].tobytes()
+
     def test_rejects_nonfinite_argument(self, two_by_two):
         with pytest.raises(ParameterError):
             GammaProfile(two_by_two).gamma(math.inf)
