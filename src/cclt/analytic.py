@@ -16,8 +16,8 @@ Four self-contained items live here:
   truncated double integral, factored into a u-integral (adaptive Simpson)
   times an s-integral (Gauss-Legendre).
 
-The module needs only numpy, so ``kappa``, ``v_of_w`` and the constant
-pipeline built on them run without importing scipy.
+The module needs only numpy, as does the whole package but for the scipy
+import that ``exact.monte_carlo_delta`` makes before it samples.
 """
 
 from __future__ import annotations

@@ -36,9 +36,9 @@ A seeded Monte Carlo fallback covers matrices above the enumeration cap; it
 is deterministic for a fixed seed and thread-count independent (the sample
 is assembled from a fixed batch layout of spawned substreams).
 
-Phi is scipy's ``ndtr``, imported by ``_load_ndtr`` the first time a
-Kolmogorov distance or ``normal_cdf`` needs it, so importing the package,
-and every command that computes no distance, leaves scipy unloaded.
+Phi is ``ndtr``, Cephes' ``ndtr`` with its ``erf`` and ``erfc`` written in
+numpy, equal to ``scipy.special.ndtr`` bit for bit on the same libm.  Only
+``monte_carlo_delta`` imports scipy, before it samples.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -167,30 +166,107 @@ class DeltaReport:
         return asdict(self)
 
 
-@lru_cache(maxsize=1)
-def _load_ndtr():
-    """scipy's ``ndtr``, imported on first use: only a Kolmogorov distance needs Phi.
+# Cephes' ndtr, erf and erfc constants (polevl order, leading coefficient
+# first; for p1evl a leading 1 is implied).  sqrt(1/2) is Cephes' literal:
+# 1 / math.sqrt(2) is one ulp lower.
+_SQRT1_2 = 0.70710678118654752440
+_MAXLOG = 7.09782712893383996843e2
+_ERFC_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_ERFC_Q = (
+    1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+_ERFC_R = (
+    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
+)
+_ERFC_S = (
+    2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
+)
+_ERF_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_ERF_U = (
+    3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+# Any z at or above this has -z^2 < -MAXLOG, so erfc(z) = 0; larger z are
+# clipped to it before they are squared, which keeps z^2 finite.
+_ERFC_ZERO = 27.0
 
-    ``monte_carlo_delta`` calls it before it samples.  Two threads of
-    ``Generator.permuted`` ran 15-25% slower in a process that had not
-    imported scipy, most likely through where numpy's allocations land
-    rather than through scipy code, so sampling keeps the state it was
-    measured in.
+
+def _horner(x: np.ndarray, coef: tuple, monic: bool) -> np.ndarray:
+    """Cephes' ``polevl`` (``monic`` False) or ``p1evl`` (a leading 1 implied)
+    at x: y = y*x + c, each product and sum rounded on its own, as the
+    original is compiled without FMA."""
+    y = x + coef[0] if monic else x * coef[0] + coef[1]
+    for c in coef[1 if monic else 2 :]:
+        y *= x
+        y += c
+    return y
+
+
+def ndtr(a: np.ndarray) -> np.ndarray:
+    """Phi at each point of the 1-D ``a``: Cephes' ``ndtr`` with its ``erf`` and ``erfc``, in numpy.
+
+    It equals ``scipy.special.ndtr``, which is the same C code, bit for bit
+    on the same libm.  With x = a*sqrt(1/2) and z = |x|:
+
+    * z < 1: 0.5 + 0.5*erf(x), erf(x) = x*T(x^2)/U(x^2).  Cephes takes this
+      only for z < sqrt(1/2); for z in [sqrt(1/2), 1) it takes 0.5*(1 -
+      erf(z)), flipped to 1 - y for x > 0.  There erf(z) lies in [0.68, 0.85],
+      so 1 - erf(z) and its half are exact (Sterbenz) and both routes round
+      the same real number once: one formula serves both.
+    * z >= 1: y = 0.5*erfc(z), flipped to 1 - y for x > 0, with erfc(z) =
+      exp(-z^2)*P(z)/Q(z) below z = 8, exp(-z^2)*R(z)/S(z) from 8 on, and 0
+      once -z^2 < -MAXLOG.  exp is libm's, through ``math.exp`` one point at
+      a time (numpy's own exp can differ from it by a few ulp).
+
+    Every product and sum is its own numpy ufunc, so each rounds as the
+    unfused C does.  No finite input warns: z is clipped to 1 before the
+    erf polynomial and to ``_ERFC_ZERO`` before it is squared.  NaN gives
+    NaN, -inf 0 and +inf 1, as scipy's.
     """
-    from scipy.special import ndtr as phi
-
-    return phi
-
-
-def ndtr(x):
-    """Phi, elementwise: scipy's ``ndtr`` through ``_load_ndtr``."""
-    return _load_ndtr()(x)
+    x = a * _SQRT1_2
+    y = np.clip(x, -1.0, 1.0)
+    x2 = y * y
+    y *= _horner(x2, _ERF_T, False)
+    y /= _horner(x2, _ERF_U, True)
+    y *= 0.5
+    y += 0.5
+    z = np.abs(x)
+    tail = np.flatnonzero(~(z < 1.0))
+    if tail.size:
+        zt = np.minimum(z[tail], _ERFC_ZERO)
+        w = zt * zt
+        np.negative(w, out=w)
+        e = np.fromiter(map(math.exp, w.tolist()), dtype=float, count=w.size)
+        e[w < -_MAXLOG] = 0.0
+        near = zt < 8.0
+        for part, num, den in ((near, _ERFC_P, _ERFC_Q), (~near, _ERFC_R, _ERFC_S)):
+            if part.any():
+                zp = zt[part]
+                ep = e[part]
+                ep *= _horner(zp, num, False)
+                ep /= _horner(zp, den, True)
+                e[part] = ep
+        e *= 0.5
+        np.subtract(1.0, e, out=e, where=x[tail] > 0.0)
+        y[tail] = e
+    return y
 
 
 def normal_cdf(x: float) -> float:
     """Standard normal CDF, the ``ndtr`` of the Kolmogorov scan at one point."""
     _finite(x, "x")
-    return float(ndtr(x))
+    return float(ndtr(np.array([x]))[0])
 
 
 def _statistic_values(m: ScoreMatrix) -> np.ndarray:
@@ -493,10 +569,13 @@ def monte_carlo_delta(
     ``_ks_sup``: Phi is evaluated at about 1% of the samples, and the value
     and ``arg_x`` are those of a scan of every sample, bit for bit.  A sample
     array over ``_ENUM_BYTES`` raises ``CapExceededError`` before any work.
-    Phi is loaded first, so the sampling threads run with scipy imported
-    (see ``_load_ndtr``).
+    scipy is imported first, so the sampling threads run with it loaded.
     """
-    _load_ndtr()
+    # Two threads of ``Generator.permuted`` ran 15-25% slower in a process
+    # that had not imported scipy, most likely through where numpy's
+    # allocations land rather than through scipy code, so sampling keeps the
+    # state it was measured in.
+    import scipy.special  # noqa: F401
     samples = _integer(samples, "samples")
     if samples < 10_000:
         raise ParameterError(f"samples must be at least 10000, got {samples}")

@@ -251,6 +251,11 @@ class IdentityCheck:
     residual: float
 
 
+def _identity_lhs(Y: ComplexScoreMatrix, terms: IdentityTerms) -> complex:
+    """The identity's left side, perm(exp(y))/n! - exp(alpha + beta/2), from Y's ``identity_terms``."""
+    return permanent(np.exp(Y.y)) / math.factorial(Y.n) - cmath.exp(terms.alpha + terms.beta / 2.0)
+
+
 def identity_check(Y: ComplexScoreMatrix, tol: float = 1e-10) -> IdentityCheck:
     """Evaluate both sides of the permanent identity.
 
@@ -271,7 +276,7 @@ def identity_check(Y: ComplexScoreMatrix, tol: float = 1e-10) -> IdentityCheck:
         raise CapExceededError(f"identity check needs {n}! permutation terms, above cap {ENUM_CAP}")
     fact = math.factorial(n)
     terms = identity_terms(Y)
-    lhs = permanent(np.exp(Y.y)) / fact - cmath.exp(terms.alpha + terms.beta / 2.0)
+    lhs = _identity_lhs(Y, terms)
 
     def integrand(us: np.ndarray) -> np.ndarray:
         # Python complex per node: numpy's complex / real multiplies by 1/real.

@@ -605,7 +605,7 @@ class TestVerifyCommand:
 
 
 class TestScipyLoading:
-    """scipy serves only Phi: a command that computes no Kolmogorov distance never imports it."""
+    """scipy is imported only before Monte Carlo sampling: every other command runs without it."""
 
     CHILD = (
         "import json, sys\n"
@@ -638,13 +638,24 @@ class TestScipyLoading:
         ]
         assert self.loaded_after(*commands) == [False] * 6
 
-    @pytest.mark.parametrize("command", ["bound", "exact"])
-    def test_kolmogorov_commands_load_scipy(self, tmp_path, command):
+    def test_exact_distance_commands_leave_scipy_unloaded(self, tmp_path):
+        path = tmp_path / "m9.csv"
+        rows = np.random.default_rng(9).standard_normal((9, 9))
+        path.write_text("\n".join(",".join(str(v) for v in row) for row in rows))
+        out = str(tmp_path / "out.json")
+        commands = [
+            ["bound", "--input", str(path), "--output", out],
+            ["exact", "--input", str(path), "--output", out],
+            ["sample", "--values", "1,2,3,4,5,6,7,8", "--m-draw", "3", "--output", out],
+        ]
+        assert self.loaded_after(*commands) == [False] * 4
+
+    def test_sampling_bound_loads_scipy(self, tmp_path):
         path = tmp_path / "m5.csv"
         rows = np.random.default_rng(5).standard_normal((5, 5))
         path.write_text("\n".join(",".join(str(v) for v in row) for row in rows))
-        out = str(tmp_path / "out.json")
-        assert self.loaded_after([command, "--input", str(path), "--output", out]) == [False, True]
+        argv = ["bound", "--input", str(path), "--enum-cap", "4", "--mc-samples", "20000", "--output", str(tmp_path / "out.json")]
+        assert self.loaded_after(argv) == [False, True]
 
 
 class TestThreadsConfig:

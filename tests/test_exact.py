@@ -4,7 +4,9 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,6 +47,21 @@ def erf_series(x: float) -> float:
     return 2.0 / math.sqrt(math.pi) * total
 
 
+# Where a branch of Cephes' ndtr or erfc changes: z = |a|/sqrt(2) at
+# sqrt(1/2), 1 and 8, and -z^2 = -MAXLOG.
+PHI_EDGES = (1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * 7.09782712893383996843e2))
+
+
+def steps_around(edge: float, k: int = 8) -> np.ndarray:
+    """edge and the k doubles on each side of it."""
+    out = [edge]
+    lo = hi = edge
+    for _ in range(k):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [lo, hi]
+    return np.array(out)
+
+
 class TestNormalCdf:
     def test_zero(self):
         assert normal_cdf(0.0) == 0.5
@@ -64,9 +81,56 @@ class TestNormalCdf:
             normal_cdf(math.nan)
 
     def test_is_the_scan_phi(self):
-        grid = np.concatenate((np.linspace(-40.0, 40.0, 801), [0.0, -0.0, 8.0, -8.0, 38.0, -38.0, 1e-300]))
+        edges = np.concatenate([steps_around(e, 2) for e in PHI_EDGES])
+        grid = np.concatenate((np.linspace(-40.0, 40.0, 801), [0.0, -0.0, 8.0, -8.0, 38.0, -38.0, 1e-300], edges, -edges))
         scan_phi = exact.ndtr(grid)
         assert [normal_cdf(x) for x in grid.tolist()] == scan_phi.tolist()
+
+
+class TestPhiPort:
+    """``exact.ndtr`` against scipy's compiled Cephes ``ndtr`` and against mpmath."""
+
+    def test_bit_equal_to_scipy(self):
+        rng = np.random.default_rng(29)
+        edges = np.concatenate([steps_around(e) for e in PHI_EDGES])
+        extremes = np.array([0.0, 5e-324, 1e-300, 1e308, np.finfo(float).max, 1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0)])
+        x = np.concatenate(
+            (
+                rng.uniform(-40.0, 40.0, 1_000_000),
+                rng.normal(0.0, 3.0, 1_000_000),
+                np.linspace(-40.0, 40.0, 1_000_000),
+                edges, -edges, extremes, -extremes,
+            )
+        )
+        ours, theirs = exact.ndtr(x), ndtr(x)
+        # As integers, so signed zeros and every last bit count.
+        mismatch = np.flatnonzero(ours.view(np.int64) != theirs.view(np.int64))
+        assert mismatch.size == 0, x[mismatch[:5]]
+
+    def test_infinities_and_nan(self):
+        phi = exact.ndtr(np.array([-np.inf, np.inf, np.nan]))
+        assert phi[:2].tolist() == [0.0, 1.0]
+        assert np.isnan(phi[2])
+
+    def test_no_warning_for_any_finite_input(self):
+        magnitudes = np.logspace(-323.0, 308.0, 4001)
+        x = np.concatenate((magnitudes, -magnitudes, [0.0, -0.0, np.finfo(float).max, -np.finfo(float).max]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            phi = exact.ndtr(x)
+        assert np.isfinite(phi).all()
+
+    def test_accuracy_against_mpmath(self):
+        # Measured maxima: 1.07e-16 absolute, 2.32e-13 relative below -1 (the
+        # rounding of z^2 inside exp(-z^2)) and 3.1e-16 relative above.
+        x = np.concatenate((np.linspace(-37.5, 8.5, 921), np.random.default_rng(1).uniform(-37.5, 8.5, 500)))
+        with mpmath.workdps(40):
+            exact_phi = [mpmath.ncdf(mpmath.mpf(v)) for v in x.tolist()]
+            err = np.array([float(abs(mpmath.mpf(p) - e)) for p, e in zip(exact.ndtr(x).tolist(), exact_phi)])
+            rel = err / np.array([float(e) for e in exact_phi])
+        assert err.max() <= 1.2e-16
+        assert rel[x <= -1.0].max() <= 2.5e-13
+        assert rel[x > -1.0].max() <= 5e-16
 
 
 class TestEnumerate:
@@ -544,16 +608,25 @@ class TestMonteCarlo:
         with pytest.raises(ParameterError, match="threads must be >= 1"):
             monte_carlo_delta(rand_matrix(rng, 4), 10_000, seed=0, threads=threads)
 
-    def test_phi_is_loaded_before_sampling(self, monkeypatch):
-        # The sampling threads run in a process that has imported scipy (see ``_load_ndtr``).
-        calls = []
-        load, default_rng = exact._load_ndtr, np.random.default_rng
-        m = rand_matrix(np.random.default_rng(5), 5)
-        monkeypatch.setattr(exact, "_load_ndtr", lambda: calls.append("phi") or load())
-        monkeypatch.setattr(np.random, "default_rng", lambda seed: calls.append("rng") or default_rng(seed))
-        monte_carlo_delta(m, 20_000, seed=0, threads=2)
-        assert "rng" in calls
-        assert calls[0] == "phi"
+    def test_phi_is_loaded_before_sampling(self):
+        # The sampling threads run in a process that has imported scipy (see
+        # ``monte_carlo_delta``).  This test module imports scipy itself, so
+        # the check runs in a fresh process: whether ``scipy.special`` is
+        # loaded at each ``default_rng`` call.
+        child = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from cclt import ScoreMatrix, monte_carlo_delta\n"
+            "default_rng = np.random.default_rng\n"
+            "m = ScoreMatrix(default_rng(5).standard_normal((5, 5)))\n"
+            "seen = ['scipy' in sys.modules]\n"
+            "np.random.default_rng = lambda seed: seen.append('scipy.special' in sys.modules) or default_rng(seed)\n"
+            "monte_carlo_delta(m, 20_000, seed=0, threads=2)\n"
+            "print(seen)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=child_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["[False,", "True]"]
 
     def test_thread_count_does_not_change_result(self, rng):
         m = rand_matrix(rng, 5)
