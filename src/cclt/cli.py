@@ -13,9 +13,10 @@ Subcommands:
 
 Each subcommand takes only the options it reads: ``--output`` everywhere,
 and ``--enum-cap``, ``--perm-cap``, ``--quad-tol``, ``--mc-samples`` and
-``--seed`` where the command uses them.  ``--threads`` (Monte Carlo workers)
-matters only to ``bound``; ``charfn``, ``sample`` and ``verify`` accept and
-ignore it because existing callers pass it.  Every value a command reads is
+``--seed`` where the command uses them.  ``--threads`` sets the worker
+threads of ``bound``'s Monte Carlo and of ``charfn``'s permanents, and no
+report depends on it; ``sample`` and ``verify`` accept and ignore it because
+existing callers pass it.  Every value a command reads is
 range-checked, and ``--output`` checked for writing (a writable folder, not
 itself a folder), before any work.  Each report is the ``as_dict`` of its
 dataclass in JSON, plus a ``schema: 1`` version field added on output;
@@ -55,7 +56,7 @@ _OPTIONS = {
     "--quad-tol": dict(type=float, default=1e-10, help="quadrature absolute tolerance (default 1e-10)"),
     "--mc-samples": dict(type=int, default=10**6, help="Monte Carlo sample count (default 1e6)"),
     "--seed": dict(type=int, default=0, help="64-bit seed for randomized paths (default 0)"),
-    "--threads": dict(type=int, default=1, help="Monte Carlo worker threads (default 1)"),
+    "--threads": dict(type=int, default=1, help="threads for bound's Monte Carlo and charfn's permanents (default 1)"),
     "--output": dict(default=None, help="write the JSON report here instead of stdout"),
 }
 
@@ -150,7 +151,8 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 def _cmd_charfn(args: argparse.Namespace) -> int:
     matrix = load_score_matrix(args.input, fmt=args.format)
     ts = _parse_t_grid(args.t_grid)
-    points = [ev.as_dict() for ev in evaluate_cf_grid(matrix, ts, tol=args.quad_tol, perm_cap=args.perm_cap)]
+    evals = evaluate_cf_grid(matrix, ts, tol=args.quad_tol, perm_cap=args.perm_cap, threads=args.threads)
+    points = [ev.as_dict() for ev in evals]
     _emit({"n": matrix.n, "points": points}, args.output)
     return 0
 

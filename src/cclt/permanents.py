@@ -12,7 +12,11 @@ Permanents are evaluated exactly by Glynn's formula
 in Gray-code order, O(2^(n-1) * n), by one kernel batched over matrices.  Its
 terms add up to 2^(n-1) perm(M), where Ryser's add up to perm(M), so far less
 cancels: phi(0) is within 1e-13 of 1 at n = 18, against 6e-9 with Ryser.
-The tests check it against a naive permutation sum at small n.
+The tests check it against a naive permutation sum at small n.  A large
+batch's Gray-code walk can be split into contiguous step ranges run on
+threads (``charfn_grid`` and ``evaluate_cf_grid`` take ``threads``); each
+range repeats the one-thread operations and the steps are summed in order,
+so no value depends on the thread count.
 
 Three explicit inequalities for phi are implemented:
 
@@ -37,6 +41,7 @@ bits for a larger batch, so a permanent's last bits may depend on its batch.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -52,9 +57,114 @@ _BLOCK_ELEMS = 1 << 16
 # Largest n of a permanent: ``charfn_grid`` and ``evaluate_cf_grid`` take it
 # as their default cap, and every other entry point refuses above it.
 PERM_CAP = 20
+# Product elements (Gray steps x batch x 2^k) that each part of a split Gray
+# walk must hold: a smaller part does not pay for its thread.
+_PART_ELEMS = 1 << 18
+# Most parts of one walk.  Each holds up to 1 MB of buffers, and no common
+# host has more cores than this to run them on.
+_MAX_PARTS = 64
+# Elements of one stacked product op in a split walk.  numpy releases the
+# interpreter lock inside each op, so an op must far outlast a handoff.
+_STACK_ELEMS = 1 << 15
+# Row sums a split walk holds between folds, 128 KB, unless its parts need
+# more for one stacked op each.
+_SUMS_ELEMS = 1 << 13
 
 
-def _perm_batch(mats: np.ndarray) -> np.ndarray:
+def _thread_count(threads) -> int:
+    """``threads`` as an int >= 1; anything else raises ``ParameterError``."""
+    threads = _integer(threads, "threads")
+    if threads < 1:
+        raise ParameterError(f"threads must be >= 1, got {threads}")
+    return threads
+
+
+def _gray_flip(step: int, flips: np.ndarray, source: np.ndarray, out: np.ndarray) -> None:
+    """High sums at Gray step ``step`` > 0 into ``out``, from step - 1's in ``source``.
+
+    High code g = step ^ (step >> 1) flips one sign, and g's parity is step's.
+    ``flips[s, bit]`` is (-1)^s 2 times row k + 1 + bit, the product that the
+    one-part loop forms at each step.
+    """
+    bit = (step & -step).bit_length() - 1
+    np.add(source, flips[(step ^ step >> 1) >> bit & 1, bit], out=out)
+
+
+def _gray_part(low, sign_low, flips, first, last, sums, highs, prod, term) -> None:
+    """Row sums of Glynn's terms at Gray steps ``first``..``last`` - 1 into ``sums``, a row per step.
+
+    ``highs[0]`` holds the high rows' signed column sums at step ``first``.
+    The walk goes on ``len(highs)`` steps at a time, each step's sums flipped
+    from the step before's, and the stacked steps' factors are formed and
+    multiplied in ``prod`` and ``term`` by the one-part loop's operations, in
+    its operand order.
+    """
+    n = low.shape[0]
+    stack = highs.shape[0]
+    for start in range(first, last, stack):
+        count = min(stack, last - start)
+        for i in range(count):
+            if start + i > first:
+                _gray_flip(start + i, flips, highs[i - 1], highs[i])
+        high = highs[:count, :, :, None]
+        p, t = prod[:count], term[:count]
+        np.add(low[0], high[:, 0], out=p)
+        for j in range(1, n):
+            np.add(low[j], high[:, j], out=t)
+            p *= t
+        p *= sign_low
+        p.sum(axis=2, out=sums[start - first : start - first + count])
+
+
+def _gray_split(mats, k, low, sign_low, high, parts) -> np.ndarray:
+    """The one-part loop's ``total``, its Gray steps split into ``parts`` contiguous ranges.
+
+    The steps run in rounds of about ``_SUMS_ELEMS`` row sums.  The caller's
+    thread walks ``high`` through each round in order, recording each part's
+    first state; the parts continue that walk in ``_gray_part``, part 0 here
+    and the others on ``parts - 1`` workers; the round's row sums are then
+    folded in step order.  Every buffer is made here, so the workers
+    allocate none.
+    """
+    n, size, codes = low.shape
+    steps = 1 << (n - 1 - k)
+    cols = mats[:, k + 1 :].transpose(1, 2, 0)  # [bit, j, b]: row k + 1 + bit
+    flips = np.stack((2.0 * cols, -2.0 * cols))
+    stack = max(1, _STACK_ELEMS // (size * codes))
+    # A power of two, so each round has the same steps, and each part a stack's worth.
+    chunk = min(steps, 1 << max((_SUMS_ELEMS // size).bit_length() - 1, (parts * stack - 1).bit_length()))
+    stack = min(stack, -(-chunk // parts))
+    sums = np.empty((chunk, size), dtype=complex)
+    highs = np.empty((parts, stack, n, size), dtype=complex)
+    prod = np.empty((parts, stack, size, codes), dtype=complex)
+    term = np.empty_like(prod)
+    total = np.zeros(size, dtype=complex)
+    at = 0  # the step whose sums ``high`` holds
+    with ThreadPoolExecutor(max_workers=parts - 1) as pool:
+        for first in range(0, steps, chunk):
+            bounds = [first + chunk * p // parts for p in range(parts + 1)]
+            for p in range(parts):
+                for step in range(at + 1, bounds[p] + 1):
+                    _gray_flip(step, flips, high, high)
+                at = bounds[p]
+                highs[p, 0] = high
+            args = [
+                (low, sign_low, flips, bounds[p], bounds[p + 1], sums[bounds[p] - first :], highs[p], prod[p], term[p])
+                for p in range(parts)
+            ]
+            futures = [pool.submit(_gray_part, *a) for a in args[1:]]
+            _gray_part(*args[0])
+            for future in futures:
+                future.result()
+            for i, row in enumerate(sums):
+                if i & 1:  # chunk is even, so a step's parity is its row's
+                    total -= row
+                else:
+                    total += row
+    return total
+
+
+def _perm_batch(mats: np.ndarray, threads: int = 1) -> np.ndarray:
     """Permanents of a [B, n, n] complex stack by Glynn's formula.
 
     Signed column sums of rows 1..k are tabulated for all 2^k sign codes, k as
@@ -62,6 +172,13 @@ def _perm_batch(mats: np.ndarray) -> np.ndarray:
     Gray-code order.  Blocks are reduced by pairwise sums, as terms cancel.
     The stack is taken C-contiguous, as the sums' rounding follows the memory
     layout.
+
+    With ``threads`` > 1 the walk is split (``_gray_split``) into at most
+    ``threads`` parts, at most ``_MAX_PARTS`` and never more than the Gray
+    steps, each of at least ``_PART_ELEMS`` product elements; smaller walks
+    run the loop below.  A split walk performs the loop's operations on the
+    same operands and folds the steps in the loop's order, so the result
+    does not depend on ``threads``.
     """
     mats = np.ascontiguousarray(mats)
     size, n, _ = mats.shape
@@ -69,7 +186,7 @@ def _perm_batch(mats: np.ndarray) -> np.ndarray:
         return np.ones(size, dtype=complex)
     if n * size > _BLOCK_ELEMS:
         step = _BLOCK_ELEMS // n
-        return np.concatenate([_perm_batch(mats[s : s + step]) for s in range(0, size, step)])
+        return np.concatenate([_perm_batch(mats[s : s + step], threads) for s in range(0, size, step)])
     k = min(n - 1, (_BLOCK_ELEMS // (n * size)).bit_length() - 1)
     low = np.empty((n, size, 1 << k), dtype=complex)  # [j, b, code]
     low[:, :, 0] = mats[:, 1 : k + 1].sum(axis=1).T
@@ -78,8 +195,12 @@ def _perm_batch(mats: np.ndarray) -> np.ndarray:
         np.subtract(low[:, :, : 1 << i], 2.0 * mats[:, 1 + i].T[:, :, None], out=low[:, :, 1 << i : 2 << i])
         sign_low[1 << i : 2 << i] = -sign_low[: 1 << i]
     high = (mats[:, 0] + mats[:, k + 1 :].sum(axis=1)).T.copy()  # [j, b], every high sign +1
+    steps = 1 << (n - 1 - k)
+    parts = min(threads, _MAX_PARTS, steps, (steps * size << k) // _PART_ELEMS)
+    if parts > 1:
+        return _gray_split(mats, k, low, sign_low, high, parts) / 2.0 ** (n - 1)
     total = np.zeros(size, dtype=complex)
-    for step in range(1 << (n - 1 - k)):
+    for step in range(steps):
         if step:  # high code g = step ^ (step >> 1) flips one sign; g's parity is step's
             bit = (step & -step).bit_length() - 1
             high += (-2.0 if (step ^ step >> 1) >> bit & 1 else 2.0) * mats[:, k + 1 + bit].T
@@ -107,9 +228,9 @@ def permanent(matrix) -> complex:
     return complex(_perm_batch(m[None])[0])
 
 
-def _exp_perms(a: np.ndarray, ts: np.ndarray) -> np.ndarray:
+def _exp_perms(a: np.ndarray, ts: np.ndarray, threads: int = 1) -> np.ndarray:
     """perm(exp(i t a)) at each t of ``ts``, one Glynn batch."""
-    return _perm_batch(np.exp(1j * ts[:, None, None] * a))
+    return _perm_batch(np.exp(1j * ts[:, None, None] * a), threads)
 
 
 def charfn(m: ScoreMatrix | GammaProfile, t: float) -> complex:
@@ -117,17 +238,20 @@ def charfn(m: ScoreMatrix | GammaProfile, t: float) -> complex:
     return complex(charfn_grid(m, [t])[0])
 
 
-def charfn_grid(m: ScoreMatrix | GammaProfile, ts, perm_cap: int = PERM_CAP) -> np.ndarray:
+def charfn_grid(m: ScoreMatrix | GammaProfile, ts, perm_cap: int = PERM_CAP, threads: int = 1) -> np.ndarray:
     """phi evaluated on an array of t values, one permanent batch over t; n > ``perm_cap`` raises.
 
     A profile is read through its ``matrix``, so no profile is built here.
+    The kernel may split its Gray walk over up to ``threads`` threads (an
+    integer >= 1, else ``ParameterError``); no value depends on the count.
     """
     ts = _finite(ts, "t")
+    threads = _thread_count(threads)
     if isinstance(m, GammaProfile):
         m = m.matrix
     if m.n > perm_cap:
         raise CapExceededError(f"n = {m.n} exceeds the permanent cap {perm_cap}")
-    return _exp_perms(m.a, ts) / math.factorial(m.n)
+    return _exp_perms(m.a, ts, threads) / math.factorial(m.n)
 
 
 def _gauss_cf_grid(profile: GammaProfile, ts: np.ndarray) -> np.ndarray:
@@ -386,11 +510,16 @@ def evaluate_cf_grid(
     ts,
     tol: float = 1e-10,
     perm_cap: int = PERM_CAP,
+    threads: int = 1,
 ) -> list[CfEvaluation]:
-    """Evaluate phi, the matching normal CF, and all three bounds at each t; n > ``perm_cap`` raises."""
+    """Evaluate phi, the matching normal CF, and all three bounds at each t; n > ``perm_cap`` raises.
+
+    phi's permanents use up to ``threads`` threads (see ``charfn_grid``); no value depends on it.
+    """
     ts = _finite(ts, "t")
+    threads = _thread_count(threads)
     profile = _as_profile(m)
-    phis = charfn_grid(profile.matrix, ts, perm_cap=perm_cap)
+    phis = charfn_grid(profile.matrix, ts, perm_cap=perm_cap, threads=threads)
     gauss = _gauss_cf_grid(profile, ts)
     modulus = charfn_bound_grid(profile, ts)
     integral = cf_diff_bound_integral_grid(profile, ts, tol=tol)

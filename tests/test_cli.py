@@ -427,6 +427,22 @@ class TestCharfnCommand:
             for key in expected:
                 assert point[key] == expected[key], key
 
+    def test_threads_leave_the_report_unchanged(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "m16.csv"
+        rows = np.random.default_rng(16).standard_normal((16, 16)).tolist()
+        path.write_text("\n".join(",".join(repr(v) for v in row) for row in rows))
+        splits = []
+        split = permanents._gray_split
+        monkeypatch.setattr(permanents, "_gray_split", lambda *args: splits.append(args[-1]) or split(*args))
+        reports = []
+        for threads in ("1", "3"):
+            out = tmp_path / f"threads{threads}.json"
+            argv = ["charfn", "--input", str(path), "--t-grid=0:1.5:25", "--threads", threads, "--output", str(out)]
+            assert run_cli(capsys, *argv) == (0, "", "")
+            reports.append(out.read_bytes())
+        assert splits == [3]  # 25 t at n = 16: the --threads 3 walk runs as three parts
+        assert reports[1] == reports[0]
+
     def test_bad_grid_spec(self, capsys, fixture_csv):
         code, _, err = run_cli(capsys, "charfn", "--input", fixture_csv, "--t-grid", "1:2")
         assert code == 2

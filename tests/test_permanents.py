@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import tracemalloc
+from concurrent.futures import Future
 
 import mpmath
 import numpy as np
@@ -523,6 +525,126 @@ class TestCfEvaluation:
             a = rng.standard_normal((8, 8))
             c_order = [ev.as_dict() for ev in evaluate_cf_grid(ScoreMatrix(a), ts)]
             assert [ev.as_dict() for ev in evaluate_cf_grid(ScoreMatrix(np.asfortranarray(a)), ts)] == c_order
+
+
+def _cf_bits(evals) -> np.ndarray:
+    """Every number of a list of ``CfEvaluation`` as int64 bits, an absent simplified bound as NaN."""
+    rows = [
+        (ev.t, ev.phi.real, ev.phi.imag, ev.gauss.real, ev.gauss.imag, ev.modulus_bound, ev.diff_bound_integral,
+         ev.diff_bound_closed, math.nan if ev.diff_bound_closed_simplified is None else ev.diff_bound_closed_simplified)
+        for ev in evals
+    ]
+    return np.array(rows, dtype=float).view(np.int64)
+
+
+def _inline_pool(sizes: list):
+    """A ``ThreadPoolExecutor`` stand-in that appends each pool's ``max_workers``
+    to ``sizes`` and runs each task when it is submitted, starting no thread."""
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    return InlinePool
+
+
+class TestThreadedWalk:
+    """A Gray walk split over threads gives the one-thread bits, compared as int64 views."""
+
+    # (12, 20): 8 Gray steps, so 3 parts start at steps 2 and 5, 4 parts at 2, 4 and 6;
+    # (14, 1): 2 steps, fewer than 3 or 4 threads; (6, 11000): two blocks past
+    # _BLOCK_ELEMS // 6, the first of 32 steps in two to four rounds; (2, 5): one step.
+    @pytest.mark.parametrize("n, count", [(12, 20), (14, 1), (6, 11000), (2, 5)])
+    @pytest.mark.parametrize("stack_elems", [1, 1 << 14, 1 << 15])
+    def test_charfn_grid(self, rng, monkeypatch, n, count, stack_elems):
+        monkeypatch.setattr(permanents, "_PART_ELEMS", 1)  # split every walk of two steps or more
+        monkeypatch.setattr(permanents, "_STACK_ELEMS", stack_elems)
+        m = rand_matrix(rng, n)
+        ts = np.linspace(-2.5, 2.5, count)
+        one = charfn_grid(m, ts).view(np.int64)
+        for threads in (2, 3, 4):
+            assert np.array_equal(charfn_grid(m, ts, threads=threads).view(np.int64), one), threads
+
+    def test_more_threads_than_cores_with_short_switches(self, rng, monkeypatch):
+        monkeypatch.setattr(permanents, "_PART_ELEMS", 1)
+        monkeypatch.setattr(permanents, "_STACK_ELEMS", 1)
+        m = rand_matrix(rng, 13)
+        ts = np.linspace(-2.0, 2.0, 40)  # 64 Gray steps
+        one = charfn_grid(m, ts).view(np.int64)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for threads in (5, 8, 16):
+                assert np.array_equal(charfn_grid(m, ts, threads=threads).view(np.int64), one), threads
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_evaluate_cf_grid(self, rng, monkeypatch):
+        monkeypatch.setattr(permanents, "_PART_ELEMS", 1)
+        m = rand_matrix(rng, 12)
+        ts = np.linspace(0.0, 3.0, 20)
+        one = _cf_bits(evaluate_cf_grid(m, ts))
+        for threads in (2, 3, 4):
+            assert np.array_equal(_cf_bits(evaluate_cf_grid(m, ts, threads=threads)), one), threads
+
+    def test_n20_one_t(self, rng):
+        # The default part size: one t at n = 20 splits into two parts.
+        m = rand_matrix(rng, 20)
+        one = charfn_grid(m, [0.7]).view(np.int64)
+        for threads in (2, 3, 4):
+            assert np.array_equal(charfn_grid(m, [0.7], threads=threads).view(np.int64), one), threads
+
+    @pytest.mark.parametrize("kind", ["gauss", "zero-one", "signed-zeros"])
+    @pytest.mark.parametrize("n", [0, 1, 2, 9, 14])
+    def test_kernel_on_real_and_signed_zero_entries(self, rng, monkeypatch, kind, n):
+        monkeypatch.setattr(permanents, "_PART_ELEMS", 1)
+        shape = (3, n, n)
+        if kind == "gauss":
+            mats = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        elif kind == "zero-one":
+            mats = rng.integers(0, 2, shape).astype(complex)
+        else:
+            mats = rng.integers(0, 2, shape) + rng.choice([-0.0, 0.0], shape) + 1j * rng.choice([-0.0, 0.0], shape)
+        one = permanents._perm_batch(mats).view(np.int64)
+        for threads in (2, 3, 4):
+            assert np.array_equal(permanents._perm_batch(mats, threads).view(np.int64), one), threads
+
+    @pytest.mark.parametrize("bad", [0, -2, 1.5, "2", None])
+    def test_rejects_bad_thread_counts(self, rng, bad):
+        m = rand_matrix(rng, 4)
+        for fn in (charfn_grid, evaluate_cf_grid):
+            with pytest.raises(ParameterError, match="threads"):
+                fn(m, [0.5], threads=bad)
+
+    # n, t count, part size (None: the default), the pools' max_workers.  At
+    # n = 16 one t has 8 Gray steps, at n = 20 256, and n = 14 x 25 t holds
+    # too little work for two default parts.
+    @pytest.mark.parametrize(
+        "n, count, part_elems, pools",
+        [(16, 1, 1, [7]), (20, 1, 1, [permanents._MAX_PARTS - 1]), (20, 1, None, [1]), (14, 25, None, [])],
+    )
+    def test_workers_bounded_by_steps_and_work(self, rng, monkeypatch, n, count, part_elems, pools):
+        if part_elems is not None:
+            monkeypatch.setattr(permanents, "_PART_ELEMS", part_elems)
+        sizes = []
+        monkeypatch.setattr(permanents, "ThreadPoolExecutor", _inline_pool(sizes))
+        m = rand_matrix(rng, n)
+        ts = np.linspace(0.2, 1.4, count)
+        one = charfn_grid(m, ts).view(np.int64)
+        assert sizes == []
+        assert np.array_equal(charfn_grid(m, ts, threads=10**6).view(np.int64), one)
+        assert sizes == pools
 
 
 class TestScalarIsBatchOfOne:
