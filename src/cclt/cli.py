@@ -40,7 +40,7 @@ from .constants import (
     sampling_bound_specialized,
     theorem_constants,
 )
-from .errors import CcltError, ParameterError
+from .errors import CcltError, ParameterError, _seed, _thread_count
 from .exact import _check_mc_budget, enumerate_distribution, kolmogorov_distance, monte_carlo_delta
 from .matrixio import load_score_matrix
 from .permanents import PERM_CAP, evaluate_cf_grid
@@ -78,12 +78,12 @@ def _check_options(args: argparse.Namespace) -> None:
         raise ParameterError("enumeration and permanent caps must be >= 2")
     if not opts.get("quad_tol", 1.0) > 0:
         raise ParameterError(f"quad tolerance must be positive, got {args.quad_tol}")
+    if opts.get("quad_tol") == math.inf:
+        raise ParameterError("quad tolerance must be finite, got inf")
     if opts.get("mc_samples", 10_000) < 10_000:
         raise ParameterError(f"mc samples must be >= 10000, got {args.mc_samples}")
-    if opts.get("threads", 1) < 1:
-        raise ParameterError(f"threads must be >= 1, got {args.threads}")
-    if not 0 <= opts.get("seed", 0) < 1 << 64:
-        raise ParameterError(f"seed must be in [0, 2^64), got {args.seed}")
+    _thread_count(opts.get("threads", 1))
+    _seed(opts.get("seed", 0))
     if not args.output:
         return
     folder = os.path.dirname(args.output) or "."

@@ -290,6 +290,7 @@ def smoothing_bound(
     """
     if not 0.0 < T < math.inf:
         raise ParameterError(f"T must be positive and finite, got {T}")
+    _finite(tol, "tol")
     profile = _as_profile(m)
     sigma2 = require_nondegenerate(profile.sigma2)
     remainder = _kernel_tail(w, v_of_w(w)) / (math.sqrt(sigma2) * T)  # v_of_w checks w

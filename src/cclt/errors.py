@@ -68,3 +68,19 @@ def _finite(values, name: str) -> np.ndarray:
     if not np.isfinite(values).all():
         raise ParameterError(f"{name} must be finite, got {values[~np.isfinite(values)][0]}")
     return values
+
+
+def _thread_count(threads) -> int:
+    """``threads`` as an int >= 1; anything else raises ``ParameterError``."""
+    threads = _integer(threads, "threads")
+    if threads < 1:
+        raise ParameterError(f"threads must be >= 1, got {threads}")
+    return threads
+
+
+def _seed(seed) -> int:
+    """``seed`` as an int in [0, 2^64); anything else raises ``ParameterError``."""
+    seed = _integer(seed, "seed")
+    if not 0 <= seed < 1 << 64:
+        raise ParameterError(f"seed must be in [0, 2^64), got {seed}")
+    return seed

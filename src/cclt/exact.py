@@ -50,7 +50,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import CapExceededError, InvalidMatrixError, ParameterError, _finite, _integer
+from .errors import CapExceededError, InvalidMatrixError, ParameterError, _finite, _integer, _seed, _thread_count
 from .permtables import ENUM_CAP, _table
 from .scores import GammaProfile, ScoreMatrix, _as_profile, require_nondegenerate
 
@@ -580,8 +580,8 @@ def monte_carlo_delta(
     if samples < 10_000:
         raise ParameterError(f"samples must be at least 10000, got {samples}")
     _check_mc_budget(samples)
-    if threads < 1:
-        raise ParameterError(f"threads must be >= 1, got {threads}")
+    threads = _thread_count(threads)
+    seed = _seed(seed)
     profile = _as_profile(m)
     sigma = math.sqrt(require_nondegenerate(profile.sigma2))
     n = profile.n

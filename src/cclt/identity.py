@@ -271,6 +271,7 @@ def identity_check(Y: ComplexScoreMatrix, tol: float = 1e-10) -> IdentityCheck:
     precision to resolve the integral), rather than return an unconverged
     rhs.
     """
+    _finite(tol, "tol")
     n = Y.n
     if n > ENUM_CAP:
         raise CapExceededError(f"identity check needs {n}! permutation terms, above cap {ENUM_CAP}")

@@ -12,11 +12,11 @@ Permanents are evaluated exactly by Glynn's formula
 in Gray-code order, O(2^(n-1) * n), by one kernel batched over matrices.  Its
 terms add up to 2^(n-1) perm(M), where Ryser's add up to perm(M), so far less
 cancels: phi(0) is within 1e-13 of 1 at n = 18, against 6e-9 with Ryser.
-The tests check it against a naive permutation sum at small n.  A large
-batch's Gray-code walk can be split into contiguous step ranges run on
-threads (``charfn_grid`` and ``evaluate_cf_grid`` take ``threads``); each
-range repeats the one-thread operations and the steps are summed in order,
-so no value depends on the thread count.
+The tests check it against a naive permutation sum at small n.  Its one
+Gray-code walk is split into contiguous step ranges run on threads
+(``charfn_grid`` and ``evaluate_cf_grid`` take ``threads``; one thread is one
+range); every range performs the same operations and the steps are summed in
+order, so no value depends on the thread count.
 
 Three explicit inequalities for phi are implemented:
 
@@ -42,12 +42,21 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .analytic import kappa
-from .errors import CapExceededError, IndexRangeError, InvalidMatrixError, ParameterError, _finite, _integer
+from .errors import (
+    CapExceededError,
+    IndexRangeError,
+    InvalidMatrixError,
+    ParameterError,
+    _finite,
+    _integer,
+    _thread_count,
+)
 from .quadrature import adaptive_simpson_lanes
 from .scores import GammaProfile, ScoreMatrix, _as_profile, require_nondegenerate
 
@@ -63,28 +72,19 @@ _PART_ELEMS = 1 << 18
 # Most parts of one walk.  Each holds up to 1 MB of buffers, and no common
 # host has more cores than this to run them on.
 _MAX_PARTS = 64
-# Elements of one stacked product op in a split walk.  numpy releases the
-# interpreter lock inside each op, so an op must far outlast a handoff.
+# Elements of one stacked product op in a walk of two or more parts.  numpy
+# releases the interpreter lock inside each op, so an op must far outlast a handoff.
 _STACK_ELEMS = 1 << 15
-# Row sums a split walk holds between folds, 128 KB, unless its parts need
-# more for one stacked op each.
+# Row sums a walk holds between folds, 128 KB, unless its parts need more for
+# one stacked op each.
 _SUMS_ELEMS = 1 << 13
-
-
-def _thread_count(threads) -> int:
-    """``threads`` as an int >= 1; anything else raises ``ParameterError``."""
-    threads = _integer(threads, "threads")
-    if threads < 1:
-        raise ParameterError(f"threads must be >= 1, got {threads}")
-    return threads
 
 
 def _gray_flip(step: int, flips: np.ndarray, source: np.ndarray, out: np.ndarray) -> None:
     """High sums at Gray step ``step`` > 0 into ``out``, from step - 1's in ``source``.
 
     High code g = step ^ (step >> 1) flips one sign, and g's parity is step's.
-    ``flips[s, bit]`` is (-1)^s 2 times row k + 1 + bit, the product that the
-    one-part loop forms at each step.
+    ``flips[s, bit]`` is (-1)^s 2 times row k + 1 + bit.
     """
     bit = (step & -step).bit_length() - 1
     np.add(source, flips[(step ^ step >> 1) >> bit & 1, bit], out=out)
@@ -96,68 +96,75 @@ def _gray_part(low, sign_low, flips, first, last, sums, highs, prod, term) -> No
     ``highs[0]`` holds the high rows' signed column sums at step ``first``.
     The walk goes on ``len(highs)`` steps at a time, each step's sums flipped
     from the step before's, and the stacked steps' factors are formed and
-    multiplied in ``prod`` and ``term`` by the one-part loop's operations, in
-    its operand order.
+    multiplied in ``prod`` and ``term``.  Step s ends in slot
+    (s - ``first``) % ``len(highs)``.
     """
     n = low.shape[0]
     stack = highs.shape[0]
     for start in range(first, last, stack):
         count = min(stack, last - start)
-        for i in range(count):
-            if start + i > first:
-                _gray_flip(start + i, flips, highs[i - 1], highs[i])
-        high = highs[:count, :, :, None]
-        p, t = prod[:count], term[:count]
+        for step in range(max(start, first + 1), start + count):
+            _gray_flip(step, flips, highs[step - start - 1], highs[step - start])
+        high, p, t = highs[:count, ..., None], prod[:count], term[:count]
         np.add(low[0], high[:, 0], out=p)
         for j in range(1, n):
             np.add(low[j], high[:, j], out=t)
             p *= t
         p *= sign_low
-        p.sum(axis=2, out=sums[start - first : start - first + count])
+        np.add.reduce(p, axis=2, out=sums[start - first : start - first + count])
 
 
-def _gray_split(mats, k, low, sign_low, high, parts) -> np.ndarray:
-    """The one-part loop's ``total``, its Gray steps split into ``parts`` contiguous ranges.
+def _gray_walk(mats, k, low, sign_low, high, parts) -> np.ndarray:
+    """Glynn's signed sum over the Gray steps, from step 0's high sums ``high``, in ``parts`` contiguous ranges.
 
-    The steps run in rounds of about ``_SUMS_ELEMS`` row sums.  The caller's
-    thread walks ``high`` through each round in order, recording each part's
-    first state; the parts continue that walk in ``_gray_part``, part 0 here
-    and the others on ``parts - 1`` workers; the round's row sums are then
-    folded in step order.  Every buffer is made here, so the workers
-    allocate none.
+    The steps run in rounds of about ``_SUMS_ELEMS`` row sums.  Part 0 starts
+    a round one flip on from the last part's last state; the caller's thread
+    walks from each part's first state to the next part's.  The parts run in
+    ``_gray_part``, part 0 here and the others on ``parts - 1`` workers (one
+    part starts no pool), and the row sums are folded in step order.  Every
+    buffer is made here, so the workers allocate none.  The flip table, up to
+    2 (n - 1) MB, is C-contiguous, so a flip reads one block, not a strided
+    column of ``mats``.
     """
     n, size, codes = low.shape
     steps = 1 << (n - 1 - k)
-    cols = mats[:, k + 1 :].transpose(1, 2, 0)  # [bit, j, b]: row k + 1 + bit
-    flips = np.stack((2.0 * cols, -2.0 * cols))
-    stack = max(1, _STACK_ELEMS // (size * codes))
+    flips = None
+    if steps > 1:  # [sign, bit, j, b]: +-2 times row k + 1 + bit
+        flips = np.empty((2, n - 1 - k, n, size), dtype=complex)
+        np.multiply(np.reshape([2.0, -2.0], (2, 1, 1, 1)), mats[:, k + 1 :].transpose(1, 2, 0), out=flips)
+    stack = max(1, _STACK_ELEMS // (size * codes)) if parts > 1 else 1
     # A power of two, so each round has the same steps, and each part a stack's worth.
     chunk = min(steps, 1 << max((_SUMS_ELEMS // size).bit_length() - 1, (parts * stack - 1).bit_length()))
     stack = min(stack, -(-chunk // parts))
+    offsets = [chunk * p // parts for p in range(parts + 1)]
+    tail = (chunk - 1 - offsets[-2]) % stack  # the slot of the last part's last state
     sums = np.empty((chunk, size), dtype=complex)
     highs = np.empty((parts, stack, n, size), dtype=complex)
+    highs[0, 0] = high
     prod = np.empty((parts, stack, size, codes), dtype=complex)
     term = np.empty_like(prod)
     total = np.zeros(size, dtype=complex)
-    at = 0  # the step whose sums ``high`` holds
-    with ThreadPoolExecutor(max_workers=parts - 1) as pool:
+    with ThreadPoolExecutor(max_workers=parts - 1) if parts > 1 else nullcontext() as pool:
         for first in range(0, steps, chunk):
-            bounds = [first + chunk * p // parts for p in range(parts + 1)]
-            for p in range(parts):
-                for step in range(at + 1, bounds[p] + 1):
-                    _gray_flip(step, flips, high, high)
-                at = bounds[p]
-                highs[p, 0] = high
-            args = [
-                (low, sign_low, flips, bounds[p], bounds[p + 1], sums[bounds[p] - first :], highs[p], prod[p], term[p])
-                for p in range(parts)
+            if first:
+                _gray_flip(first, flips, highs[-1, tail], highs[0, 0])
+            for p in range(1, parts):
+                source = highs[p - 1, 0]
+                for step in range(first + offsets[p - 1] + 1, first + offsets[p] + 1):
+                    _gray_flip(step, flips, source, highs[p, 0])
+                    source = highs[p, 0]
+            futures = [
+                pool.submit(
+                    _gray_part, low, sign_low, flips, first + offsets[p], first + offsets[p + 1],
+                    sums[offsets[p] :], highs[p], prod[p], term[p],
+                )
+                for p in range(1, parts)
             ]
-            futures = [pool.submit(_gray_part, *a) for a in args[1:]]
-            _gray_part(*args[0])
+            _gray_part(low, sign_low, flips, first, first + offsets[1], sums, highs[0], prod[0], term[0])
             for future in futures:
                 future.result()
-            for i, row in enumerate(sums):
-                if i & 1:  # chunk is even, so a step's parity is its row's
+            for step, row in enumerate(sums, first):
+                if step & 1:
                     total -= row
                 else:
                     total += row
@@ -168,17 +175,16 @@ def _perm_batch(mats: np.ndarray, threads: int = 1) -> np.ndarray:
     """Permanents of a [B, n, n] complex stack by Glynn's formula.
 
     Signed column sums of rows 1..k are tabulated for all 2^k sign codes, k as
-    large as ``_BLOCK_ELEMS`` allows; the loop walks the other rows' signs in
-    Gray-code order.  Blocks are reduced by pairwise sums, as terms cancel.
-    The stack is taken C-contiguous, as the sums' rounding follows the memory
-    layout.
+    large as ``_BLOCK_ELEMS`` allows; ``_gray_walk`` walks the other rows'
+    signs in Gray-code order.  Blocks are reduced by pairwise sums, as terms
+    cancel.  The stack is taken C-contiguous, as the sums' rounding follows
+    the memory layout.
 
-    With ``threads`` > 1 the walk is split (``_gray_split``) into at most
-    ``threads`` parts, at most ``_MAX_PARTS`` and never more than the Gray
-    steps, each of at least ``_PART_ELEMS`` product elements; smaller walks
-    run the loop below.  A split walk performs the loop's operations on the
-    same operands and folds the steps in the loop's order, so the result
-    does not depend on ``threads``.
+    The walk is split into at most ``threads`` parts, at most ``_MAX_PARTS``
+    and never more than the Gray steps, each of at least ``_PART_ELEMS``
+    product elements, and at least one.  Every part performs the same
+    operations on the same operands and the steps are folded in order, so
+    the result does not depend on ``threads``.
     """
     mats = np.ascontiguousarray(mats)
     size, n, _ = mats.shape
@@ -194,22 +200,10 @@ def _perm_batch(mats: np.ndarray, threads: int = 1) -> np.ndarray:
     for i in range(k):  # codes with bit i set give row 1 + i the sign -1
         np.subtract(low[:, :, : 1 << i], 2.0 * mats[:, 1 + i].T[:, :, None], out=low[:, :, 1 << i : 2 << i])
         sign_low[1 << i : 2 << i] = -sign_low[: 1 << i]
-    high = (mats[:, 0] + mats[:, k + 1 :].sum(axis=1)).T.copy()  # [j, b], every high sign +1
+    high = (mats[:, 0] + mats[:, k + 1 :].sum(axis=1)).T  # [j, b], every high sign +1
     steps = 1 << (n - 1 - k)
-    parts = min(threads, _MAX_PARTS, steps, (steps * size << k) // _PART_ELEMS)
-    if parts > 1:
-        return _gray_split(mats, k, low, sign_low, high, parts) / 2.0 ** (n - 1)
-    total = np.zeros(size, dtype=complex)
-    for step in range(steps):
-        if step:  # high code g = step ^ (step >> 1) flips one sign; g's parity is step's
-            bit = (step & -step).bit_length() - 1
-            high += (-2.0 if (step ^ step >> 1) >> bit & 1 else 2.0) * mats[:, k + 1 + bit].T
-        prod = low[0] + high[0, :, None]
-        for j in range(1, n):
-            prod *= low[j] + high[j, :, None]
-        prod *= sign_low
-        total += -prod.sum(axis=1) if step & 1 else prod.sum(axis=1)
-    return total / 2.0 ** (n - 1)
+    parts = max(1, min(threads, _MAX_PARTS, steps, (steps * size << k) // _PART_ELEMS))
+    return _gray_walk(mats, k, low, sign_low, high, parts) / 2.0 ** (n - 1)
 
 
 def permanent(matrix) -> complex:
@@ -410,6 +404,7 @@ def cf_diff_bound_integral_grid(
     at two points up to 2.1e-10 below it.
     """
     ts = _finite(ts, "t")
+    _finite(tol, "tol")
     profile = _as_profile(m)
     require_nondegenerate(profile.sigma2)
     sigma2 = profile.sigma2_quad
@@ -517,6 +512,7 @@ def evaluate_cf_grid(
     phi's permanents use up to ``threads`` threads (see ``charfn_grid``); no value depends on it.
     """
     ts = _finite(ts, "t")
+    _finite(tol, "tol")
     threads = _thread_count(threads)
     profile = _as_profile(m)
     phis = charfn_grid(profile.matrix, ts, perm_cap=perm_cap, threads=threads)

@@ -22,6 +22,43 @@ def permanent_reference(matrix) -> complex:
     return complex(sum(m[np.arange(n), block].prod(axis=1).sum() for block in perm_blocks(n)))
 
 
+def perm_batch_sequential(mats, block_elems: int) -> np.ndarray:
+    """Glynn permanents of a [B, n, n] stack by one sequential Gray-code loop.
+
+    Step after step, with no stacked steps, parts or flip table: the same
+    blocks of at most ``block_elems`` elements, the same table of 2^k low sign
+    codes and the same operations in the same order as
+    ``permanents._perm_batch``, which must return these bits at any thread
+    count.
+    """
+    mats = np.ascontiguousarray(mats, dtype=complex)
+    size, n, _ = mats.shape
+    if n == 0 or size == 0:
+        return np.ones(size, dtype=complex)
+    if n * size > block_elems:
+        step = block_elems // n
+        return np.concatenate([perm_batch_sequential(mats[s : s + step], block_elems) for s in range(0, size, step)])
+    k = min(n - 1, (block_elems // (n * size)).bit_length() - 1)
+    low = np.empty((n, size, 1 << k), dtype=complex)
+    low[:, :, 0] = mats[:, 1 : k + 1].sum(axis=1).T
+    sign_low = np.ones(1 << k)
+    for i in range(k):
+        np.subtract(low[:, :, : 1 << i], 2.0 * mats[:, 1 + i].T[:, :, None], out=low[:, :, 1 << i : 2 << i])
+        sign_low[1 << i : 2 << i] = -sign_low[: 1 << i]
+    high = (mats[:, 0] + mats[:, k + 1 :].sum(axis=1)).T.copy()
+    total = np.zeros(size, dtype=complex)
+    for step in range(1 << (n - 1 - k)):
+        if step:
+            bit = (step & -step).bit_length() - 1
+            high += (-2.0 if (step ^ step >> 1) >> bit & 1 else 2.0) * mats[:, k + 1 + bit].T
+        prod = low[0] + high[0, :, None]
+        for j in range(1, n):
+            prod *= low[j] + high[j, :, None]
+        prod *= sign_low
+        total += -prod.sum(axis=1) if step & 1 else prod.sum(axis=1)
+    return total / 2.0 ** (n - 1)
+
+
 def f_terms_reference(Y: ComplexScoreMatrix, u: float) -> FTerms:
     """Literal nested-loop evaluation of the f sums (small n oracle).
 

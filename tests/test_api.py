@@ -15,6 +15,7 @@ import pytest
 
 import cclt
 from cclt import ComplexScoreMatrix, GammaProfile, ParameterError, ScoreMatrix
+from cclt.permanents import cf_diff_bound_integral_grid, evaluate_cf_grid
 from conftest import rand_complex_entries
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -85,6 +86,12 @@ REAL_ARGUMENTS = {
     "cf_diff_bound_integral": ("t", lambda m, p, y, v: cclt.cf_diff_bound_integral(m, v)),
     "cf_diff_bound_closed": ("t", lambda m, p, y, v: cclt.cf_diff_bound_closed(m, v)),
     "evaluate_cf": ("t", lambda m, p, y, v: cclt.evaluate_cf(m, v)),
+    "evaluate_cf.tol": ("tol", lambda m, p, y, v: cclt.evaluate_cf(m, 0.5, tol=v)),
+    "evaluate_cf_grid.tol": ("tol", lambda m, p, y, v: evaluate_cf_grid(m, [0.5, 1.0], tol=v)),
+    "cf_diff_bound_integral.tol": ("tol", lambda m, p, y, v: cclt.cf_diff_bound_integral(m, 0.5, tol=v)),
+    "cf_diff_bound_integral_grid.tol": ("tol", lambda m, p, y, v: cf_diff_bound_integral_grid(m, [0.5], tol=v)),
+    "smoothing_bound.tol": ("tol", lambda m, p, y, v: cclt.smoothing_bound(m, 0.5, 1.0, tol=v)),
+    "identity_check.tol": ("tol", lambda m, p, y, v: cclt.identity_check(y, tol=v)),
     "f_terms": ("u", lambda m, p, y, v: cclt.f_terms(y, v)),
     "f_residual": ("u", lambda m, p, y, v: cclt.f_residual(y, v)),
     "taylor_remainder_check": ("x", lambda m, p, y, v: cclt.taylor_remainder_check(v, 2)),

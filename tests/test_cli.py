@@ -431,16 +431,16 @@ class TestCharfnCommand:
         path = tmp_path / "m16.csv"
         rows = np.random.default_rng(16).standard_normal((16, 16)).tolist()
         path.write_text("\n".join(",".join(repr(v) for v in row) for row in rows))
-        splits = []
-        split = permanents._gray_split
-        monkeypatch.setattr(permanents, "_gray_split", lambda *args: splits.append(args[-1]) or split(*args))
+        parts = []
+        walk = permanents._gray_walk
+        monkeypatch.setattr(permanents, "_gray_walk", lambda *args: parts.append(args[-1]) or walk(*args))
         reports = []
         for threads in ("1", "3"):
             out = tmp_path / f"threads{threads}.json"
             argv = ["charfn", "--input", str(path), "--t-grid=0:1.5:25", "--threads", threads, "--output", str(out)]
             assert run_cli(capsys, *argv) == (0, "", "")
             reports.append(out.read_bytes())
-        assert splits == [3]  # 25 t at n = 16: the --threads 3 walk runs as three parts
+        assert parts == [1, 3]  # 25 t at n = 16: the --threads 3 walk runs as three parts
         assert reports[1] == reports[0]
 
     def test_bad_grid_spec(self, capsys, fixture_csv):
@@ -754,12 +754,13 @@ class TestOptionValues:
         assert err == f"error: {message}\n"
 
     def test_nan_quad_tol_rejected(self, capsys, fixture_csv):
-        code, _, err = run_cli(capsys, "verify", "identity", "--quad-tol", "nan")
-        assert code == 2
-        assert "quad tolerance" in err
-        code, _, err = run_cli(capsys, "charfn", "--input", fixture_csv, "--t-grid=0:1:2", "--quad-tol", "nan")
-        assert code == 2
-        assert "quad tolerance" in err
+        for tol in ("nan", "inf"):
+            code, _, err = run_cli(capsys, "verify", "identity", "--quad-tol", tol)
+            assert code == 2
+            assert "quad tolerance" in err
+            code, _, err = run_cli(capsys, "charfn", "--input", fixture_csv, "--t-grid=0:1:2", "--quad-tol", tol)
+            assert code == 2
+            assert "quad tolerance" in err
 
     def test_seed_range(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "constants", f"--seed={(1 << 64) - 1}")

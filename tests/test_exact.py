@@ -608,6 +608,33 @@ class TestMonteCarlo:
         with pytest.raises(ParameterError, match="threads must be >= 1"):
             monte_carlo_delta(rand_matrix(rng, 4), 10_000, seed=0, threads=threads)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"threads": 1.5}, "threads must be an integer, got 1.5"),
+            ({"threads": "2"}, "threads must be an integer, got '2'"),
+            ({"threads": None}, "threads must be an integer, got None"),
+            ({"seed": -1}, r"seed must be in \[0, 2\^64\), got -1"),
+            ({"seed": 1 << 64}, rf"seed must be in \[0, 2\^64\), got {1 << 64}"),
+            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({"seed": None}, "seed must be an integer, got None"),
+        ],
+    )
+    def test_rejects_bad_threads_and_seeds_before_any_work(self, monkeypatch, kwargs, message):
+        called = []
+        monkeypatch.setattr(exact, "_as_profile", lambda m: called.append(m) or m)
+        m = rand_matrix(np.random.default_rng(4), 4)
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            monte_carlo_delta(m, 10_000, **{"seed": 0, **kwargs})
+        assert called == []
+
+    def test_seed_range_ends_and_numpy_integers_accepted(self, two_by_two):
+        top = monte_carlo_delta(two_by_two, 10_000, seed=(1 << 64) - 1)
+        assert monte_carlo_delta(two_by_two, 10_000, seed=np.uint64((1 << 64) - 1)) == top
+        assert monte_carlo_delta(two_by_two, 10_000, seed=np.int64(0), threads=np.int64(2)) == monte_carlo_delta(
+            two_by_two, 10_000, seed=0
+        )
+
     def test_phi_is_loaded_before_sampling(self):
         # The sampling threads run in a process that has imported scipy (see
         # ``monte_carlo_delta``).  This test module imports scipy itself, so

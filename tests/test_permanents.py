@@ -41,7 +41,7 @@ from cclt.permanents import (
 )
 from cclt.permtables import perm_blocks
 from conftest import literal_tables, rand_complex_entries, rand_matrix, row_pair_corpus
-from oracles import permanent_reference
+from oracles import perm_batch_sequential, permanent_reference
 
 
 def mp_permanent(entries) -> mpmath.mpc:
@@ -537,6 +537,12 @@ def _cf_bits(evals) -> np.ndarray:
     return np.array(rows, dtype=float).view(np.int64)
 
 
+def _charfn_sequential(m: ScoreMatrix, ts: np.ndarray) -> np.ndarray:
+    """``charfn_grid(m, ts)`` by the sequential reference loop, as int64 bits."""
+    perms = perm_batch_sequential(np.exp(1j * ts[:, None, None] * m.a), permanents._BLOCK_ELEMS)
+    return (perms / math.factorial(m.n)).view(np.int64)
+
+
 def _inline_pool(sizes: list):
     """A ``ThreadPoolExecutor`` stand-in that appends each pool's ``max_workers``
     to ``sizes`` and runs each task when it is submitted, starting no thread."""
@@ -560,11 +566,13 @@ def _inline_pool(sizes: list):
 
 
 class TestThreadedWalk:
-    """A Gray walk split over threads gives the one-thread bits, compared as int64 views."""
+    """The Gray walk at every thread count gives the bits of one sequential loop
+    (``oracles.perm_batch_sequential``), compared as int64 views."""
 
     # (12, 20): 8 Gray steps, so 3 parts start at steps 2 and 5, 4 parts at 2, 4 and 6;
     # (14, 1): 2 steps, fewer than 3 or 4 threads; (6, 11000): two blocks past
-    # _BLOCK_ELEMS // 6, the first of 32 steps in two to four rounds; (2, 5): one step.
+    # _BLOCK_ELEMS // 6, the first of 32 steps in two to four rounds, or in
+    # rounds of one step at one thread (more than _SUMS_ELEMS // 2 rows); (2, 5): one step.
     @pytest.mark.parametrize("n, count", [(12, 20), (14, 1), (6, 11000), (2, 5)])
     @pytest.mark.parametrize("stack_elems", [1, 1 << 14, 1 << 15])
     def test_charfn_grid(self, rng, monkeypatch, n, count, stack_elems):
@@ -572,21 +580,30 @@ class TestThreadedWalk:
         monkeypatch.setattr(permanents, "_STACK_ELEMS", stack_elems)
         m = rand_matrix(rng, n)
         ts = np.linspace(-2.5, 2.5, count)
-        one = charfn_grid(m, ts).view(np.int64)
-        for threads in (2, 3, 4):
-            assert np.array_equal(charfn_grid(m, ts, threads=threads).view(np.int64), one), threads
+        ref = _charfn_sequential(m, ts)
+        for threads in (1, 2, 3, 4):
+            assert np.array_equal(charfn_grid(m, ts, threads=threads).view(np.int64), ref), threads
+
+    def test_wide_batch_at_the_default_constants(self, rng):
+        # 5,461 t at n = 12: one block of 2,048 steps with k = 0, a step per
+        # round at one thread and up to 4 parts of a round otherwise.
+        m = rand_matrix(rng, 12)
+        ts = np.linspace(-2.5, 2.5, 5461)
+        ref = _charfn_sequential(m, ts)
+        for threads in (1, 2, 3, 4):
+            assert np.array_equal(charfn_grid(m, ts, threads=threads).view(np.int64), ref), threads
 
     def test_more_threads_than_cores_with_short_switches(self, rng, monkeypatch):
         monkeypatch.setattr(permanents, "_PART_ELEMS", 1)
         monkeypatch.setattr(permanents, "_STACK_ELEMS", 1)
         m = rand_matrix(rng, 13)
         ts = np.linspace(-2.0, 2.0, 40)  # 64 Gray steps
-        one = charfn_grid(m, ts).view(np.int64)
+        ref = _charfn_sequential(m, ts)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for threads in (5, 8, 16):
-                assert np.array_equal(charfn_grid(m, ts, threads=threads).view(np.int64), one), threads
+                assert np.array_equal(charfn_grid(m, ts, threads=threads).view(np.int64), ref), threads
         finally:
             sys.setswitchinterval(interval)
 
@@ -601,9 +618,9 @@ class TestThreadedWalk:
     def test_n20_one_t(self, rng):
         # The default part size: one t at n = 20 splits into two parts.
         m = rand_matrix(rng, 20)
-        one = charfn_grid(m, [0.7]).view(np.int64)
-        for threads in (2, 3, 4):
-            assert np.array_equal(charfn_grid(m, [0.7], threads=threads).view(np.int64), one), threads
+        ref = _charfn_sequential(m, np.array([0.7]))
+        for threads in (1, 2, 3, 4):
+            assert np.array_equal(charfn_grid(m, [0.7], threads=threads).view(np.int64), ref), threads
 
     @pytest.mark.parametrize("kind", ["gauss", "zero-one", "signed-zeros"])
     @pytest.mark.parametrize("n", [0, 1, 2, 9, 14])
@@ -616,9 +633,9 @@ class TestThreadedWalk:
             mats = rng.integers(0, 2, shape).astype(complex)
         else:
             mats = rng.integers(0, 2, shape) + rng.choice([-0.0, 0.0], shape) + 1j * rng.choice([-0.0, 0.0], shape)
-        one = permanents._perm_batch(mats).view(np.int64)
-        for threads in (2, 3, 4):
-            assert np.array_equal(permanents._perm_batch(mats, threads).view(np.int64), one), threads
+        ref = perm_batch_sequential(mats, permanents._BLOCK_ELEMS).view(np.int64)
+        for threads in (1, 2, 3, 4):
+            assert np.array_equal(permanents._perm_batch(mats, threads).view(np.int64), ref), threads
 
     @pytest.mark.parametrize("bad", [0, -2, 1.5, "2", None])
     def test_rejects_bad_thread_counts(self, rng, bad):
