@@ -17,7 +17,8 @@ Four self-contained items live here:
   times an s-integral (Gauss-Legendre).
 
 The module needs only numpy, as does the whole package but for the scipy
-import that ``exact.monte_carlo_delta`` makes before it samples.
+import that ``exact.monte_carlo_delta`` makes before it samples on two or more
+threads.
 """
 
 from __future__ import annotations

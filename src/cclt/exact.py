@@ -38,7 +38,9 @@ is assembled from a fixed batch layout of spawned substreams).
 
 Phi is ``ndtr``, Cephes' ``ndtr`` with its ``erf`` and ``erfc`` written in
 numpy, equal to ``scipy.special.ndtr`` bit for bit on the same libm.  Only
-``monte_carlo_delta`` imports scipy, before it samples.
+``monte_carlo_delta`` imports scipy, and only before it samples on two or
+more threads: two threads were measured slower without the import, one
+thread showed no gap.
 """
 
 from __future__ import annotations
@@ -569,19 +571,22 @@ def monte_carlo_delta(
     ``_ks_sup``: Phi is evaluated at about 1% of the samples, and the value
     and ``arg_x`` are those of a scan of every sample, bit for bit.  A sample
     array over ``_ENUM_BYTES`` raises ``CapExceededError`` before any work.
-    scipy is imported first, so the sampling threads run with it loaded.
+    At ``threads`` >= 2 scipy is imported after the argument checks, so the
+    sampling threads run with it loaded; one thread samples without it.
     """
-    # Two threads of ``Generator.permuted`` ran 15-25% slower in a process
-    # that had not imported scipy, most likely through where numpy's
-    # allocations land rather than through scipy code, so sampling keeps the
-    # state it was measured in.
-    import scipy.special  # noqa: F401
     samples = _integer(samples, "samples")
     if samples < 10_000:
         raise ParameterError(f"samples must be at least 10000, got {samples}")
     _check_mc_budget(samples)
     threads = _thread_count(threads)
     seed = _seed(seed)
+    if threads > 1:
+        # Two threads of ``Generator.permuted`` ran 15-25% slower in a process
+        # that had not imported scipy, most likely through where numpy's
+        # allocations land rather than through scipy code, so threaded
+        # sampling keeps the state it was measured in.  One thread showed no
+        # gap with or without the import, so it samples without scipy.
+        import scipy.special  # noqa: F401
     profile = _as_profile(m)
     sigma = math.sqrt(require_nondegenerate(profile.sigma2))
     n = profile.n

@@ -621,7 +621,7 @@ class TestVerifyCommand:
 
 
 class TestScipyLoading:
-    """scipy is imported only before Monte Carlo sampling: every other command runs without it."""
+    """scipy is imported only before Monte Carlo sampling on two or more threads: every other command runs without it."""
 
     CHILD = (
         "import json, sys\n"
@@ -650,9 +650,9 @@ class TestScipyLoading:
         commands = [
             ["charfn", "--input", str(path), "--t-grid=0:2:5", "--output", out],
             ["constants", "--output", out],
-            *(["verify", suite, "--output", out] for suite in ("cf", "identity", "constants")),
+            *(["verify", suite, "--output", out] for suite in ("cf", "identity", "constants", "bounds")),
         ]
-        assert self.loaded_after(*commands) == [False] * 6
+        assert self.loaded_after(*commands) == [False] * 7
 
     def test_exact_distance_commands_leave_scipy_unloaded(self, tmp_path):
         path = tmp_path / "m9.csv"
@@ -666,12 +666,14 @@ class TestScipyLoading:
         ]
         assert self.loaded_after(*commands) == [False] * 4
 
-    def test_sampling_bound_loads_scipy(self, tmp_path):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_sampling_bound_loads_scipy_only_on_threads(self, tmp_path, threads):
         path = tmp_path / "m5.csv"
         rows = np.random.default_rng(5).standard_normal((5, 5))
         path.write_text("\n".join(",".join(str(v) for v in row) for row in rows))
-        argv = ["bound", "--input", str(path), "--enum-cap", "4", "--mc-samples", "20000", "--output", str(tmp_path / "out.json")]
-        assert self.loaded_after(argv) == [False, True]
+        argv = ["bound", "--input", str(path), "--enum-cap", "4", "--mc-samples", "20000", "--threads", str(threads)]
+        argv += ["--output", str(tmp_path / "out.json")]
+        assert self.loaded_after(argv) == [False, threads > 1]
 
 
 class TestThreadsConfig:

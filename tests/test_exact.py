@@ -635,11 +635,12 @@ class TestMonteCarlo:
             two_by_two, 10_000, seed=0
         )
 
-    def test_phi_is_loaded_before_sampling(self):
-        # The sampling threads run in a process that has imported scipy (see
-        # ``monte_carlo_delta``).  This test module imports scipy itself, so
-        # the check runs in a fresh process: whether ``scipy.special`` is
-        # loaded at each ``default_rng`` call.
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_scipy_is_loaded_only_before_threaded_sampling(self, threads):
+        # Threaded sampling runs in a process that has imported scipy (see
+        # ``monte_carlo_delta``); one thread samples without it.  This test
+        # module imports scipy itself, so the check runs in a fresh process:
+        # whether ``scipy.special`` is loaded at each ``default_rng`` call.
         child = (
             "import sys\n"
             "import numpy as np\n"
@@ -648,12 +649,39 @@ class TestMonteCarlo:
             "m = ScoreMatrix(default_rng(5).standard_normal((5, 5)))\n"
             "seen = ['scipy' in sys.modules]\n"
             "np.random.default_rng = lambda seed: seen.append('scipy.special' in sys.modules) or default_rng(seed)\n"
-            "monte_carlo_delta(m, 20_000, seed=0, threads=2)\n"
+            f"monte_carlo_delta(m, 20_000, seed=0, threads={threads})\n"
             "print(seen)\n"
         )
         proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=child_env(), timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["[False,", "True]"]
+        assert proc.stdout.strip() == str([False, threads > 1])
+
+    def test_scipy_import_leaves_the_report_unchanged(self):
+        # The import changes only timing: a report in a process that never
+        # loads scipy, in one that imports ``scipy.special`` first, and at two
+        # threads (which import it), as float.hex, over two batches.
+        child = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from cclt import ScoreMatrix, monte_carlo_delta\n"
+            "from cclt.exact import _MC_BATCH\n"
+            "setting = sys.argv[1]\n"
+            "if setting == 'imported':\n"
+            "    import scipy.special\n"
+            "m = ScoreMatrix(np.random.default_rng(7).standard_normal((7, 7)))\n"
+            "r = monte_carlo_delta(m, _MC_BATCH + 4_321, seed=11, threads=2 if setting == 'threads' else 1)\n"
+            "print(r.delta.hex(), r.arg_x.hex(), 'scipy' in sys.modules)\n"
+        )
+        reports = {}
+        for setting in ("plain", "imported", "threads"):
+            proc = subprocess.run(
+                [sys.executable, "-c", child, setting], capture_output=True, text=True, env=child_env(), timeout=120
+            )
+            assert proc.returncode == 0, proc.stderr
+            *report, loaded = proc.stdout.split()
+            assert loaded == str(setting != "plain")
+            reports[setting] = report
+        assert reports["plain"] == reports["imported"] == reports["threads"]
 
     def test_thread_count_does_not_change_result(self, rng):
         m = rand_matrix(rng, 5)

@@ -59,6 +59,30 @@ def test_unknown_suite_raises_parameter_error():
         run_suite("nonsense")
 
 
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        (-1, r"seed must be in \[0, 2\^64\), got -1"),
+        (1 << 64, rf"seed must be in \[0, 2\^64\), got {1 << 64}"),
+        (1.5, "seed must be an integer, got 1.5"),
+        ("3", "seed must be an integer, got '3'"),
+        (None, "seed must be an integer, got None"),
+    ],
+)
+def test_bad_seed_raises_parameter_error_before_any_work(monkeypatch, seed, message):
+    called = []
+    monkeypatch.setattr(verify, "_SUITES", {name: lambda *args: called.append(args) or () for name in verify._SUITES})
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        run_suite("all", seed)
+    assert called == []
+
+
+def test_numpy_integer_seed_gives_the_plain_seed_report():
+    summary = run_suite("constants", np.uint64(3))
+    assert type(summary["seed"]) is int
+    assert summary == run_suite("constants", 3)
+
+
 def gaussians(n: int, count: int) -> list:
     rng = np.random.default_rng(n)
     return [ScoreMatrix(rng.standard_normal((n, n))) for _ in range(count)]
