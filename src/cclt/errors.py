@@ -63,8 +63,11 @@ def _integer(value, name: str) -> int:
 
 
 def _finite(values, name: str) -> np.ndarray:
-    """``values`` as a 1-d float array; a non-finite entry raises ``ParameterError``."""
-    values = np.atleast_1d(np.asarray(values, dtype=float))
+    """``values`` as a 1-d float array; a non-numeric or non-finite entry raises ``ParameterError``."""
+    try:
+        values = np.atleast_1d(np.asarray(values, dtype=float))
+    except (TypeError, ValueError):
+        raise ParameterError(f"{name} must be a real number, got {values!r}") from None
     if not np.isfinite(values).all():
         raise ParameterError(f"{name} must be finite, got {values[~np.isfinite(values)][0]}")
     return values

@@ -272,6 +272,8 @@ def identity_check(Y: ComplexScoreMatrix, tol: float = 1e-10) -> IdentityCheck:
     rhs.
     """
     _finite(tol, "tol")
+    if not tol > 0:
+        raise ParameterError(f"tol must be positive, got {tol}")
     n = Y.n
     if n > ENUM_CAP:
         raise CapExceededError(f"identity check needs {n}! permutation terms, above cap {ENUM_CAP}")

@@ -16,7 +16,10 @@ The tests check it against a naive permutation sum at small n.  Its one
 Gray-code walk is split into contiguous step ranges run on threads
 (``charfn_grid`` and ``evaluate_cf_grid`` take ``threads``; one thread is one
 range); every range performs the same operations and the steps are summed in
-order, so no value depends on the thread count.
+order, so no value depends on the thread count.  A step's factors are its
+high rows' column sums broadcast over the low rows' sign codes plus the codes'
+sums; where numpy would add the broadcast sums over many short rows, they are
+copied first and the codes' sums added contiguously, the same additions.
 
 Three explicit inequalities for phi are implemented:
 
@@ -78,6 +81,9 @@ _STACK_ELEMS = 1 << 15
 # Row sums a walk holds between folds, 128 KB, unless its parts need more for
 # one stacked op each.
 _SUMS_ELEMS = 1 << 13
+# Fewest elements of a factor op built as a copy and a contiguous add: below
+# it, the two ops' call overhead outweighs the broadcast add's per-row loop.
+_COPY_ELEMS = 1 << 10
 
 
 def _gray_flip(step: int, flips: np.ndarray, source: np.ndarray, out: np.ndarray) -> None:
@@ -98,18 +104,32 @@ def _gray_part(low, sign_low, flips, first, last, sums, highs, prod, term) -> No
     from the step before's, and the stacked steps' factors are formed and
     multiplied in ``prod`` and ``term``.  Step s ends in slot
     (s - ``first``) % ``len(highs)``.
+
+    Factor j is low[j] plus each step's column sum j broadcast over the codes.
+    numpy adds a broadcast operand one row at a time, and with many short
+    rows that loop costs more than the additions.  So where the op has more
+    than one row, more than one code and at least ``_COPY_ELEMS`` elements,
+    the sums are copied over the codes first and low[j] is added to the copy
+    as one contiguous op, about 30% faster.  The additions are the same,
+    operands in the same order, so the bits are too.
     """
-    n = low.shape[0]
+    n, size, codes = low.shape
     stack = highs.shape[0]
     for start in range(first, last, stack):
         count = min(stack, last - start)
         for step in range(max(start, first + 1), start + count):
             _gray_flip(step, flips, highs[step - start - 1], highs[step - start])
         high, p, t = highs[:count, ..., None], prod[:count], term[:count]
-        np.add(low[0], high[:, 0], out=p)
-        for j in range(1, n):
-            np.add(low[j], high[:, j], out=t)
-            p *= t
+        copy = codes > 1 and count * size > 1 and count * size * codes >= _COPY_ELEMS
+        for j in range(n):
+            out = t if j else p
+            if copy:
+                np.copyto(out, high[:, j])
+                np.add(low[j], out, out=out)
+            else:
+                np.add(low[j], high[:, j], out=out)
+            if j:
+                p *= t
         p *= sign_low
         np.add.reduce(p, axis=2, out=sums[start - first : start - first + count])
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .analytic import damped_moment_integrals, kappa, taylor_remainder_check, v_of_w
 from .constants import berry_esseen_bound, sampling_bound_specialized, smoothing_bound, theorem_constants
-from .errors import ParameterError, _seed
+from .errors import ParameterError, _finite, _seed
 from .exact import enumerate_distribution, kolmogorov_distance, monte_carlo_delta
 from .identity import (
     ComplexScoreMatrix,
@@ -441,12 +441,15 @@ _SUITES = {"identity": _identity_suite, "bounds": _bounds_suite, "constants": _c
 def run_suite(suite: str, seed: int = 0, quad_tol: float = 1e-10) -> dict:
     """Run one verification suite; returns a JSON-ready summary.
 
-    ``seed`` must be an integer in [0, 2^64), as ``--seed``; anything else
-    raises ``ParameterError`` before any work.
+    ``seed`` must be an integer in [0, 2^64), as ``--seed``, and ``quad_tol``
+    a finite positive number, as ``--quad-tol``; anything else raises
+    ``ParameterError`` before any work.
     """
     if suite not in SUITE_NAMES:
         raise ParameterError(f"unknown suite {suite!r}; expected one of {', '.join(SUITE_NAMES)}")
     seed = _seed(seed)
+    if not (_finite(quad_tol, "quad tolerance") > 0).all():
+        raise ParameterError(f"quad tolerance must be positive, got {quad_tol}")
     names = ("identity", "bounds", "constants", "cf") if suite == "all" else (suite,)
     results = [r for name in names for r in _SUITES[name](seed, quad_tol)]
     return {

@@ -55,7 +55,10 @@ def perm_batch_sequential(mats, block_elems: int) -> np.ndarray:
         for j in range(1, n):
             prod *= low[j] + high[j, :, None]
         prod *= sign_low
-        total += -prod.sum(axis=1) if step & 1 else prod.sum(axis=1)
+        if step & 1:
+            total -= prod.sum(axis=1)
+        else:
+            total += prod.sum(axis=1)
     return total / 2.0 ** (n - 1)
 
 

@@ -113,6 +113,13 @@ def test_nonfinite_real_argument_refused(case, value, n):
         call(*_inputs(n), value)
 
 
+@pytest.mark.parametrize("case", sorted(REAL_ARGUMENTS))
+def test_non_numeric_real_argument_refused(case):
+    name, call = REAL_ARGUMENTS[case]
+    with pytest.raises(ParameterError, match=f"^{name} must be a real number, got .*'x'"):
+        call(*_inputs(5), "x")
+
+
 def test_readme_library_quick_start_runs(capsys):
     text = README.read_text()
     section = text[text.index("## Quick start (library)") :]

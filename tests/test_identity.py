@@ -254,6 +254,13 @@ class TestIdentityCheck:
         with pytest.raises(ParameterError):
             identity_check(rand_complex(rng, 3), tol=-1e-9)
 
+    @pytest.mark.parametrize("tol", [-1.0, 0.0])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_nonpositive_tolerance_named_as_given(self, rng, n, tol):
+        # The rule's own target is tol * n!; the message gives the caller's tol.
+        with pytest.raises(ParameterError, match=f"^tol must be positive, got {tol}$"):
+            identity_check(rand_complex(rng, n), tol=tol)
+
     def test_peak_memory_set_by_one_block(self, rng, monkeypatch):
         # With 5! rows per permutation block, n = 7 streams 42 blocks where
         # n = 6 streams 6, each about as large; holding all n! rows' pair

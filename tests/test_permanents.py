@@ -565,6 +565,19 @@ def _inline_pool(sizes: list):
     return InlinePool
 
 
+def _copy_spy(monkeypatch) -> list:
+    """Wrap ``np.copyto`` to list the size of each array it writes, from any thread."""
+    copied = []
+    copyto = np.copyto
+
+    def spy(dst, src, *args, **kwargs):
+        copied.append(dst.size)
+        return copyto(dst, src, *args, **kwargs)
+
+    monkeypatch.setattr(np, "copyto", spy)
+    return copied
+
+
 class TestThreadedWalk:
     """The Gray walk at every thread count gives the bits of one sequential loop
     (``oracles.perm_batch_sequential``), compared as int64 views."""
@@ -662,6 +675,60 @@ class TestThreadedWalk:
         assert sizes == []
         assert np.array_equal(charfn_grid(m, ts, threads=10**6).view(np.int64), one)
         assert sizes == pools
+
+    # Stacks of n x n matrices and the part size of each walk (None: the default).
+    # n = 18 x 1 t and n = 5 x 7,000 (k = 0, one code) keep numpy's broadcast
+    # add; the others have 128-256 codes, so each factor is a copy and an add.
+    FACTOR_WALKS = {
+        "n18-one-t": (lambda rng: np.exp(0.3j * rand_matrix(rng, 18).a)[None], None),
+        "k0-wide-batch": (lambda rng: np.exp(1j * np.linspace(-2.0, 2.0, 7000)[:, None, None] * rand_matrix(rng, 5).a), 1),
+        "codes-one-part": (lambda rng: np.exp(1j * np.linspace(0.0, 1.5, 25)[:, None, None] * rand_matrix(rng, 14).a), None),
+        "codes-stacked": (lambda rng: np.exp(1j * np.linspace(0.0, 1.5, 25)[:, None, None] * rand_matrix(rng, 14).a), 1),
+        "signed-zeros": (
+            lambda rng: rng.integers(0, 2, (20, 12, 12))
+            + rng.choice([-0.0, 0.0], (20, 12, 12))
+            + 1j * rng.choice([-0.0, 0.0], (20, 12, 12)),
+            1,
+        ),
+        # Every other matrix has entries near 1e308, whose column sums overflow.
+        "overflow": (
+            lambda rng: np.where(np.arange(30)[:, None, None] % 2, 1e308, 1.0)
+            * (rng.choice([-1.0, 1.0], (30, 10, 10)) + 1j * rng.uniform(-1.0, 1.0, (30, 10, 10))),
+            1,
+        ),
+    }
+
+    # copy_elems 1 copies wherever a step has two rows and two codes, 2^62 never.
+    # numpy's error state is per thread, so the overflow walk's warnings are
+    # filtered instead.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("copy_elems", [1, None, 1 << 62], ids=["copy", "default", "add"])
+    @pytest.mark.parametrize("walk", sorted(FACTOR_WALKS))
+    def test_factor_routes(self, rng, monkeypatch, walk, copy_elems):
+        make, part_elems = self.FACTOR_WALKS[walk]
+        if part_elems is not None:
+            monkeypatch.setattr(permanents, "_PART_ELEMS", part_elems)
+        if copy_elems is not None:
+            monkeypatch.setattr(permanents, "_COPY_ELEMS", copy_elems)
+        copied = _copy_spy(monkeypatch)
+        mats = make(rng)
+        size, n, _ = mats.shape
+        ref = perm_batch_sequential(mats, permanents._BLOCK_ELEMS).view(np.int64)
+        for threads in (1, 2, 3, 4):
+            assert np.array_equal(permanents._perm_batch(mats, threads).view(np.int64), ref), threads
+        assert np.isnan(ref.view(complex)).any() == (walk == "overflow")
+        assert np.isfinite(ref.view(complex)).any()
+        copies = copy_elems != 1 << 62 and walk not in ("n18-one-t", "k0-wide-batch")
+        # Every factor of every step, or none: n factors of size x 2^(n-1) elements.
+        assert sum(copied) == (4 * n * size << (n - 1) if copies else 0)
+
+    @pytest.mark.parametrize("n", [16, 18])
+    def test_benchmark_walks_copy_every_factor(self, rng, monkeypatch, n):
+        # The charfn-grid jobs at n = 16 and 18: 25 t on two threads, 128 codes.
+        copied = _copy_spy(monkeypatch)
+        charfn_grid(rand_matrix(rng, n), np.linspace(0.0, 1.5, 25), threads=2)
+        assert sum(copied) == n * 25 << (n - 1)
 
 
 class TestScalarIsBatchOfOne:

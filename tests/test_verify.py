@@ -8,6 +8,8 @@ cannot pass vacuously for both.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 
 from cclt import ParameterError, ScoreMatrix
 from cclt import verify
-from cclt.verify import restricted_instances, run_suite, t_grids
+from cclt.verify import SUITE_NAMES, restricted_instances, run_suite, t_grids
 
 VERIFY_ALL = (
     "permanent_identity",
@@ -74,6 +76,24 @@ def test_bad_seed_raises_parameter_error_before_any_work(monkeypatch, seed, mess
     monkeypatch.setattr(verify, "_SUITES", {name: lambda *args: called.append(args) or () for name in verify._SUITES})
     with pytest.raises(ParameterError, match=f"^{message}$"):
         run_suite("all", seed)
+    assert called == []
+
+
+@pytest.mark.parametrize(
+    "quad_tol, message",
+    [
+        (-1.0, "quad tolerance must be positive, got -1.0"),
+        (math.nan, "quad tolerance must be finite, got nan"),
+        (0.0, "quad tolerance must be positive, got 0.0"),
+        ("x", "quad tolerance must be a real number, got 'x'"),
+    ],
+)
+def test_bad_quad_tol_raises_parameter_error_before_any_work(monkeypatch, quad_tol, message):
+    called = []
+    monkeypatch.setattr(verify, "_SUITES", {name: lambda *args: called.append(args) or () for name in verify._SUITES})
+    for suite in SUITE_NAMES:
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            run_suite(suite, quad_tol=quad_tol)
     assert called == []
 
 
